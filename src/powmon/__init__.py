@@ -48,12 +48,10 @@ from .monoids import (
     units,
 )
 from .powersets import (
-    DIVIDES_CAP_DEFAULT,
     FinSubset1,
     MembershipError,
     MonoidMismatchError,
     QuotientReport,
-    SetSizeCapError,
     divides,
     quotient_multiplicity,
     quotients,

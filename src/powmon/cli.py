@@ -29,6 +29,7 @@ from .ambient import GroupElement, SignatureMismatchError
 from .monoids import (
     MonoidSpec,
     Window,
+    element_to_dict,
     elements_in_window,
     full_n0,
     is_valuation,
@@ -36,7 +37,6 @@ from .monoids import (
     units,
 )
 from .powersets import (
-    DIVIDES_CAP_DEFAULT,
     FinSubset1,
     MembershipError,
     MonoidMismatchError,
@@ -57,7 +57,7 @@ from .suites import (
 )
 from .translation import ApplicabilityError, build_translation_iso
 
-__all__ = ["main", "console", "ParseError", "parse_expression", "format_set"]
+__all__ = ["main", "console", "ParseError", "parse_expression"]
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -220,22 +220,6 @@ def parse_expression(text: str, monoid: MonoidSpec) -> FinSubset1:
     return _Parser(text, monoid).parse()
 
 
-def format_element(u: GroupElement) -> str:
-    if u.torsion:
-        return f"({','.join(map(str, u.free))};{','.join(map(str, u.torsion))})"
-    if len(u.free) == 1:
-        return str(u.free[0])
-    return f"({','.join(map(str, u.free))})"
-
-
-def format_set(x: FinSubset1) -> str:
-    return "{" + ",".join(format_element(u) for u in x.elements) + "}"
-
-
-def _element_json(u: GroupElement) -> dict:
-    return {"free": list(u.free), "torsion": list(u.torsion)}
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -277,9 +261,10 @@ def cmd_eval(args) -> int:
     monoid = _load_monoid(args.monoid)
     result = parse_expression(args.expression, monoid)
     if args.format == "json":
-        print(json.dumps({"elements": [_element_json(u) for u in result.elements]}, sort_keys=True))
+        elements = [element_to_dict(u) for u in result.elements]
+        print(json.dumps({"elements": elements}, sort_keys=True))
     else:
-        print(format_set(result))
+        print(repr(result))
     return EXIT_OK
 
 
@@ -306,18 +291,18 @@ def cmd_analyze(args) -> int:
         "member_count": len(members),
         "valuation": {
             "status": verdict.status.value,
-            **({"witness": _element_json(verdict.witness)} if verdict.witness else {}),
+            **({"witness": element_to_dict(verdict.witness)} if verdict.witness else {}),
         },
-        "units": [_element_json(u) for u in unit_list],
+        "units": [element_to_dict(u) for u in unit_list],
         "irreducibles": [
-            {"element": _element_json(u), "status": status.value} for u, status in irreducible
+            {"element": element_to_dict(u), "status": status.value} for u, status in irreducible
         ],
         "reducible_count": reducible,
         "decomposition": {
             "pseudo_unit_count": len(report.pseudo_units),
             "complement_count": len(report.complement),
             "unknown_count": len(report.unknown),
-            "pseudo_units": [_element_json(u) for u in report.pseudo_units],
+            "pseudo_units": [element_to_dict(u) for u in report.pseudo_units],
         },
     }
     if args.format == "json":
@@ -325,10 +310,10 @@ def cmd_analyze(args) -> int:
     else:
         print(f"monoid        {monoid.label}")
         print(f"window        {window.bound}  ({len(members)} members)")
-        witness = f"  witness {format_element(verdict.witness)}" if verdict.witness else ""
+        witness = f"  witness {verdict.witness!r}" if verdict.witness else ""
         print(f"valuation     {verdict.status.value}{witness}")
-        print(f"units         {{{','.join(format_element(u) for u in unit_list)}}}")
-        irr = ", ".join(f"{format_element(u)} [{s.value}]" for u, s in irreducible) or "none found"
+        print(f"units         {{{','.join(map(repr, unit_list))}}}")
+        irr = ", ".join(f"{u!r} [{s.value}]" for u, s in irreducible) or "none found"
         print(f"irreducibles  {irr}")
         print(f"reducible     {reducible} elements factor into non-units")
         print(
@@ -336,7 +321,7 @@ def cmd_analyze(args) -> int:
             f"{len(report.pseudo_units)} pseudo-units / {len(report.complement)} complement"
             + (f" / {len(report.unknown)} unknown" if report.unknown else "")
         )
-        shown = ",".join(format_element(u) for u in report.pseudo_units[:12])
+        shown = ",".join(map(repr, report.pseudo_units[:12]))
         more = "..." if len(report.pseudo_units) > 12 else ""
         print(f"pseudo-units  {{{shown}{more}}}")
     return EXIT_OK
@@ -400,10 +385,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format", choices=("human", "json"), default="human", help="output format"
-    )
-    parser.add_argument(
-        "--cap", type=int, default=DIVIDES_CAP_DEFAULT,
-        help="divisibility search cap (default 16)",
     )
 
 

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import ClassVar, Iterable, Iterator
 
 from .ambient import (
@@ -68,16 +68,13 @@ __all__ = [
     "elements_in_window",
     "ambient_window",
     "witness_search_order",
+    "element_to_dict",
     "spec_to_dict",
     "spec_from_dict",
     "monoid_to_json",
     "monoid_from_json",
     "load_monoid_file",
 ]
-
-GRADING_SEARCH_BOUND = 5
-GROUP_CERTIFICATE_BOUND = 6
-
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
@@ -472,47 +469,68 @@ class IrrationalCone(_Planar):
 # ---------------------------------------------------------------------------
 
 
-def _find_positive_grading(
-    sig: GroupSignature, vectors: list[tuple[int, ...]]
+def _positive_solution(
+    equations: list[tuple[int, ...]], inequalities: list[tuple[int, ...]], width: int
 ) -> tuple[int, ...] | None:
-    """Small integer functional strictly positive on every vector."""
-    d = sig.free_rank
-    if d == 0 or not vectors:
-        return None
-    for radius in range(1, GRADING_SEARCH_BOUND + 1):
-        for lam in itertools.product(range(-radius, radius + 1), repeat=d):
-            if max(abs(c) for c in lam) != radius:
-                continue
-            if all(sum(l * v for l, v in zip(lam, vec)) > 0 for vec in vectors):
-                return lam
-    return None
+    """Primitive integer x with e.x = 0 for every row e of ``equations``
+    and p.x >= 1 for every row p of ``inequalities``, or None if none.
 
-
-def _find_group_certificate(gens: tuple[GroupElement, ...]) -> tuple[int, ...] | None:
-    """Coefficients c_i >= 1 with sum(c_i * g_i) = identity, if any.
-
-    Such a certificate proves every generator invertible, hence that the
-    generated semigroup is the full generated subgroup.
+    Exact phase-1 simplex with Bland's rule, on integer rows kept up to a
+    positive factor; the rational solution found scales to an integer one.
     """
-    k = len(gens)
-    for coeffs in itertools.product(range(1, GROUP_CERTIFICATE_BOUND + 1), repeat=k):
-        total = gens[0].scale(coeffs[0])
-        for c, g in zip(coeffs[1:], gens[1:]):
-            total = total + g.scale(c)
-        if total.is_identity():
-            return coeffs
-    return None
+    m = len(inequalities)
+    n = width + m  # columns: x, a surplus s_i >= 0 with p_i.x - s_i = 1, the rhs
+    rows = [list(e) + [0] * (m + 1) for e in equations]
+    rows += [list(p) + [-(i == j) for j in range(m)] + [1] for i, p in enumerate(inequalities)]
+    basis = [n + i for i in range(len(rows))]  # n + i: the artificial variable of row i
+
+    def pivot(r: int, c: int) -> None:
+        if rows[r][c] < 0:
+            rows[r] = [-v for v in rows[r]]
+        p, prow = rows[r][c], rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                new = [p * a - row[c] * b for a, b in zip(row, prow)]
+                g = gcd(*new) or 1
+                rows[i] = [v // g for v in new]
+        basis[r] = c
+
+    # x is free in sign: once each coordinate is basic, the other rows
+    # constrain the surpluses alone
+    for c in range(width):
+        r = next((i for i, row in enumerate(rows) if basis[i] >= n and row[c]), None)
+        if r is not None:
+            pivot(r, c)
+    cons = [i for i, b in enumerate(basis) if b >= width]
+    for i in cons:
+        if rows[i][-1] < 0:
+            rows[i] = [-v for v in rows[i]]
+    # last row: W + w.s = rhs, W the sum of the artificials, so raising s_j
+    # lowers W when w_j > 0; an artificial that leaves the basis stays 0
+    rows.append([sum(rows[i][j] for i in cons) for j in range(n + 1)])
+    while rows[-1][-1] > 0:
+        c = next((j for j in range(width, n) if rows[-1][j] > 0), None)
+        if c is None:
+            return None
+        cand = [i for i in cons if rows[i][c] > 0]
+        top = lcm(*(rows[i][c] for i in cand))
+        pivot(min(cand, key=lambda i: (rows[i][-1] * top // rows[i][c], basis[i])), c)
+    solved = {b: rows[i] for i, b in enumerate(basis) if b < width}
+    den = lcm(*(row[b] for b, row in solved.items()))
+    x = [solved[b][-1] * den // solved[b][b] if b in solved else 0 for b in range(width)]
+    g = gcd(*x) or 1
+    return tuple(v // g for v in x)
 
 
 @dataclass(frozen=True, slots=True)
 class FreeGenerated(MonoidSpec):
     """Subsemigroup-with-identity generated by finitely many elements.
 
-    Membership search must terminate, so construction requires one of:
+    Construction decides exactly which of these holds, and requires one:
 
     * a positive grading (an integer functional strictly positive on
-      every generator), which bounds coefficient search and also proves
-      the monoid reduced; or
+      every generator), which bounds the coefficients of any
+      representation and also proves the monoid reduced; or
     * a group certificate (the identity as an everywhere-positive
       combination), in which case the monoid is the generated subgroup
       and membership is a lattice question.
@@ -541,17 +559,21 @@ class FreeGenerated(MonoidSpec):
         if not gens:
             object.__setattr__(self, "_group_rows", subgroup_rows(self.signature, ()))
             return
-        grading = _find_positive_grading(self.signature, [g.free for g in gens])
+        frees = [g.free for g in gens]
+        grading = _positive_solution([], frees, self.signature.free_rank)
         if grading is not None:
             object.__setattr__(self, "_grading", grading)
             return
-        if _find_group_certificate(gens) is not None:
+        # c >= 1 with sum(c_i * free_i) = 0: scaled by the lcm of the
+        # torsion orders, the combination is the identity
+        unit_rows = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
+        if _positive_solution(list(zip(*frees)), unit_rows, len(gens)) is not None:
             object.__setattr__(self, "_group_rows", subgroup_rows(self.signature, gens))
             return
         raise ValueError(
-            "generators admit no positive grading (searched |coeff| <= "
-            f"{GRADING_SEARCH_BOUND}) and do not certify a group; membership "
-            "would be undecidable by bounded search"
+            "no integer functional is positive on every generator, and no "
+            "combination of all generators with positive coefficients is the "
+            "identity; membership is decided only in these two cases"
         )
 
     @property
@@ -629,8 +651,8 @@ class ComplementSpec:
 
     Membership of u is the existence of c in N0^k, c != 0, with
     u - sum(c_i * m_i) in the lattice of G.  A grading functional that
-    vanishes on G and is strictly positive on every m_i bounds the
-    search; construction fails if none is found.
+    vanishes on G and is strictly positive on every m_i bounds c;
+    construction fails exactly when no such functional exists.
     """
 
     signature: GroupSignature
@@ -652,7 +674,11 @@ class ComplementSpec:
             raise ValueError("complement needs at least one positive generator")
         rows = subgroup_rows(self.signature, self.base_subgroup)
         object.__setattr__(self, "_base_rows", rows)
-        grading = self._find_grading()
+        grading = _positive_solution(
+            [g.free for g in self.base_subgroup],
+            [g.free for g in self.positive_generators],
+            self.signature.free_rank,
+        )
         if grading is None:
             raise ValueError(
                 "no integer functional vanishes on the base subgroup and is "
@@ -660,22 +686,6 @@ class ComplementSpec:
                 "membership would be unbounded"
             )
         object.__setattr__(self, "_grading", grading)
-
-    def _find_grading(self) -> tuple[int, ...] | None:
-        d = self.signature.free_rank
-        if d == 0:
-            return None
-        base_free = [g.free for g in self.base_subgroup]
-        pos_free = [g.free for g in self.positive_generators]
-        for radius in range(1, GRADING_SEARCH_BOUND + 1):
-            for lam in itertools.product(range(-radius, radius + 1), repeat=d):
-                if max(abs(c) for c in lam) != radius:
-                    continue
-                if any(sum(l * v for l, v in zip(lam, vec)) for vec in base_free):
-                    continue
-                if all(sum(l * v for l, v in zip(lam, vec)) > 0 for vec in pos_free):
-                    return lam
-        return None
 
     def _lambda(self, u: GroupElement) -> int:
         return sum(l * c for l, c in zip(self._grading, u.free))
@@ -906,7 +916,8 @@ def quotient_group(spec: MonoidSpec) -> tuple[GroupElement, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _element_to_obj(u: GroupElement) -> dict:
+def element_to_dict(u: GroupElement) -> dict:
+    """The JSON object of an element, as monoid files and reports write it."""
     return {"free": list(u.free), "torsion": list(u.torsion)}
 
 
@@ -937,13 +948,13 @@ def spec_to_dict(spec: MonoidSpec) -> dict:
         a = spec.alpha
         out["alpha"] = {"p": a.p, "q": a.q, "r": a.r, "n": a.n}
     elif isinstance(spec, FreeGenerated):
-        out["generators"] = [_element_to_obj(g) for g in spec.generators]
+        out["generators"] = [element_to_dict(g) for g in spec.generators]
     elif isinstance(spec, Composite):
         out["valuation_part"] = spec_to_dict(spec.valuation_part)
         out["complement_part"] = {
-            "base_subgroup": [_element_to_obj(g) for g in spec.complement_part.base_subgroup],
+            "base_subgroup": [element_to_dict(g) for g in spec.complement_part.base_subgroup],
             "positive_generators": [
-                _element_to_obj(g) for g in spec.complement_part.positive_generators
+                element_to_dict(g) for g in spec.complement_part.positive_generators
             ],
         }
     elif not isinstance(spec, FullN0):

@@ -12,7 +12,6 @@ integer fast path.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,8 +23,6 @@ __all__ = [
     "QuotientReport",
     "MonoidMismatchError",
     "MembershipError",
-    "SetSizeCapError",
-    "DIVIDES_CAP_DEFAULT",
     "set_product",
     "set_power",
     "divides",
@@ -33,8 +30,6 @@ __all__ = [
     "quotient_multiplicity",
     "reversion",
 ]
-
-DIVIDES_CAP_DEFAULT = 16
 
 _Z1 = GroupSignature(1)
 _Z1_ELEMENTS: dict[int, GroupElement] = {}
@@ -59,10 +54,6 @@ class MembershipError(ValueError):
         self.monoid = monoid
         self.element = element
         super().__init__(f"element {element!r} is not a member of monoid {monoid.label!r}")
-
-
-class SetSizeCapError(ValueError):
-    """Divisibility search refused: the target set exceeds the cap."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,45 +133,35 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
 
 
 def set_power(x: FinSubset1, n: int) -> FinSubset1:
-    """n-fold product; the zeroth power is {identity}."""
+    """n-fold product by repeated squaring; the zeroth power is {identity}."""
     if n < 0:
         raise ValueError("set powers need n >= 0")
     result = FinSubset1._trusted(x.monoid, (x.monoid.identity(),))
-    for _ in range(n):
-        result = set_product(result, x)
+    while n:
+        if n & 1:
+            result = set_product(result, x)
+        n >>= 1
+        if n:
+            x = set_product(x, x)
     return result
 
 
-def divides(
-    x: FinSubset1, y: FinSubset1, cap: int = DIVIDES_CAP_DEFAULT
-) -> FinSubset1 | None:
-    """A witness Z with X*Z = Y, or None when X does not divide Y.
+def divides(x: FinSubset1, y: FinSubset1) -> FinSubset1 | None:
+    """The largest Z with X*Z = Y, or None when X does not divide Y.
 
-    Since the identity lies in every set, any witness satisfies Z <= Y
-    and X <= Y, so searching identity-containing subsets of Y is
-    complete.  The search is exponential in |Y| and refuses to run past
-    ``cap`` elements.
+    Every witness Z lies inside Z* = {z in Y : X + z <= Y}, because the
+    identity is in X and X*Z = Y.  So Y = X*Z <= X*Z* <= Y, and X divides
+    Y exactly when X*Z* = Y.  Z* contains the identity exactly when
+    X <= Y, which every divisor satisfies.
     """
     _check_same_monoid(x, y)
-    if len(y) > cap:
-        raise SetSizeCapError(f"|Y| = {len(y)} exceeds the divisibility search cap {cap}")
     y_set = set(y.elements)
     if not set(x.elements) <= y_set:
         return None
-    # any usable witness element z satisfies u + z in Y for every u in X
-    allowed = [
-        z
-        for z in y.elements
-        if not z.is_identity() and all((u + z) in y_set for u in x.elements)
-    ]
-    for size in range(len(allowed) + 1):
-        for combo in itertools.combinations(allowed, size):
-            z = FinSubset1._trusted(
-                y.monoid, tuple(sorted(set(combo) | {y.monoid.identity()}, key=GroupElement.key))
-            )
-            if set_product(x, z).elements == y.elements:
-                return z
-    return None
+    z = FinSubset1._trusted(
+        y.monoid, tuple(w for w in y.elements if all((u + w) in y_set for u in x.elements))
+    )
+    return z if set_product(x, z).elements == y.elements else None
 
 
 @dataclass(frozen=True, slots=True)

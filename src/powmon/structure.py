@@ -25,6 +25,7 @@ from .monoids import (
     MonoidSpec,
     Numerical,
     Window,
+    element_to_dict,
     elements_in_window,
     is_analytic_valuation_family,
     numerical,
@@ -233,20 +234,17 @@ class DecompositionReport:
     verdicts: tuple[PseudoUnitVerdict, ...]
 
     def to_json_dict(self) -> dict:
-        def elem(u: GroupElement) -> dict:
-            return {"free": list(u.free), "torsion": list(u.torsion)}
-
         return {
             "monoid": self.monoid.label,
             "window": self.window.bound,
-            "pseudo_units": [elem(u) for u in self.pseudo_units],
-            "complement": [elem(u) for u in self.complement],
-            "unknown": [elem(u) for u in self.unknown],
+            "pseudo_units": [element_to_dict(u) for u in self.pseudo_units],
+            "complement": [element_to_dict(u) for u in self.complement],
+            "unknown": [element_to_dict(u) for u in self.unknown],
             "verdicts": [
                 {
-                    "element": elem(v.element),
+                    "element": element_to_dict(v.element),
                     "status": v.status.value,
-                    **({"witness": elem(v.witness)} if v.witness is not None else {}),
+                    **({"witness": element_to_dict(v.witness)} if v.witness is not None else {}),
                 }
                 for v in self.verdicts
             ],

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from powmon.cli import main, parse_expression, format_set
+from powmon.cli import main, parse_expression
 from powmon.monoids import monoid_to_json
 from powmon.powersets import FinSubset1
 
@@ -45,7 +45,7 @@ def test_eval_round_trip(capsys, n0):
         reparsed = parse_expression(printed, n0)
         direct = parse_expression(expr, n0)
         assert reparsed == direct
-        assert format_set(reparsed) == printed
+        assert repr(reparsed) == printed
 
 
 def test_eval_tuples_over_halfplane(capsys, monoid_files):

@@ -12,6 +12,7 @@ from powmon.monoids import (
     QuadraticSurd,
     ValuationStatus,
     Window,
+    ambient_window,
     composite,
     elements_in_window,
     free_generated,
@@ -173,6 +174,11 @@ def test_free_generated_rejects_undecidable():
     gens = (Z2.element((1, 0)), Z2.element((-1, 0)), Z2.element((0, 1)))
     with pytest.raises(ValueError):
         free_generated(Z2, gens)
+    # the same obstruction with seven generators; the message names the
+    # two conditions that failed
+    more = [(1, 0), (-1, 0), (0, 1), (0, 2), (0, 3), (1, 1), (-1, 1)]
+    with pytest.raises(ValueError, match="no integer functional is positive"):
+        free_generated(Z2, [Z2.element(v) for v in more])
 
 
 def test_free_generated_torsion_group():
@@ -180,6 +186,44 @@ def test_free_generated_torsion_group():
     m = free_generated(sig, (sig.element((), (1,)),))
     assert m.is_group()
     assert m.contains(sig.element((), (2,)))
+
+
+@pytest.mark.parametrize(
+    "sig, gens, bound, depth, group",
+    [
+        # graded only by functionals with a coefficient above 5, e.g. (37, 6);
+        # a window member has grade <= 43 * 2, one per generator in any sum,
+        # and (1, 0) needs 31 + 6 generators
+        (Z2, [((1, -6), ()), ((-5, 31), ())], 2, 86, False),
+        (GroupSignature(0, (7,)), [((), (1,))], 1, 6, True),
+        (GroupSignature(1, (7,)), [((1,), (1,)), ((-1,), (0,))], 4, 24, True),
+    ],
+)
+def test_free_generated_membership_matches_enumeration(sig, gens, bound, depth, group):
+    elems = [sig.element(free, torsion) for free, torsion in gens]
+    m = free_generated(sig, elems)
+    assert m.is_group() == group
+    # oracle: every sum of at most ``depth`` generators
+    members = level = {sig.identity()}
+    for _ in range(depth):
+        level = {u + g for u in level for g in elems}
+        members = members | level
+    for u in ambient_window(sig, Window(bound)):
+        assert m.contains(u) == (u in members), u
+
+
+def test_gradings_pinned(rank4_complement):
+    # a grading sets the search budgets of graded membership and of the
+    # composite pseudo-unit witness, so reports depend on which one is chosen
+    assert rank4_complement._grading == (0, 0, 1, 1)
+    m = free_generated(Z2, [Z2.element(v) for v in ((1, 0), (1, 1), (1, 3))])
+    assert m.grading == (1, 0)
+    sig = GroupSignature(1, (3,))
+    m = free_generated(sig, (sig.element((1,), (1,)), sig.element((2,), (0,))))
+    assert m.grading == (1,)
+    # gradings are primitive: (0, 2) would also vanish on 2*e0
+    comp = ComplementSpec(Z2, (Z2.element((2, 0)),), (Z2.element((0, 1)),))
+    assert comp._grading == (0, 1)
 
 
 def test_is_valuation_analytic(halfplane, cone_sqrt2, n0):

@@ -10,7 +10,6 @@ from powmon.powersets import (
     FinSubset1,
     MembershipError,
     MonoidMismatchError,
-    SetSizeCapError,
     divides,
     quotient_multiplicity,
     quotients,
@@ -78,6 +77,12 @@ def test_power_examples(n0):
     assert (x**3).ints() == (0, 1, 2, 3)
     assert (x**0).ints() == (0,)
     assert set_power(x, 1) == x
+    # repeated squaring agrees with repeated multiplication
+    y = FinSubset1.from_ints(n0, [0, 1, 3])
+    expected = FinSubset1.from_ints(n0, [0])
+    for n in range(10):
+        assert set_power(y, n) == expected
+        expected = expected * y
 
 
 def test_power_cyclic_group():
@@ -93,6 +98,9 @@ def test_divides_requires_subset(n0):
     x = FinSubset1.from_ints(n0, [0, 4])
     y = FinSubset1.from_ints(n0, [0, 1, 2])
     assert divides(x, y) is None
+    # in the group Z, {0,1} + {-1} = {-1,0}, but {-1} lacks the identity
+    z = free_generated(Z1, (Z1.element(1), Z1.element(-1)))
+    assert divides(FinSubset1.from_ints(z, [0, 1]), FinSubset1.from_ints(z, [-1, 0])) is None
 
 
 def test_divides_examples(n0):
@@ -107,19 +115,29 @@ def test_divides_examples(n0):
     assert set_product(x2, z2) == y2
 
 
-def test_divides_cap(n0):
+def test_divides_large_target_maximal_witness(n0):
+    x = FinSubset1.from_ints(n0, [0, 1])
     y = FinSubset1.from_ints(n0, range(20))
-    with pytest.raises(SetSizeCapError):
-        divides(FinSubset1.from_ints(n0, [0, 1]), y)
-    assert divides(FinSubset1.from_ints(n0, [0, 1]), y, cap=32) is not None
+    z = divides(x, y)
+    assert z is not None and z.ints() == tuple(range(19))
+    assert set_product(x, z) == y
+    # no larger witness: adding any other member of Y overshoots
+    for w in set(y.elements) - set(z.elements):
+        assert set_product(x, FinSubset1.make(n0, z.elements + (w,))) != y
 
 
 def test_divides_witness_recomposes_exhaustive(n0):
-    for x in subsets_of_range(4, n0):
-        for y in subsets_of_range(4, n0):
-            z = divides(x, y)
-            if z is not None:
-                assert set_product(x, z) == y
+    # oracle: every identity-containing Z inside {0..5}; X | Y iff some Z has
+    # X + Z = Y, and the largest witness is the union of all of them
+    sets = [frozenset(s.ints()) for s in subsets_of_range(5, n0)]
+    for x in sets:
+        for y in sets:
+            witnesses = [z for z in sets if {a + b for a in x for b in z} == y]
+            got = divides(FinSubset1.from_ints(n0, x), FinSubset1.from_ints(n0, y))
+            if witnesses:
+                assert got is not None and set(got.ints()) == set().union(*witnesses)
+            else:
+                assert got is None
 
 
 def test_quotients_example(n0):
