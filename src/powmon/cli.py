@@ -217,7 +217,11 @@ class _Parser:
 
 
 def parse_expression(text: str, monoid: MonoidSpec) -> FinSubset1:
-    return _Parser(text, monoid).parse()
+    parser = _Parser(text, monoid)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek().pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -530,7 +530,9 @@ class FreeGenerated(MonoidSpec):
 
     * a positive grading (an integer functional strictly positive on
       every generator), which bounds the coefficients of any
-      representation and also proves the monoid reduced; or
+      representation and also proves the monoid reduced.  The monoid is
+      then {identity} | G.M with G trivial, and membership is the one
+      graded search of ``ComplementSpec``; or
     * a group certificate (the identity as an everywhere-positive
       combination), in which case the monoid is the generated subgroup
       and membership is a lattice question.
@@ -542,11 +544,10 @@ class FreeGenerated(MonoidSpec):
     signature: GroupSignature
     generators: tuple[GroupElement, ...]
     label: str = ""
-    _grading: tuple[int, ...] | None = field(init=False, repr=False, compare=False, default=None)
+    _complement: ComplementSpec | None = field(init=False, repr=False, compare=False, default=None)
     _group_rows: tuple[tuple[int, ...], ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     family: ClassVar[str] = "FREE_GENERATED"
 
@@ -559,13 +560,14 @@ class FreeGenerated(MonoidSpec):
         if not gens:
             object.__setattr__(self, "_group_rows", subgroup_rows(self.signature, ()))
             return
-        frees = [g.free for g in gens]
-        grading = _positive_solution([], frees, self.signature.free_rank)
-        if grading is not None:
-            object.__setattr__(self, "_grading", grading)
+        try:
+            object.__setattr__(self, "_complement", ComplementSpec(self.signature, (), gens))
             return
+        except ValueError:  # no positive grading
+            pass
         # c >= 1 with sum(c_i * free_i) = 0: scaled by the lcm of the
         # torsion orders, the combination is the identity
+        frees = [g.free for g in gens]
         unit_rows = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
         if _positive_solution(list(zip(*frees)), unit_rows, len(gens)) is not None:
             object.__setattr__(self, "_group_rows", subgroup_rows(self.signature, gens))
@@ -578,59 +580,23 @@ class FreeGenerated(MonoidSpec):
 
     @property
     def grading(self) -> tuple[int, ...] | None:
-        return self._grading
+        return None if self._complement is None else self._complement._grading
 
     def is_group(self) -> bool:
         return self._group_rows is not None
-
-    def _lambda(self, free: tuple[int, ...]) -> int:
-        return sum(l * c for l, c in zip(self._grading, free))
-
-    def _graded_member(self, u: GroupElement) -> bool:
-        target = self._lambda(u.free)
-        if target < 0:
-            return False
-        if target == 0:
-            return u.is_identity()
-        gens = self.generators
-        weights = [self._lambda(g.free) for g in gens]
-        memo = self._cache.setdefault("member", {})
-
-        def rec(i: int, residual: GroupElement, budget: int) -> bool:
-            if residual.is_identity() and budget == 0:
-                return True
-            if i == len(gens):
-                return False
-            key = (i, residual.free, residual.torsion)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            ok = False
-            g, w = gens[i], weights[i]
-            c_max = budget // w
-            step = residual
-            for c in range(c_max + 1):
-                if rec(i + 1, step, budget - c * w):
-                    ok = True
-                    break
-                step = step - g
-            memo[key] = ok
-            return ok
-
-        return rec(0, u, target)
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
         if u.is_identity():
             return True
-        if self._group_rows is not None:
-            if not self._group_rows:
-                return False
-            return lattice_contains(self._group_rows, element_vector(u))
-        return self._graded_member(u)
+        if self._complement is not None:
+            return self._complement.contains(u)
+        if not self._group_rows:
+            return False
+        return lattice_contains(self._group_rows, element_vector(u))
 
     def is_reduced(self) -> bool:
-        if self._grading is not None:
+        if self._complement is not None:
             return True
         # a group: reduced only if trivial
         return all(g.is_identity() for g in self.generators)
@@ -652,7 +618,9 @@ class ComplementSpec:
     Membership of u is the existence of c in N0^k, c != 0, with
     u - sum(c_i * m_i) in the lattice of G.  A grading functional that
     vanishes on G and is strictly positive on every m_i bounds c;
-    construction fails exactly when no such functional exists.
+    construction fails exactly when no such functional exists.  This is
+    the package's one graded-membership search: a graded
+    ``FreeGenerated`` monoid holds a complement with G trivial.
     """
 
     signature: GroupSignature
@@ -687,52 +655,53 @@ class ComplementSpec:
             )
         object.__setattr__(self, "_grading", grading)
 
-    def _lambda(self, u: GroupElement) -> int:
+    def grade(self, u: GroupElement) -> int:
+        """The grading functional at u; it vanishes on G."""
         return sum(l * c for l, c in zip(self._grading, u.free))
 
     def member_combination(self, u: GroupElement) -> tuple[int, ...] | None:
-        """A nonzero coefficient vector witnessing membership, or None.
+        """The lexicographically least c in N0^k, c != 0, with
+        u - sum(c_i * m_i) in G, or None if u is not in G.M.
 
-        Memoized on the canonical residue of u modulo the base lattice,
-        so repeated queries across a window collapse to a few searches.
+        Depth-first over the generators on coordinate vectors reduced
+        modulo G; the grade left fixes the count of the last generator.
+        Every state (generator index, residue) is memoized, so repeated
+        queries across a window collapse to a few searches.
         """
-        residue = lattice_residue(self._base_rows, element_vector(u))
+        rows = self._base_rows
+        residue = lattice_residue(rows, element_vector(u))
         memo = self._cache.setdefault("member", {})
-        if residue in memo:
-            return memo[residue]
-        budget = self._lambda(u)
-        gens = self.positive_generators
-        weights = [self._lambda(g) for g in gens]
-        found: tuple[int, ...] | None = None
-        if budget >= 1:
-            for coeffs in self._bounded_combinations(weights, budget):
-                if not any(coeffs):
-                    continue
-                total = self.signature.identity()
-                for c, g in zip(coeffs, gens):
-                    if c:
-                        total = total + g.scale(c)
-                if lattice_residue(self._base_rows, element_vector(total)) == residue:
-                    found = coeffs
-                    break
-        memo[residue] = found
-        return found
+        if (0, residue) in memo:
+            return memo[0, residue]
+        budget = self.grade(u)
+        if budget < 1:
+            memo[0, residue] = None
+            return None
+        gens = [element_vector(g) for g in self.positive_generators]
+        weights = [self.grade(g) for g in self.positive_generators]
+        last = len(gens) - 1
 
-    @staticmethod
-    def _bounded_combinations(weights: list[int], budget: int) -> Iterator[tuple[int, ...]]:
-        """All c >= 0 with sum(c_i * weights_i) == budget, ascending."""
-        k = len(weights)
+        def search(i: int, r: tuple[int, ...], left: int) -> tuple[int, ...] | None:
+            # the least (c_i, ..., c_last) of grade ``left`` taking r into G
+            key = (i, r)
+            if key in memo:
+                return memo[key]
+            found = None
+            if i == last:
+                c, rem = divmod(left, weights[i])
+                if not rem and lattice_contains(rows, [a - c * b for a, b in zip(r, gens[i])]):
+                    found = (c,)
+            else:
+                for c in range(left // weights[i] + 1):
+                    tail = search(i + 1, r, left - c * weights[i])
+                    if tail is not None:
+                        found = (c,) + tail
+                        break
+                    r = lattice_residue(rows, [a - b for a, b in zip(r, gens[i])])
+            memo[key] = found
+            return found
 
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if i == k - 1:
-                c, r = divmod(remaining, weights[i])
-                if r == 0:
-                    yield prefix + (c,)
-                return
-            for c in range(remaining // weights[i] + 1):
-                yield from rec(i + 1, remaining - c * weights[i], prefix + (c,))
-
-        yield from rec(0, budget, ())
+        return search(0, residue, budget)
 
     def contains(self, u: GroupElement) -> bool:
         if u.signature != self.signature:
@@ -963,6 +932,8 @@ def spec_to_dict(spec: MonoidSpec) -> dict:
 
 
 def spec_from_dict(obj: dict) -> MonoidSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"monoid definition must be a JSON object, not {type(obj).__name__}")
     try:
         family = obj["family"]
         label = obj.get("label", "")
@@ -993,6 +964,8 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
             return Composite(sig, val, complement, label)
     except KeyError as exc:
         raise ValueError(f"monoid definition missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"monoid definition has a field of the wrong type: {exc}") from exc
     raise ValueError(f"unknown monoid family {family!r}")
 
 

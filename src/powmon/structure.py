@@ -162,7 +162,7 @@ def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
     """Witness for a complement member: some multiple of a positive
     generator is incomparable with a."""
     comp = spec.complement_part
-    budget = comp._lambda(a) + 1
+    budget = comp.grade(a) + 1
     for g in comp.positive_generators:
         for k in range(1, budget + 1):
             b = g.scale(k)
@@ -266,15 +266,14 @@ def decompose(spec: MonoidSpec, window: Window) -> DecompositionReport:
             comp.append(u)
         else:
             unknown.append(u)
-    report = DecompositionReport(
+    # raised, not asserted, so that the checks survive python -O
+    if not unknown and set(pseudo) | set(comp) != set(elements_in_window(spec, window)):
+        raise AssertionError(f"decomposition of {spec.label!r} does not partition the window")
+    if spec.identity() not in pseudo:
+        raise AssertionError(f"identity of {spec.label!r} is not classified as a pseudo-unit")
+    return DecompositionReport(
         spec, window, tuple(pseudo), tuple(comp), tuple(unknown), tuple(verdicts)
     )
-    if not report.unknown:
-        assert set(report.pseudo_units) | set(report.complement) == set(
-            elements_in_window(spec, window)
-        )
-    assert spec.identity() in report.pseudo_units
-    return report
 
 
 def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec | None:

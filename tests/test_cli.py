@@ -172,3 +172,26 @@ def test_env_seed_overrides_flag(monkeypatch):
 
 def test_usage_error_exit_2(capsys):
     assert main(["suite", "homomorphism", "--domain", "only-one.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("analyze", {"family": "FULL_N0", "label": "n0", "signature": {"free_rank": "1"}}),
+        ("analyze", [{"family": "FULL_N0", "signature": {"free_rank": 1}}]),
+        ("analyze", {"family": "NUMERICAL", "signature": {"free_rank": 1}, "generators": 5}),
+        ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1}, "generators": 5}),
+        ("eval", "(" * 5000 + "{0}" + ")" * 5000),
+    ],
+    ids=["free-rank-string", "top-level-list", "numerical-generators-int",
+         "free-generated-generators-int", "deeply-nested-expression"],
+)
+def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
+    # exit 1 is reserved for property failures: bad input is a parse error
+    if command == "analyze":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        payload = str(path)
+    assert main([command, payload]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from powmon.ambient import GroupSignature
+from powmon.ambient import GroupSignature, subgroup_contains, subgroup_rows
 from powmon.monoids import (
     ComplementSpec,
     FreeGenerated,
@@ -192,11 +193,13 @@ def test_free_generated_torsion_group():
     "sig, gens, bound, depth, group",
     [
         # graded only by functionals with a coefficient above 5, e.g. (37, 6);
-        # a window member has grade <= 43 * 2, one per generator in any sum,
+        # a window member has grade <= 43 * 4, one per generator in any sum,
         # and (1, 0) needs 31 + 6 generators
-        (Z2, [((1, -6), ()), ((-5, 31), ())], 2, 86, False),
+        (Z2, [((1, -6), ()), ((-5, 31), ())], 4, 172, False),
         (GroupSignature(0, (7,)), [((), (1,))], 1, 6, True),
         (GroupSignature(1, (7,)), [((1,), (1,)), ((-1,), (0,))], 4, 24, True),
+        # graded by (1,) with torsion: a window member has grade <= 6
+        (GroupSignature(1, (3,)), [((1,), (1,)), ((2,), (0,))], 6, 6, False),
     ],
 )
 def test_free_generated_membership_matches_enumeration(sig, gens, bound, depth, group):
@@ -210,6 +213,51 @@ def test_free_generated_membership_matches_enumeration(sig, gens, bound, depth, 
         members = members | level
     for u in ambient_window(sig, Window(bound)):
         assert m.contains(u) == (u in members), u
+
+
+@pytest.mark.parametrize(
+    "sig, base, gens, bound",
+    [
+        # the images of the generators in Z^3 / <e0> are not a free basis
+        (
+            GroupSignature(3),
+            [((1, 0, 0), ())],
+            [((0, 1, 0), ()), ((0, 1, 1), ()), ((0, 1, 3), ())],
+            3,
+        ),
+        # an index-2 base subgroup, so residues keep the parity of x
+        (Z2, [((2, 0), ())], [((1, 2), ()), ((0, 3), ()), ((1, 1), ())], 5),
+        # a torsion ambient, with a base generator of infinite order
+        (
+            GroupSignature(2, (3,)),
+            [((1, 0), (1,))],
+            [((0, 1), (0,)), ((1, 2), (2,)), ((0, 1), (1,))],
+            4,
+        ),
+    ],
+)
+def test_complement_matches_brute_force(sig, base, gens, bound):
+    base = tuple(sig.element(free, torsion) for free, torsion in base)
+    gens = tuple(sig.element(free, torsion) for free, torsion in gens)
+    comp = ComplementSpec(sig, base, gens)
+    rows = subgroup_rows(sig, base)
+    # y vanishes on the base and is >= 1 on every generator, so c_i <= y <= bound
+    # for a window member; product() runs in lexicographic order
+    sums = {
+        c: sum((g.scale(n) for n, g in zip(c, gens)), sig.identity())
+        for c in itertools.product(range(bound + 1), repeat=len(gens))
+        if any(c)
+    }
+    window = list(ambient_window(sig, Window(bound)))
+    least = {
+        u: next((c for c, total in sums.items() if subgroup_contains(rows, u - total)), None)
+        for u in window
+    }
+    assert sum(c is not None for c in least.values()) > len(window) // 10
+    for u in window + window[::-1]:  # the second pass answers from the memo
+        assert comp.member_combination(u) == least[u], u
+        assert comp.contains(u) == (least[u] is not None)
+        assert comp.contains_with_base(u) == (least[u] is not None or subgroup_contains(rows, u))
 
 
 def test_gradings_pinned(rank4_complement):

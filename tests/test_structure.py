@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from powmon.ambient import GroupSignature
@@ -220,6 +226,34 @@ def test_decompose_rank4(rank4_h):
     assert not report.unknown
     assert set(report.complement) == set(elements_in_window(rank4_h, Window(4))) - set(val_members)
 
+
+
+def test_decompose_checks_survive_python_O():
+    # with every element misclassified the identity is no pseudo-unit, and
+    # decompose must say so even when python -O strips assert statements
+    script = textwrap.dedent(
+        """
+        import sys
+        from powmon import structure
+        from powmon.monoids import Window, numerical
+
+        def not_pseudo_unit(spec, a, window):
+            return structure.PseudoUnitVerdict(a, structure.PseudoUnitStatus.NOT_PSEUDO_UNIT, a)
+
+        structure.pseudo_unit = not_pseudo_unit
+        try:
+            structure.decompose(numerical([2, 3]), Window(6))
+        except AssertionError as exc:
+            print(sys.flags.optimize, "raised:", exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.startswith("1 raised: identity of '<2,3>'"), done.stdout
 
 def test_decompose_report_json(num23):
     report = decompose(num23, Window(6))
