@@ -62,6 +62,9 @@ class GroupSignature:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torsion_orders", tuple(self.torsion_orders))
+        for n in (self.free_rank, *self.torsion_orders):
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"free_rank and torsion orders must be integers, not {n!r}")
         if self.free_rank < 0:
             raise ValueError("free_rank must be non-negative")
         if any(n < 2 for n in self.torsion_orders):

@@ -236,6 +236,8 @@ def _load_monoid(path: str | None) -> MonoidSpec:
         return load_monoid_file(path)
     except FileNotFoundError:
         raise _UsageError(f"monoid file not found: {path}")
+    except OSError as exc:
+        raise _UsageError(f"cannot read monoid file {path}: {exc.strerror or exc}")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise _SchemaError(f"invalid monoid file {path}: {exc}")
 

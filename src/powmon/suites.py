@@ -1,17 +1,25 @@
 """Executable property suites for constructed translation isomorphisms.
 
-Each suite samples inputs deterministically from (seed, suite name) and
-evaluates one law of the isomorphism or of the underlying decomposition;
-a report carries the case count, skipped-trivial count, full witness
-data for every failure, and a verdict:
+``run_suite`` drives every suite the same way: it derives the sampling
+stream ``random.Random(f"{seed}:{name}")`` from the seed and the suite
+name, hands the suite body that stream with the domain's window members
+and their non-identity part, and builds the report through one verdict
+rule.  A body only draws its cases and returns its failures, each with
+full witness data.  A report carries the case count, the count of cases
+that held trivially (skips), the failures and a verdict:
 
 * PASS            -- cases ran, none failed;
 * FAIL            -- at least one failure (witnesses attached);
-* INCONCLUSIVE    -- the sampled inputs never exercised the law
-                     (e.g. a class of elements was never seen);
-* NOT_APPLICABLE  -- the law's hypotheses are empty for constructed
-                     isomorphisms (reduced monoids have no nontrivial
-                     units and no finite-order elements).
+* INCONCLUSIVE    -- the sampled inputs never exercised the law: no case
+                     ran, every case was trivial, or a class of elements
+                     was never seen (a domain with no non-identity member
+                     in the window runs no case at all);
+* NOT_APPLICABLE  -- four suites need a non-trivial unit or a finite-order
+                     member, and a reduced domain has neither (a member u
+                     of order n has the inverse (n-1)u).  Their verdict is
+                     read from the certified ``is_reduced()`` without
+                     sampling; a hand-built isomorphism whose domain is
+                     not reduced is refused with ``ValueError``.
 
 Reports are reproducible byte for byte from (suite, isomorphism,
 config); suites may run concurrently since each derives its own
@@ -26,12 +34,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterable
 
 from .ambient import (
     GroupElement,
     GroupSignature,
-    INFINITE,
     element_vector,
     lattice_contains,
     subgroup_rows,
@@ -39,7 +48,6 @@ from .ambient import (
 from .monoids import (
     ComplementSpec,
     IrrationalCone,
-    MonoidSpec,
     QuadraticSurd,
     Window,
     ambient_window,
@@ -47,7 +55,6 @@ from .monoids import (
     elements_in_window,
     half_plane_lex,
     irrational_cone,
-    units,
 )
 from .powersets import FinSubset1, quotient_multiplicity, set_product
 from .structure import (
@@ -64,8 +71,8 @@ from .translation import (
     TranslationIso,
     apply_iso,
     build_translation_iso,
-    classify_reversed,
     decomposition_map,
+    is_reversed,
     pullback,
 )
 
@@ -148,8 +155,8 @@ def _set_obj(x: FinSubset1) -> list:
     return [_elem_obj(u) for u in x.elements]
 
 
-def _rng(cfg: SuiteConfig, suite: str) -> random.Random:
-    return random.Random(f"{cfg.seed}:{suite}")
+#: The value a failure records for a member's reversed class.
+_CLASS = {True: ReversedStatus.REVERSED.value, False: ReversedStatus.NOT_REVERSED.value}
 
 
 def _scope(iso: TranslationIso) -> str:
@@ -159,34 +166,15 @@ def _scope(iso: TranslationIso) -> str:
     )
 
 
-def _pool(iso: TranslationIso, cfg: SuiteConfig) -> tuple[GroupElement, ...]:
-    return elements_in_window(iso.domain, cfg.window)
-
-
-def _nonidentity_pool(iso: TranslationIso, cfg: SuiteConfig) -> list[GroupElement]:
-    return [u for u in _pool(iso, cfg) if not u.is_identity()]
-
-
-def _sample_set(
-    rng: random.Random, spec: MonoidSpec, elems, max_size: int
-) -> FinSubset1:
-    k = rng.randint(0, max_size)
-    members = [elems[rng.randrange(len(elems))] for _ in range(k)]
-    return FinSubset1.make(spec, members + [spec.identity()])
-
-
 def _report(
-    suite: str,
-    iso: TranslationIso,
-    cases: int,
-    skips: int,
-    failures: list[dict],
-    inconclusive: bool = False,
-    note: str = "",
+    suite: str, iso: TranslationIso, cases: int, skips: int, failures: list[dict], note: str = ""
 ) -> SuiteReport:
+    """The one verdict rule: FAIL on a failure; else INCONCLUSIVE when a
+    note says what sampling never saw or when no case exercised the law;
+    else PASS."""
     if failures:
         verdict = Verdict.FAIL
-    elif inconclusive or cases == 0:
+    elif note or cases == skips:
         verdict = Verdict.INCONCLUSIVE
         note = note or "sampling never exercised the law"
     else:
@@ -194,8 +182,57 @@ def _report(
     return SuiteReport(suite, _scope(iso), cases, skips, tuple(failures), verdict, note)
 
 
-def _not_applicable(suite: str, iso: TranslationIso, note: str) -> SuiteReport:
-    return SuiteReport(suite, _scope(iso), 0, 0, (), Verdict.NOT_APPLICABLE, note)
+@dataclass(slots=True)
+class _Sample:
+    """What ``run_suite`` hands a suite body.  ``cases`` stays
+    ``sample_count`` unless the body counts its own, ``skips`` counts the
+    cases that held trivially, and a ``note`` saying what sampling never
+    saw makes the report INCONCLUSIVE."""
+
+    iso: TranslationIso
+    cfg: SuiteConfig
+    rng: random.Random
+    pool: tuple[GroupElement, ...]
+    nonid: list[GroupElement]
+    cases: int
+    skips: int = 0
+    note: str = ""
+
+    def member(self) -> GroupElement:
+        return self.rng.choice(self.nonid)
+
+    def subset(self) -> FinSubset1:
+        k = self.rng.randint(0, self.cfg.max_set_size)
+        members = [self.rng.choice(self.pool) for _ in range(k)]
+        return FinSubset1.make(self.iso.domain, members + [self.iso.domain.identity()])
+
+
+_BODIES: dict[str, Callable[[_Sample], list[dict]]] = {}
+
+
+def _suite(name: str, per_case: bool = False):
+    """Register a suite body under ``name``.  A body draws from the
+    ``_Sample`` and returns its failures; a ``per_case`` body checks one
+    case, yields that case's failures and runs ``sample_count`` times."""
+
+    def register(body):
+        _BODIES[name] = (
+            (lambda s: [f for _ in range(s.cfg.sample_count) for f in body(s)]) if per_case else body
+        )
+        return body
+
+    return register
+
+
+def _pairs(
+    s: _Sample, keep: Callable[[GroupElement, GroupElement], bool]
+) -> list[tuple[GroupElement, GroupElement]]:
+    """The first ``sample_count`` drawn pairs of non-identity members that
+    ``keep`` accepts, out of at most ``20 * sample_count`` draws."""
+    draws = ((s.member(), s.member()) for _ in range(20 * s.cfg.sample_count))
+    pairs = list(islice(((a, b) for a, b in draws if keep(a, b)), s.cfg.sample_count))
+    s.cases = len(pairs)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -203,411 +240,251 @@ def _not_applicable(suite: str, iso: TranslationIso, note: str) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _suite_homomorphism(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("homomorphism", per_case=True)
+def _homomorphism(s: _Sample):
     """f(X*Y) = f(X)*f(Y) on sampled pairs."""
-    rng = _rng(cfg, "homomorphism")
-    elems = _pool(iso, cfg)
-    failures = []
-    for _ in range(cfg.sample_count):
-        x = _sample_set(rng, iso.domain, elems, cfg.max_set_size)
-        y = _sample_set(rng, iso.domain, elems, cfg.max_set_size)
-        left = apply_iso(iso, set_product(x, y))
-        right = set_product(apply_iso(iso, x), apply_iso(iso, y))
-        if left != right:
-            failures.append({"X": _set_obj(x), "Y": _set_obj(y)})
-    return _report("homomorphism", iso, cfg.sample_count, 0, failures)
+    x, y = s.subset(), s.subset()
+    left = apply_iso(s.iso, set_product(x, y))
+    if left != set_product(apply_iso(s.iso, x), apply_iso(s.iso, y)):
+        yield {"X": _set_obj(x), "Y": _set_obj(y)}
 
 
-def _suite_two_sets(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("two_sets", per_case=True)
+def _two_sets(s: _Sample):
     """Two-element sets map to two-element sets."""
-    rng = _rng(cfg, "two_sets")
-    elems = _nonidentity_pool(iso, cfg)
-    failures = []
-    cases = 0
-    for _ in range(cfg.sample_count):
-        a = elems[rng.randrange(len(elems))]
-        cases += 1
-        two = FinSubset1.make(iso.domain, (iso.domain.identity(), a))
-        if len(apply_iso(iso, two)) != 2:
-            failures.append({"a": _elem_obj(a)})
-    return _report("two_sets", iso, cases, 0, failures)
+    a = s.member()
+    if len(apply_iso(s.iso, FinSubset1.make(s.iso.domain, (s.iso.domain.identity(), a)))) != 2:
+        yield {"a": _elem_obj(a)}
 
 
-def _suite_cardinality(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("cardinality", per_case=True)
+def _cardinality(s: _Sample):
     """|f(X)| = |X| on sampled sets."""
-    rng = _rng(cfg, "cardinality")
-    elems = _pool(iso, cfg)
-    failures = []
-    for _ in range(cfg.sample_count):
-        x = _sample_set(rng, iso.domain, elems, cfg.max_set_size)
-        if len(apply_iso(iso, x)) != len(x):
-            failures.append({"X": _set_obj(x)})
-    return _report("cardinality", iso, cfg.sample_count, 0, failures)
+    x = s.subset()
+    if len(apply_iso(s.iso, x)) != len(x):
+        yield {"X": _set_obj(x)}
 
 
-def _suite_pullback_powers(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("pullback_powers", per_case=True)
+def _pullback_powers(s: _Sample):
     """g(n*a) = n*g(a) for n = 0..10."""
-    rng = _rng(cfg, "pullback_powers")
-    elems = _nonidentity_pool(iso, cfg)
-    failures = []
-    cases = 0
-    for _ in range(cfg.sample_count):
-        a = elems[rng.randrange(len(elems))]
-        ga = pullback(iso, a)
-        cases += 1
-        for n in range(11):
-            if pullback(iso, a.scale(n)) != ga.scale(n):
-                failures.append({"a": _elem_obj(a), "n": n})
-    return _report("pullback_powers", iso, cases, 0, failures)
+    a = s.member()
+    ga = pullback(s.iso, a)
+    for n in range(11):
+        if pullback(s.iso, a.scale(n)) != ga.scale(n):
+            yield {"a": _elem_obj(a), "n": n}
 
 
-def _suite_pullback_unit_inverses(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
-    """g maps unit inverses to unit inverses; empty for reduced domains."""
-    unit_pool = [u for u in units(iso.domain, cfg.window) if not u.is_identity()]
-    if not unit_pool:
-        return _not_applicable(
-            "pullback_unit_inverses",
-            iso,
-            "domain is reduced: no nontrivial units exist to test",
-        )
-    failures = []
-    for u in unit_pool:
-        if pullback(iso, -u) != -pullback(iso, u):
-            failures.append({"unit": _elem_obj(u)})
-    return _report("pullback_unit_inverses", iso, len(unit_pool), 0, failures)
-
-
-def _suite_quotient_multiplicity(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("quotient_multiplicity", per_case=True)
+def _quotient_multiplicity(s: _Sample):
     """a is a quotient of X of multiplicity n iff g(a) is one of f(X)."""
-    rng = _rng(cfg, "quotient_multiplicity")
-    elems = _pool(iso, cfg)
-    nonid = _nonidentity_pool(iso, cfg)
-    failures = []
-    nontrivial = 0
-    for _ in range(cfg.sample_count):
-        x = _sample_set(rng, iso.domain, elems, cfg.max_set_size)
-        a = nonid[rng.randrange(len(nonid))]
-        direct = quotient_multiplicity(x, a)
-        image = quotient_multiplicity(apply_iso(iso, x), pullback(iso, a))
-        if direct:
-            nontrivial += 1
-        if direct != image:
-            failures.append(
-                {"X": _set_obj(x), "a": _elem_obj(a), "direct": direct, "image": image}
-            )
-    return _report(
-        "quotient_multiplicity",
-        iso,
-        cfg.sample_count,
-        cfg.sample_count - nontrivial,
-        failures,
-        inconclusive=nontrivial == 0,
-    )
+    x, a = s.subset(), s.member()
+    direct = quotient_multiplicity(x, a)
+    image = quotient_multiplicity(apply_iso(s.iso, x), pullback(s.iso, a))
+    if not direct:
+        s.skips += 1
+    if direct != image:
+        yield {"X": _set_obj(x), "a": _elem_obj(a), "direct": direct, "image": image}
 
 
-def _suite_product_dichotomy(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("product_dichotomy", per_case=True)
+def _product_dichotomy(s: _Sample):
     """g(a+b) is g(a)+g(b) or one of g(a)-g(b), g(b)-g(a)."""
-    rng = _rng(cfg, "product_dichotomy")
-    elems = _nonidentity_pool(iso, cfg)
-    failures = []
-    cases = 0
-    for _ in range(cfg.sample_count):
-        a = elems[rng.randrange(len(elems))]
-        b = elems[rng.randrange(len(elems))]
-        cases += 1
-        ga, gb, gab = pullback(iso, a), pullback(iso, b), pullback(iso, a + b)
-        if gab != ga + gb and gab not in (ga - gb, gb - ga):
-            failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)})
-    return _report("product_dichotomy", iso, cases, 0, failures)
+    a, b = s.member(), s.member()
+    ga, gb, gab = pullback(s.iso, a), pullback(s.iso, b), pullback(s.iso, a + b)
+    if gab != ga + gb and gab not in (ga - gb, gb - ga):
+        yield {"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)}
 
 
-def _suite_dependent_products(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("dependent_products", per_case=True)
+def _dependent_products(s: _Sample):
     """Pairs with a power relation multiply through the pullback exactly."""
-    rng = _rng(cfg, "dependent_products")
-    elems = _nonidentity_pool(iso, cfg)
-    failures = []
-    cases = 0
-    for _ in range(cfg.sample_count):
-        w = elems[rng.randrange(len(elems))]
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        a, b = w.scale(n), w.scale(m)
-        cases += 1
-        if pullback(iso, a + b) != pullback(iso, a) + pullback(iso, b):
-            failures.append({"a": _elem_obj(a), "b": _elem_obj(b)})
-    return _report("dependent_products", iso, cases, 0, failures)
+    w = s.member()
+    n, m = s.rng.randint(1, 4), s.rng.randint(1, 4)
+    a, b = w.scale(n), w.scale(m)
+    if pullback(s.iso, a + b) != pullback(s.iso, a) + pullback(s.iso, b):
+        yield {"a": _elem_obj(a), "b": _elem_obj(b)}
 
 
-def _suite_torsion_products(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
-    """Finite-order factors multiply through the pullback; empty when the
-    domain has no finite-order members (always, for reduced cancellative
-    monoids)."""
-    torsion_pool = [
-        u
-        for u in _nonidentity_pool(iso, cfg)
-        if u.order() is not INFINITE
-    ]
-    if not torsion_pool:
-        return _not_applicable(
-            "torsion_products",
-            iso,
-            "domain has no finite-order members (reduced cancellative monoids are torsion-free)",
-        )
-    rng = _rng(cfg, "torsion_products")
-    elems = _nonidentity_pool(iso, cfg)
-    failures = []
-    for _ in range(cfg.sample_count):
-        a = elems[rng.randrange(len(elems))]
-        b = torsion_pool[rng.randrange(len(torsion_pool))]
-        if pullback(iso, a + b) != pullback(iso, a) + pullback(iso, b):
-            failures.append({"a": _elem_obj(a), "b": _elem_obj(b)})
-    return _report("torsion_products", iso, cfg.sample_count, 0, failures)
-
-
-def _suite_independent_powers(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("independent_powers")
+def _independent_powers(s: _Sample) -> list[dict]:
     """Once g(a+b) != g(a)+g(b), no positive power pair recombines."""
-    rng = _rng(cfg, "independent_powers")
-    elems = _nonidentity_pool(iso, cfg)
+    g = partial(pullback, s.iso)
     failures = []
-    cases = 0
-    attempts = 0
-    while cases < cfg.sample_count and attempts < cfg.sample_count * 20:
-        attempts += 1
-        a = elems[rng.randrange(len(elems))]
-        b = elems[rng.randrange(len(elems))]
-        ga, gb = pullback(iso, a), pullback(iso, b)
-        if pullback(iso, a + b) == ga + gb:
-            continue
-        cases += 1
-        for n in range(1, 4):
-            for m in range(1, 4):
-                if pullback(iso, a.scale(n) + b.scale(m)) == ga.scale(n) + gb.scale(m):
-                    failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "n": n, "m": m})
-    return _report("independent_powers", iso, cases, 0, failures, inconclusive=cases == 0)
+    for a, b in _pairs(s, lambda a, b: g(a + b) != g(a) + g(b)):
+        ga, gb = g(a), g(b)
+        failures += [
+            {"a": _elem_obj(a), "b": _elem_obj(b), "n": n, "m": m}
+            for n in range(1, 4)
+            for m in range(1, 4)
+            if g(a.scale(n) + b.scale(m)) == ga.scale(n) + gb.scale(m)
+        ]
+    return failures
 
 
-def _suite_one_reversed(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("one_reversed")
+def _one_reversed(s: _Sample) -> list[dict]:
     """g(a+b) != g(a)+g(b) exactly when one factor is reversed, and the
     unequal value is g(a)-g(b) or g(b)-g(a).  Certifies that both
     classes were sampled; INCONCLUSIVE otherwise."""
-    rng = _rng(cfg, "one_reversed")
-    elems = _nonidentity_pool(iso, cfg)
     failures = []
-    cases = 0
-    seen = {ReversedStatus.REVERSED: 0, ReversedStatus.NOT_REVERSED: 0}
-    attempts = 0
-    while cases < cfg.sample_count and attempts < cfg.sample_count * 20:
-        attempts += 1
-        a = elems[rng.randrange(len(elems))]
-        b = elems[rng.randrange(len(elems))]
-        if not is_independent(a, b):
-            continue
-        cases += 1
-        ra = classify_reversed(iso, a).status
-        rb = classify_reversed(iso, b).status
-        seen[ra] += 1
-        seen[rb] += 1
-        ga, gb, gab = pullback(iso, a), pullback(iso, b), pullback(iso, a + b)
+    seen = set()
+    for a, b in _pairs(s, is_independent):
+        ra, rb = is_reversed(s.iso, a), is_reversed(s.iso, b)
+        seen |= {ra, rb}
+        ga, gb, gab = pullback(s.iso, a), pullback(s.iso, b), pullback(s.iso, a + b)
         unequal = gab != ga + gb
-        exactly_one = (ra is ReversedStatus.REVERSED) != (rb is ReversedStatus.REVERSED)
-        if unequal != exactly_one:
+        if unequal != (ra != rb):
             failures.append(
                 {
                     "a": _elem_obj(a),
                     "b": _elem_obj(b),
-                    "reversed_a": ra.value,
-                    "reversed_b": rb.value,
+                    "reversed_a": _CLASS[ra],
+                    "reversed_b": _CLASS[rb],
                     "g(ab)": _elem_obj(gab),
                 }
             )
         elif unequal and gab not in (ga - gb, gb - ga):
-            failures.append(
-                {"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)}
-            )
-    both_classes = all(seen.values())
-    return _report(
-        "one_reversed",
-        iso,
-        cases,
-        0,
-        failures,
-        inconclusive=not both_classes,
-        note="" if both_classes else "never sampled both a reversed and a non-reversed element",
-    )
+            failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)})
+    if len(seen) < 2:
+        s.note = "never sampled both a reversed and a non-reversed element"
+    return failures
 
 
-def _suite_split_monoids(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("split_monoids")
+def _split_monoids(s: _Sample) -> list[dict]:
     """The non-reversed part and the reversed part are closed under
     products, and reversed members are pseudo-units."""
-    rng = _rng(cfg, "split_monoids")
-    elems = _nonidentity_pool(iso, cfg)
-    classes: dict[ReversedStatus, list[GroupElement]] = {
-        ReversedStatus.REVERSED: [],
-        ReversedStatus.NOT_REVERSED: [],
-    }
-    for u in elems:
-        classes[classify_reversed(iso, u).status].append(u)
-    failures = []
-    cases = 0
-    for status, pool in classes.items():
-        if not pool:
-            continue
-        for _ in range(cfg.sample_count // 2):
-            a, b = rng.choice(pool), rng.choice(pool)
-            cases += 1
-            if classify_reversed(iso, a + b).status is not status:
-                failures.append(
-                    {"a": _elem_obj(a), "b": _elem_obj(b), "class": status.value}
-                )
-    for u in classes[ReversedStatus.REVERSED]:
-        cases += 1
-        verdict = pseudo_unit(iso.domain, u, cfg.window)
-        if verdict.status is PseudoUnitStatus.NOT_PSEUDO_UNIT:
-            failures.append({"reversed_non_pseudo_unit": _elem_obj(u)})
-    inconclusive = not classes[ReversedStatus.REVERSED]
-    return _report(
-        "split_monoids",
-        iso,
-        cases,
-        0,
-        failures,
-        inconclusive=inconclusive,
-        note="" if not inconclusive else "no reversed elements in the window",
-    )
+    classes: dict[bool, list[GroupElement]] = {True: [], False: []}
+    for u in s.nonid:
+        classes[is_reversed(s.iso, u)].append(u)
+    drawn = [
+        (rev, s.rng.choice(pool), s.rng.choice(pool))
+        for rev, pool in classes.items()
+        if pool
+        for _ in range(s.cfg.sample_count // 2)
+    ]
+    failures = [
+        {"a": _elem_obj(a), "b": _elem_obj(b), "class": _CLASS[rev]}
+        for rev, a, b in drawn
+        if is_reversed(s.iso, a + b) != rev
+    ]
+    failures += [
+        {"reversed_non_pseudo_unit": _elem_obj(u)}
+        for u in classes[True]
+        if pseudo_unit(s.iso.domain, u, s.cfg.window).status is PseudoUnitStatus.NOT_PSEUDO_UNIT
+    ]
+    s.cases = len(drawn) + len(classes[True])
+    if not classes[True]:
+        s.note = "no reversed elements in the window"
+    return failures
 
 
-def _suite_decomposition_hom(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("decomposition_hom")
+def _decomposition_hom(s: _Sample) -> list[dict]:
     """h on (non-reversed) | (reversed)^-1 is multiplicative into the
     codomain."""
-    rng = _rng(cfg, "decomposition_hom")
-    domain_pool: list[GroupElement] = []
-    for u in _pool(iso, cfg):
-        if u.is_identity():
-            domain_pool.append(u)
-        elif classify_reversed(iso, u).status is ReversedStatus.NOT_REVERSED:
-            domain_pool.append(u)
-        else:
-            domain_pool.append(-u)
+    domain_pool = [-u if is_reversed(s.iso, u) else u for u in s.pool]
     failures = []
-    for _ in range(cfg.sample_count):
-        u, v = rng.choice(domain_pool), rng.choice(domain_pool)
+    for _ in range(s.cfg.sample_count):
+        u, v = s.rng.choice(domain_pool), s.rng.choice(domain_pool)
         try:
-            hu = decomposition_map(iso, u)
-            hv = decomposition_map(iso, v)
-            huv = decomposition_map(iso, u + v)
+            hu = decomposition_map(s.iso, u)
+            hv = decomposition_map(s.iso, v)
+            huv = decomposition_map(s.iso, u + v)
         except ValueError as exc:
             failures.append({"u": _elem_obj(u), "v": _elem_obj(v), "error": str(exc)})
             continue
-        if huv != hu + hv or not iso.codomain.contains(hu):
+        if huv != hu + hv or not s.iso.codomain.contains(hu):
             failures.append({"u": _elem_obj(u), "v": _elem_obj(v)})
-    return _report("decomposition_hom", iso, cfg.sample_count, 0, failures)
+    return failures
 
 
-def _suite_pseudo_closure(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
+@_suite("pseudo_closure")
+def _pseudo_closure(s: _Sample) -> list[dict]:
     """The pseudo-unit complement is a subsemigroup, absorbs translation
     by the quotient group of the pseudo-units, and the pseudo-units
     order each other totally (checked on the domain monoid)."""
-    rng = _rng(cfg, "pseudo_closure")
-    spec = iso.domain
-    window = cfg.window
+    spec, window, count = s.iso.domain, s.cfg.window, s.cfg.sample_count
+    dom_val = s.iso.domain_valuation
     report = decompose(spec, window)
     comp = list(report.complement)
     val = list(report.pseudo_units)
+
+    def outside(u: GroupElement) -> bool:
+        return pseudo_unit(spec, u, window).status is PseudoUnitStatus.NOT_PSEUDO_UNIT
+
     failures = []
-    cases = 0
-    if comp:
-        q_rows = (
-            subgroup_rows(spec.signature, iso.domain_valuation.quotient_generators())
-            if iso.domain_valuation is not None
-            else ()
-        )
-        q_pool = [
-            u
-            for u in ambient_window(spec.signature, window)
-            if q_rows and lattice_contains(q_rows, element_vector(u))
-        ]
-        for _ in range(cfg.sample_count):
-            a, b = rng.choice(comp), rng.choice(comp)
-            cases += 1
-            if pseudo_unit(spec, a + b, window).status is not PseudoUnitStatus.NOT_PSEUDO_UNIT:
-                failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "law": "product"})
-            if q_pool:
-                q = rng.choice(q_pool)
-                cases += 1
-                if not spec.contains(a + q) or (
-                    pseudo_unit(spec, a + q, window).status
-                    is not PseudoUnitStatus.NOT_PSEUDO_UNIT
-                ):
-                    failures.append({"a": _elem_obj(a), "q": _elem_obj(q), "law": "translation"})
-    for _ in range(cfg.sample_count):
-        a, b = rng.choice(val), rng.choice(val)
-        cases += 1
-        dom_val = iso.domain_valuation
+    q_pool = []
+    if comp and dom_val is not None:
+        q_rows = subgroup_rows(spec.signature, dom_val.quotient_generators())
+        if q_rows:
+            q_pool = [
+                u
+                for u in ambient_window(spec.signature, window)
+                if lattice_contains(q_rows, element_vector(u))
+            ]
+    for _ in range(count if comp else 0):
+        a, b = s.rng.choice(comp), s.rng.choice(comp)
+        if not outside(a + b):
+            failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "law": "product"})
+        if q_pool:
+            q = s.rng.choice(q_pool)
+            if not spec.contains(a + q) or not outside(a + q):
+                failures.append({"a": _elem_obj(a), "q": _elem_obj(q), "law": "translation"})
+    for _ in range(count):
+        a, b = s.rng.choice(val), s.rng.choice(val)
         if dom_val is None or not (dom_val.contains(a - b) or dom_val.contains(b - a)):
             failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "law": "valuation"})
-    return _report("pseudo_closure", iso, cases, 0, failures)
+    s.cases = count * (1 + bool(comp) + bool(q_pool))
+    return failures
 
 
-def _suite_units_not_reversed(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
-    unit_pool = [u for u in units(iso.domain, cfg.window) if not u.is_identity()]
-    if not unit_pool:
-        return _not_applicable(
-            "units_not_reversed",
-            iso,
-            "domain is reduced: no nontrivial units exist, the hypothesis is empty",
-        )
-    failures = []
-    for u in unit_pool:
-        if classify_reversed(iso, u).status is ReversedStatus.REVERSED:
-            failures.append({"unit": _elem_obj(u)})
-    return _report("units_not_reversed", iso, len(unit_pool), 0, failures)
-
-
-def _suite_nothing_reversed(iso: TranslationIso, cfg: SuiteConfig) -> SuiteReport:
-    unit_pool = [u for u in units(iso.domain, cfg.window) if not u.is_identity()]
-    if not unit_pool:
-        return _not_applicable(
-            "nothing_reversed",
-            iso,
-            "domain is reduced: the non-trivial-unit hypothesis is empty",
-        )
-    failures = []
-    cases = 0
-    for u in _nonidentity_pool(iso, cfg):
-        cases += 1
-        if classify_reversed(iso, u).status is ReversedStatus.REVERSED:
-            failures.append({"element": _elem_obj(u)})
-    return _report("nothing_reversed", iso, cases, 0, failures)
-
-
-SUITE_NAMES: dict[str, Callable[[TranslationIso, SuiteConfig], SuiteReport]] = {
-    "homomorphism": _suite_homomorphism,
-    "two_sets": _suite_two_sets,
-    "cardinality": _suite_cardinality,
-    "pullback_powers": _suite_pullback_powers,
-    "pullback_unit_inverses": _suite_pullback_unit_inverses,
-    "quotient_multiplicity": _suite_quotient_multiplicity,
-    "product_dichotomy": _suite_product_dichotomy,
-    "dependent_products": _suite_dependent_products,
-    "torsion_products": _suite_torsion_products,
-    "independent_powers": _suite_independent_powers,
-    "one_reversed": _suite_one_reversed,
-    "split_monoids": _suite_split_monoids,
-    "units_not_reversed": _suite_units_not_reversed,
-    "nothing_reversed": _suite_nothing_reversed,
-    "decomposition_hom": _suite_decomposition_hom,
-    "pseudo_closure": _suite_pseudo_closure,
+#: Suites whose hypothesis needs a non-trivial unit or a finite-order
+#: member, with the note of their NOT_APPLICABLE report on a reduced domain.
+_EMPTY_ON_REDUCED = {
+    "pullback_unit_inverses": "domain is reduced: no nontrivial units exist to test",
+    "torsion_products": (
+        "domain has no finite-order members (reduced cancellative monoids are torsion-free)"
+    ),
+    "units_not_reversed": "domain is reduced: no nontrivial units exist, the hypothesis is empty",
+    "nothing_reversed": "domain is reduced: the non-trivial-unit hypothesis is empty",
 }
 
 
 def run_suite(name: str, iso: TranslationIso, cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
-    """Run one named suite against a constructed isomorphism."""
-    try:
-        fn = SUITE_NAMES[name]
-    except KeyError:
+    """Run one named suite against a constructed isomorphism.
+
+    The suites of ``_EMPTY_ON_REDUCED`` are answered from the domain's
+    ``is_reduced()``.  Every other suite body gets the stream
+    ``random.Random(f"{seed}:{name}")``, the domain's window members and
+    their non-identity part; with no non-identity member it runs no case.
+    """
+    if name in _EMPTY_ON_REDUCED:
+        if not iso.domain.is_reduced():
+            raise ValueError(
+                f"suite {name!r} is decided for reduced domains only; "
+                f"{iso.domain.label!r} is not reduced"
+            )
+        note = _EMPTY_ON_REDUCED[name]
+        return SuiteReport(name, _scope(iso), 0, 0, (), Verdict.NOT_APPLICABLE, note)
+    if name not in _BODIES:
         raise ValueError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITE_NAMES))}"
-        ) from None
-    return fn(iso, cfg)
+        )
+    pool = elements_in_window(iso.domain, cfg.window)
+    nonid = [u for u in pool if not u.is_identity()]
+    if not nonid:
+        return _report(name, iso, 0, 0, [])
+    s = _Sample(iso, cfg, random.Random(f"{cfg.seed}:{name}"), pool, nonid, cfg.sample_count)
+    failures = _BODIES[name](s)
+    return _report(name, iso, s.cases, s.skips, failures, s.note)
+
+
+#: Every suite by name, each bound to ``run_suite``.
+SUITE_NAMES: dict[str, Callable[[TranslationIso, SuiteConfig], SuiteReport]] = {
+    name: partial(run_suite, name) for name in (*_BODIES, *_EMPTY_ON_REDUCED)
+}
 
 
 def verify_iso(
@@ -728,7 +605,7 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
     except ApplicabilityError as exc:
         failures.append({"check": "iso-applicability", "condition": exc.condition, "error": str(exc)})
     else:
-        hom = _suite_homomorphism(iso, cfg)
+        hom = run_suite("homomorphism", iso, cfg)
         cases += hom.cases
         failures.extend(
             {"check": "iso-homomorphism", **f} for f in hom.failures

@@ -52,6 +52,7 @@ __all__ = [
     "apply_iso",
     "pullback",
     "classify_reversed",
+    "is_reversed",
     "decomposition_map",
     "translation_element",
 ]
@@ -256,7 +257,9 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
     )
 
 
-def _is_reversed(f: TranslationIso, a: GroupElement) -> bool:
+def is_reversed(f: TranslationIso, a: GroupElement) -> bool:
+    """Is a reversed?  ``classify_reversed`` decides infinite-order
+    members; the identity and other finite-order members are not reversed."""
     if a.order() is not INFINITE:
         # finite-order members multiply through the pullback unchanged
         return False
@@ -270,12 +273,12 @@ def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:
     if u.is_identity():
         return f.codomain.identity()
     if f.domain.contains(u):
-        if not _is_reversed(f, u):
+        if not is_reversed(f, u):
             return pullback(f, u)
         raise ValueError(
             f"{u!r} is reversed, so it belongs to neither the non-reversed "
             "part nor the inverted reversed part"
         )
-    if f.domain.contains(-u) and _is_reversed(f, -u):
+    if f.domain.contains(-u) and is_reversed(f, -u):
         return pullback(f, -u)
     raise ValueError(f"{u!r} is outside the domain of the decomposition map")

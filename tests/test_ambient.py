@@ -247,6 +247,14 @@ def test_identity_axioms_random_sample():
         assert (u + (-u)).is_identity()
 
 
+@pytest.mark.parametrize(
+    "free_rank, torsion", [(2.5, ()), (True, ()), ("1", ()), (1, (3.0,)), (1, (False,))]
+)
+def test_signature_rejects_non_integers(free_rank, torsion):
+    with pytest.raises(ValueError):
+        GroupSignature(free_rank, torsion)
+
+
 def test_finite_order_is_minimal():
     sig = GroupSignature(0, (4, 6))
     for a in range(4):

@@ -182,9 +182,13 @@ def test_usage_error_exit_2(capsys):
         ("analyze", {"family": "NUMERICAL", "signature": {"free_rank": 1}, "generators": 5}),
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1}, "generators": 5}),
         ("eval", "(" * 5000 + "{0}" + ")" * 5000),
+        ("analyze", {"family": "HALF_PLANE_LEX", "signature": {"free_rank": 2.5}, "embedding": [0, 1]}),
+        ("analyze", {"family": "FULL_N0", "signature": {"free_rank": True}}),
+        ("analyze", {"family": "FULL_N0", "signature": {"free_rank": 1, "torsion_orders": [3.0]}}),
     ],
     ids=["free-rank-string", "top-level-list", "numerical-generators-int",
-         "free-generated-generators-int", "deeply-nested-expression"],
+         "free-generated-generators-int", "deeply-nested-expression",
+         "free-rank-float", "free-rank-bool", "torsion-order-float"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     # exit 1 is reserved for property failures: bad input is a parse error
@@ -195,3 +199,48 @@ def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     assert main([command, payload]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unreadable_monoid_path_exit_2(tmp_path, capsys):
+    # a directory is an OSError other than FileNotFoundError: a usage error
+    assert main(["analyze", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_iso_on_trivial_monoid_is_inconclusive(tmp_path, capsys):
+    # {0} has no non-identity member to sample: every sampled suite runs no
+    # case, the four suites that need units or torsion are NOT_APPLICABLE
+    path = tmp_path / "zero.json"
+    zero = {"family": "NUMERICAL", "signature": {"free_rank": 1}, "generators": []}
+    path.write_text(json.dumps(zero), encoding="utf-8")
+    assert main(["iso", str(path), str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    not_applicable = {"pullback_unit_inverses", "torsion_products", "units_not_reversed",
+                      "nothing_reversed"}
+    reports = json.loads(captured.out)
+    assert len(reports) == 16
+    for r in reports:
+        verdict = "NOT_APPLICABLE" if r["suite"] in not_applicable else "INCONCLUSIVE"
+        assert (r["verdict"], r["cases"], r["failures"]) == (verdict, 0, []), r
+    assert captured.err.startswith("first failure: ") and captured.err.count("\n") == 1
+
+
+def test_analyze_composite_with_trivial_valuation_part(tmp_path, capsys):
+    doc = {
+        "family": "COMPOSITE",
+        "signature": {"free_rank": 1},
+        "valuation_part": {"family": "NUMERICAL", "signature": {"free_rank": 1}, "generators": []},
+        "complement_part": {
+            "base_subgroup": [],
+            "positive_generators": [{"free": [2], "torsion": []}, {"free": [3], "torsion": []}],
+        },
+    }
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", str(path), "--window", "10", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["irreducibles"] == [
+        {"element": {"free": [x], "torsion": []}, "status": "IRREDUCIBLE_ANALYTIC"} for x in (2, 3)
+    ]
+    assert out["reducible_count"] == 7

@@ -8,7 +8,9 @@ import pytest
 
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
+    ComplementSpec,
     Window,
+    composite,
     elements_in_window,
     free_generated,
     numerical,
@@ -106,6 +108,31 @@ def test_numerical_irreducibility(num23):
     v = is_irreducible(num23, Z1.element(5), Window(8))
     assert v.status is IrreducibleStatus.REDUCIBLE
     assert sorted(f.free[0] for f in v.factors) == [2, 3]
+
+
+def test_composite_with_trivial_valuation_part_matches_numerical(num23):
+    # {0} glued with the complement generated by 2 and 3 is <2,3>; with no
+    # non-unit to borrow from {0}, irreducibility is decided from the generators
+    complement = ComplementSpec(Z1, (), (Z1.element(2), Z1.element(3)))
+    glued = composite(numerical(()), complement, label="zero-glued-2-3")
+    window = Window(10)
+    assert elements_in_window(glued, window) == elements_in_window(num23, window)
+    ours, theirs = decompose(glued, window), decompose(num23, window)
+    assert (ours.pseudo_units, ours.complement, ours.unknown) == (
+        theirs.pseudo_units,
+        theirs.complement,
+        theirs.unknown,
+    )
+    for x in range(2, 11):
+        v = is_irreducible(glued, Z1.element(x), window)
+        if x in (2, 3):
+            assert v.status is IrreducibleStatus.IRREDUCIBLE_ANALYTIC
+            continue
+        assert v.status is IrreducibleStatus.REDUCIBLE
+        f1, f2 = v.factors
+        assert f1 + f2 == Z1.element(x)
+        assert not is_unit(glued, f1) and not is_unit(glued, f2)
+        assert glued.contains(f1) and glued.contains(f2)
 
 
 def test_irreducibility_rejects_units_and_nonmembers(halfplane):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from powmon.suites import (
@@ -11,7 +13,9 @@ from powmon.suites import (
     run_suite,
     verify_iso,
 )
-from powmon.translation import build_translation_iso
+from powmon.ambient import GroupSignature
+from powmon.monoids import IrrationalCone, QuadraticSurd
+from powmon.translation import TranslationIso, build_translation_iso
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,16 @@ def test_not_applicable_suites_name_the_reason(iso, small_cfg):
         assert report.note
 
 
+def test_not_applicable_suites_refuse_a_non_reduced_domain():
+    # their verdict rests on the domain being reduced; only a hand-built
+    # isomorphism can have a domain that is not
+    cone = IrrationalCone(GroupSignature(2), (0, 1), QuadraticSurd(3, 0, 2, 2), label="cone-3/2")
+    iso = TranslationIso(cone, cone, cone, cone, True, "hand-built")
+    for name in ("pullback_unit_inverses", "torsion_products", "units_not_reversed", "nothing_reversed"):
+        with pytest.raises(ValueError, match="not reduced"):
+            run_suite(name, iso, SuiteConfig(window_bound=2, sample_count=5))
+
+
 def test_one_reversed_sees_both_classes(iso, small_cfg):
     report = run_suite("one_reversed", iso, small_cfg)
     assert report.verdict == Verdict.PASS
@@ -65,6 +79,31 @@ def test_reports_deterministic(iso, small_cfg):
     b = run_suite("homomorphism", iso, small_cfg)
     assert a == b
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize(
+    "pair, cfg, digest",
+    [
+        (
+            "planar",
+            SuiteConfig(sample_count=150, window_bound=6),
+            "99c11518d2e829c607c6c91119d9e9a29ec654248470ff9701fdb5a2dff5fdcd",
+        ),
+        (
+            "rank4",
+            SuiteConfig(sample_count=60, window_bound=3),
+            "24c642e9ebe253c4e602349990c2b9a44f83b49e762346d7bac1c4f5d0a238b4",
+        ),
+    ],
+)
+def test_report_digests_pinned(pair, cfg, digest):
+    """The canonical JSON of all 16 reports is pinned.  A passing report
+    holds only counts, notes and its verdict, so a changed sampling stream
+    shows here through the counts that depend on the draws: the skips of
+    quotient_multiplicity and the pair-loop cases of independent_powers."""
+    iso = planar_iso() if pair == "planar" else build_translation_iso(*rank4_pair())
+    text = format_reports(verify_iso(iso, cfg), "json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_reports_change_with_seed(iso):
