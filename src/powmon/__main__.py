@@ -1,0 +1,4 @@
+from .cli import console
+
+if __name__ == "__main__":
+    console()

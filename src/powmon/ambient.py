@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import add, neg
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -103,31 +104,41 @@ class GroupElement:
     torsion: tuple[int, ...]
 
     def _check(self, other: GroupElement) -> None:
-        if self.signature != other.signature:
+        # signatures are usually one shared object; compare fields only when not
+        if other.signature is not self.signature and other.signature != self.signature:
             raise SignatureMismatchError(
                 f"cannot combine elements of {self.signature} and {other.signature}"
             )
 
     def __add__(self, other: GroupElement) -> GroupElement:
         self._check(other)
-        free = tuple(a + b for a, b in zip(self.free, other.free))
+        sig = self.signature
+        free = tuple(map(add, self.free, other.free))
+        if not sig.torsion_orders:
+            return GroupElement(sig, free, ())
         torsion = tuple(
-            (a + b) % n for a, b, n in zip(self.torsion, other.torsion, self.signature.torsion_orders)
+            (a + b) % n for a, b, n in zip(self.torsion, other.torsion, sig.torsion_orders)
         )
-        return GroupElement(self.signature, free, torsion)
+        return GroupElement(sig, free, torsion)
 
     def __neg__(self) -> GroupElement:
-        free = tuple(-a for a in self.free)
-        torsion = tuple((-a) % n for a, n in zip(self.torsion, self.signature.torsion_orders))
-        return GroupElement(self.signature, free, torsion)
+        sig = self.signature
+        free = tuple(map(neg, self.free))
+        if not sig.torsion_orders:
+            return GroupElement(sig, free, ())
+        torsion = tuple((-a) % n for a, n in zip(self.torsion, sig.torsion_orders))
+        return GroupElement(sig, free, torsion)
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         return self + (-other)
 
     def scale(self, n: int) -> GroupElement:
+        sig = self.signature
         free = tuple(a * n for a in self.free)
-        torsion = tuple((a * n) % m for a, m in zip(self.torsion, self.signature.torsion_orders))
-        return GroupElement(self.signature, free, torsion)
+        if not sig.torsion_orders:
+            return GroupElement(sig, free, ())
+        torsion = tuple((a * n) % m for a, m in zip(self.torsion, sig.torsion_orders))
+        return GroupElement(sig, free, torsion)
 
     def is_identity(self) -> bool:
         return not any(self.free) and not any(self.torsion)

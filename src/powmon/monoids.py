@@ -209,7 +209,7 @@ class MonoidSpec:
         return (u for u in ambient_window(self.signature, window) if self.contains(u))
 
     def _check_element(self, u: GroupElement) -> None:
-        if u.signature != self.signature:
+        if u.signature is not self.signature and u.signature != self.signature:
             raise SignatureMismatchError(
                 f"element of {u.signature} queried against monoid over {self.signature}"
             )
@@ -891,7 +891,9 @@ def element_to_dict(u: GroupElement) -> dict:
 
 
 def _element_from_obj(sig: GroupSignature, obj: dict) -> GroupElement:
-    return sig.element(tuple(obj["free"]), tuple(obj.get("torsion", ())))
+    # "torsion" may be left out only where the signature has no torsion
+    torsion = obj["torsion"] if sig.torsion_orders else obj.get("torsion", ())
+    return sig.element(tuple(obj["free"]), tuple(torsion))
 
 
 def _signature_to_obj(sig: GroupSignature) -> dict:

@@ -176,11 +176,17 @@ def _verified_witness(spec: MonoidSpec, a: GroupElement, b: GroupElement) -> boo
 
 def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
     """Witness for a complement member: some multiple of a positive
-    generator is incomparable with a."""
+    generator is incomparable with a.
+
+    With c = ``member_combination(a)``, the multiples k*g_i for
+    1 <= k < c_i are skipped: a - k*g_i is a G-part plus a non-zero
+    combination with (c_i - k)*g_i, so it lies in G.M and k*g_i divides a.
+    The first verified witness is therefore the one the full loop finds."""
     comp = spec.complement_part
     budget = comp.grade(a) + 1
-    for g in comp.positive_generators:
-        for k in range(1, budget + 1):
+    c = comp.member_combination(a)
+    for g, c_i in zip(comp.positive_generators, c):
+        for k in range(max(1, c_i), budget + 1):
             b = g.scale(k)
             if _verified_witness(spec, a, b):
                 return b

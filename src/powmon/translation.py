@@ -15,8 +15,10 @@ Applicability is certified structurally before any set is mapped:
   valuation parts of equal quotient groups, or the two specs are
   structurally identical.
 
-The pullback g (the element map with f({1, a}) = {1, g(a)}) is cached;
-the cache is pure memoization and never observable.
+The pullback g (the element map with f({1, a}) = {1, g(a)}) is cached,
+and so is each member's reversed class once ``classify_reversed`` has
+checked its chain image; both caches are pure memoization and never
+observable.
 
 Elements of infinite order are classified by how f acts on the chain
 {1, a, a^3}: fixing it pointwise up to pullback ("not reversed") or
@@ -109,6 +111,9 @@ class TranslationIso:
     identical_pair: bool
     certificate: str
     _pullback_cache: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _reversed_cache: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -259,11 +264,16 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
 
 def is_reversed(f: TranslationIso, a: GroupElement) -> bool:
     """Is a reversed?  ``classify_reversed`` decides infinite-order
-    members; the identity and other finite-order members are not reversed."""
+    members, once per member and isomorphism; the identity and other
+    finite-order members are not reversed."""
     if a.order() is not INFINITE:
         # finite-order members multiply through the pullback unchanged
         return False
-    return classify_reversed(f, a).status is ReversedStatus.REVERSED
+    cached = f._reversed_cache.get(a)
+    if cached is None:
+        cached = classify_reversed(f, a).status is ReversedStatus.REVERSED
+        f._reversed_cache[a] = cached
+    return cached
 
 
 def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:

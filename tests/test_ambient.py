@@ -53,6 +53,15 @@ def test_compose_reduces_torsion():
 def test_compose_signature_mismatch():
     with pytest.raises(SignatureMismatchError):
         Z1.element(1) + Z2.element((1, 2))
+    # a torsion-free element meets one with torsion of the same free rank
+    for u, v in ((Z1.element(1), Z_X_MOD3.element((1,), (1,))),
+                 (Z_X_MOD3.element((1,), (1,)), Z1.element(1))):
+        with pytest.raises(SignatureMismatchError):
+            u + v
+        with pytest.raises(SignatureMismatchError):
+            u - v
+    # an equal signature that is another object combines as the same group
+    assert Z2.element((1, 2)) + GroupSignature(2).element((3, 4)) == Z2.element((4, 6))
 
 
 def test_inverse_cancels():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,17 @@ def monoid_files(tmp_path, n0, num23, halfplane, cone_sqrt2):
 def test_eval_power(capsys):
     assert main(["eval", "{0,1}^3"]) == 0
     assert capsys.readouterr().out.strip() == "{0,1,2,3}"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "powmon", "eval", "{0,1}*{0,2}"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, "{0,1,2,3}\n"), done.stderr
 
 
 def test_eval_product(capsys):
@@ -185,10 +200,13 @@ def test_usage_error_exit_2(capsys):
         ("analyze", {"family": "HALF_PLANE_LEX", "signature": {"free_rank": 2.5}, "embedding": [0, 1]}),
         ("analyze", {"family": "FULL_N0", "signature": {"free_rank": True}}),
         ("analyze", {"family": "FULL_N0", "signature": {"free_rank": 1, "torsion_orders": [3.0]}}),
+        ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1, "torsion_orders": [3]},
+                     "generators": [{"free": [1]}]}),
     ],
     ids=["free-rank-string", "top-level-list", "numerical-generators-int",
          "free-generated-generators-int", "deeply-nested-expression",
-         "free-rank-float", "free-rank-bool", "torsion-order-float"],
+         "free-rank-float", "free-rank-bool", "torsion-order-float",
+         "element-without-torsion"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     # exit 1 is reserved for property failures: bad input is a parse error

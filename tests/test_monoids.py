@@ -6,7 +6,12 @@ from math import isqrt
 
 import pytest
 
-from powmon.ambient import GroupSignature, subgroup_contains, subgroup_rows
+from powmon.ambient import (
+    GroupSignature,
+    SignatureMismatchError,
+    subgroup_contains,
+    subgroup_rows,
+)
 from powmon.monoids import (
     ComplementSpec,
     FreeGenerated,
@@ -96,6 +101,10 @@ def test_half_plane_membership(halfplane):
     assert halfplane.contains(Z2.element((0, 0)))
     assert halfplane.contains(Z2.element((4, 0)))
     assert not halfplane.contains(Z2.element((3, -1)))
+    # Z2 here is equal to the half-plane's signature but another object
+    assert Z2 is not halfplane.signature
+    with pytest.raises(SignatureMismatchError):
+        halfplane.contains(GroupSignature(2, (3,)).element((1, 0), (0,)))
 
 
 def test_cone_membership(cone_sqrt2):
@@ -389,6 +398,14 @@ def test_json_schema_validation():
         spec_from_dict({"family": "NO_SUCH", "label": "", "signature": {"free_rank": 1}})
     with pytest.raises(ValueError):
         spec_from_dict({"family": "FULL_N0", "label": ""})
+    # under a torsion signature an element must give its torsion residues
+    no_torsion = {
+        "family": "FREE_GENERATED",
+        "signature": {"free_rank": 1, "torsion_orders": [3]},
+        "generators": [{"free": [1]}],
+    }
+    with pytest.raises(ValueError, match="missing field 'torsion'"):
+        spec_from_dict(no_torsion)
     # rational slope rejected at load time
     bad = {
         "family": "IRRATIONAL_CONE",

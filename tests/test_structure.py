@@ -13,6 +13,7 @@ from powmon.monoids import (
     composite,
     elements_in_window,
     free_generated,
+    half_plane_lex,
     numerical,
 )
 from powmon.structure import (
@@ -242,6 +243,41 @@ def test_decompose_halfplane(halfplane):
     report = decompose(halfplane, Window(4))
     assert report.pseudo_units == elements_in_window(halfplane, Window(4))
     assert not report.complement and not report.unknown
+
+
+def _full_loop_witness(spec, a):
+    """The composite witness search without the skip: every multiple
+    k*g for k = 1..grade(a)+1 of every positive generator, in order."""
+    comp = spec.complement_part
+    for g in comp.positive_generators:
+        for k in range(1, comp.grade(a) + 2):
+            b = g.scale(k)
+            if spec.contains(b) and not spec.contains(a - b) and not spec.contains(b - a):
+                return b
+    return None
+
+
+def _half_plane_glued_non_basis():
+    # generator images e2, e2+e3, e2+3*e3 are no free basis of Z^4 / G
+    e = [Z4.basis_element(i) for i in range(4)]
+    comp = ComplementSpec(Z4, (e[0], e[1]), (e[2], e[2] + e[3], e[2] + e[3].scale(3)))
+    return composite(half_plane_lex(Z4, (0, 1)), comp, label="half-plane-glued-non-basis")
+
+
+@pytest.mark.parametrize("which", ["rank4-H", "non-basis"])
+def test_composite_witness_matches_full_loop(rank4_h, which):
+    spec = rank4_h if which == "rank4-H" else _half_plane_glued_non_basis()
+    window = Window(3)
+    checked = 0
+    for a in elements_in_window(spec, window):
+        if not spec.in_complement(a):
+            continue
+        expected = _full_loop_witness(spec, a)
+        assert expected is not None
+        verdict = pseudo_unit(spec, a, window)
+        assert (verdict.status, verdict.witness) == (PseudoUnitStatus.NOT_PSEUDO_UNIT, expected), a
+        checked += 1
+    assert checked > 100
 
 
 def test_decompose_rank4(rank4_h):

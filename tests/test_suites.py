@@ -13,8 +13,9 @@ from powmon.suites import (
     run_suite,
     verify_iso,
 )
+from powmon import translation
 from powmon.ambient import GroupSignature
-from powmon.monoids import IrrationalCone, QuadraticSurd
+from powmon.monoids import IrrationalCone, QuadraticSurd, free_generated
 from powmon.translation import TranslationIso, build_translation_iso
 
 
@@ -104,6 +105,41 @@ def test_report_digests_pinned(pair, cfg, digest):
     iso = planar_iso() if pair == "planar" else build_translation_iso(*rank4_pair())
     text = format_reports(verify_iso(iso, cfg), "json")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_pseudo_closure_holds_without_an_analytic_valuation_part():
+    # the identity iso of N0^2 has no analytic pseudo-unit submonoid: the
+    # valuation law is read in the domain, and a + b that leaves the window
+    # gets an UNKNOWN pseudo-unit verdict, which is a skip and not a failure
+    z2 = GroupSignature(2)
+    h = free_generated(z2, [z2.element(v) for v in ((1, 0), (0, 1), (1, 1))])
+    iso = build_translation_iso(h, h)
+    assert iso.domain_valuation is None
+    report = run_suite("pseudo_closure", iso, SuiteConfig(window_bound=4, sample_count=50))
+    assert (report.verdict, report.failures) == (Verdict.PASS, ())
+    assert 0 < report.trivial_skips < report.cases
+
+
+def test_reversed_classified_once_per_member(monkeypatch):
+    cfg = SuiteConfig(window_bound=3, sample_count=60)
+    classified = []
+
+    def counting(f, a):
+        classified.append((id(f), a))
+        return original(f, a)
+
+    original = translation.classify_reversed
+    monkeypatch.setattr(translation, "classify_reversed", counting)
+    fresh = build_translation_iso(*rank4_pair())
+    first = format_reports(verify_iso(fresh, cfg), "json")
+    assert classified and len(classified) == len(set(classified))
+    # warm a second iso with other draws, then rerun both: the memo answers
+    # every member already classified and changes no report
+    warmed = build_translation_iso(*rank4_pair())
+    verify_iso(warmed, SuiteConfig(seed=2, window_bound=3, sample_count=60))
+    for iso in (warmed, fresh):
+        assert format_reports(verify_iso(iso, cfg), "json") == first
+    assert len(classified) == len(set(classified))
 
 
 def test_reports_change_with_seed(iso):
