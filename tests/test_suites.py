@@ -13,9 +13,16 @@ from powmon.suites import (
     run_suite,
     verify_iso,
 )
-from powmon import translation
+from powmon import suites, translation
 from powmon.ambient import GroupSignature
-from powmon.monoids import IrrationalCone, QuadraticSurd, free_generated
+from powmon.monoids import (
+    IrrationalCone,
+    MonoidSpec,
+    QuadraticSurd,
+    Window,
+    elements_in_window,
+    free_generated,
+)
 from powmon.translation import TranslationIso, build_translation_iso
 
 
@@ -105,6 +112,92 @@ def test_report_digests_pinned(pair, cfg, digest):
     iso = planar_iso() if pair == "planar" else build_translation_iso(*rank4_pair())
     text = format_reports(verify_iso(iso, cfg), "json")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+#: The names in ``powmon.suites`` through which a suite consumes its draws.
+_DRAW_CONSUMERS = (
+    "apply_iso", "pullback", "set_product", "pseudo_unit", "is_reversed", "decomposition_map"
+)
+
+_DRAW_DIGESTS = {
+    "planar": {
+        "cardinality": "f738a6362d2a10422aac42d7957db8cbb6f40e0163609c69ecf31d54c627e295",
+        "decomposition_hom": "afe7545c9dd959e3ea9a9413a84b6705c2da29b85f660b9532c11722654d8aff",
+        "dependent_products": "624a179b477f23c4fd209ccb06f7bc92a1e36d9d9e774ed50c7b294a3d2f1a42",
+        "homomorphism": "c8b5f9c6bf89331581c96e3418736447b703951e8dc10e266a1cf666423293e8",
+        "independent_powers": "dc088bf1bb39d2fbc002725442c24c3f7c6e7784b6ce5397e6de82de27e0e853",
+        "one_reversed": "2c187d57024a2f823097ed878c30b1343d919d87de25db31511390da3a620f35",
+        "product_dichotomy": "e05e16ecd8d8cabc1f28b0349cce7d68baa54522a043c3705a4724cf8835b209",
+        "pullback_powers": "404f43a59fd8746dd4649031a4276478f9d9feccaf8e0ad5d643d6a1ffa30fdc",
+        "quotient_multiplicity": "92ccf93dce733d9b08d69b363fe4d995c73f47a18bfbbd941f17ab900fe90105",
+        "split_monoids": "f05bd08bccbec28ab6d665d9cb80eb47d9f8460c0e0e12dc2691667c55ed848a",
+        "two_sets": "2e17e45cfcf993eee71341407680a92f93d49befc1b23bace0564f2e03bf70d0",
+    },
+    "rank4": {
+        "cardinality": "2c75b5cb0bb176098e17d91d26b009970f8f82b3ea1db97428e8d03b66335e74",
+        "decomposition_hom": "25572579ba48e66e82eea2467c09ea205ad41c6a5f4bc99d0e6bfc0bde029a1c",
+        "dependent_products": "2fd12703437569a8dc3e32ee2c6c6d9f2f7dfcd10a0f7727f49adab412278444",
+        "homomorphism": "56687d90d70fce29f48f5da5307e6d7d7b4b033db03f06238461dc7ec582ba72",
+        "independent_powers": "70f3e12adc96001f56eb941be0f8a54c784b9ee51f363fbf2098bae0a0d83948",
+        "one_reversed": "d0b87eae1e2c5ac890770aa60258a61fce48b3d8552b2f6df6bd0c85b933bb89",
+        "product_dichotomy": "bd24f9a4c843231fd9ea33afd4d2ab7b385420f27368d21f4c0ce3ed0e8556f7",
+        "pseudo_closure": "a10d132ef8d755a0553154492b7aed15bd8dc23332a6f2e84642586eac708d1a",
+        "pullback_powers": "641b415a6b709bccdd8b5d831a8b4ef07f83666bb050ed2650c9eb9eb6b8ddd4",
+        "quotient_multiplicity": "caceec67d7cf200123cde75594d3e76e5134db35e66f7e331a04e2f9a78de8cc",
+        "split_monoids": "7812ef3795d98be2622441a91b07e15a1c42c4b82e4dd3071fe93715fc3f87c4",
+        "two_sets": "8975dcc3913c6e32539a234e66b46614e832f407b301b3316a0a39380933d2a7",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "pair, cfg",
+    [
+        ("planar", SuiteConfig(sample_count=150, window_bound=6)),
+        ("rank4", SuiteConfig(sample_count=60, window_bound=3)),
+    ],
+)
+def test_draws_pinned(pair, cfg, monkeypatch):
+    """Each suite's calls to the names it consumes its draws through are
+    pinned, argument by argument, so a changed draw or a changed use of
+    one fails here even where every report still passes.
+
+    ``is_reversed`` on a window member classifies a member of a sampling
+    pool, which a suite may do for the whole window, so only its calls on
+    other elements (the sums a suite forms) are recorded.  A suite that
+    consumes its draws through none of these names (``pseudo_closure`` on
+    the planar domain, whose pools are all pseudo-units) records nothing.
+    """
+    iso = planar_iso() if pair == "planar" else build_translation_iso(*rank4_pair())
+    window = set(elements_in_window(iso.domain, cfg.window))
+    calls = []
+
+    def show(arg):
+        if isinstance(arg, TranslationIso):
+            return "f"
+        if isinstance(arg, MonoidSpec):
+            return arg.label
+        if isinstance(arg, Window):
+            return f"w{arg.bound}"
+        return repr(arg)
+
+    def recorder(name, fn):
+        def record(*args):
+            if not (name == "is_reversed" and args[1] in window):
+                calls.append(f"{name}({','.join(map(show, args))})")
+            return fn(*args)
+
+        return record
+
+    for name in _DRAW_CONSUMERS:
+        monkeypatch.setattr(suites, name, recorder(name, getattr(suites, name)))
+    digests = {}
+    for name in sorted(SUITE_NAMES):
+        calls.clear()
+        run_suite(name, iso, cfg)
+        if calls:
+            digests[name] = hashlib.sha256("\n".join(calls).encode("utf-8")).hexdigest()
+    assert digests == _DRAW_DIGESTS[pair]
 
 
 def test_pseudo_closure_holds_without_an_analytic_valuation_part():
