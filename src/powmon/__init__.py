@@ -14,10 +14,6 @@ from .ambient import (
     GroupSignature,
     RelationLattice,
     SignatureMismatchError,
-    compose,
-    element_order,
-    inverse,
-    scale,
     solve_relations,
 )
 from .monoids import (
@@ -39,12 +35,12 @@ from .monoids import (
     full_n0,
     half_plane_lex,
     irrational_cone,
+    is_unit,
     is_valuation,
     load_monoid_file,
     monoid_from_json,
     monoid_to_json,
     numerical,
-    quotient_group,
     units,
 )
 from .powersets import (
@@ -68,7 +64,6 @@ from .structure import (
     decompose,
     is_independent,
     is_irreducible,
-    is_unit,
     pseudo_unit,
     pseudo_unit_submonoid,
 )

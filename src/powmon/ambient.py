@@ -23,10 +23,6 @@ __all__ = [
     "GroupElement",
     "RelationLattice",
     "SignatureMismatchError",
-    "compose",
-    "inverse",
-    "scale",
-    "element_order",
     "solve_relations",
     "hnf_rows",
     "kernel_rows",
@@ -50,7 +46,7 @@ class _InfiniteOrder:
         return "INFINITE"
 
 
-#: Sentinel returned by ``element_order`` for elements of infinite order.
+#: Sentinel returned by ``GroupElement.order`` for elements of infinite order.
 INFINITE = _InfiniteOrder()
 
 
@@ -164,22 +160,6 @@ class GroupElement:
         if len(self.free) == 1:
             return str(self.free[0])
         return f"({','.join(map(str, self.free))})"
-
-
-def compose(u: GroupElement, v: GroupElement) -> GroupElement:
-    return u + v
-
-
-def inverse(u: GroupElement) -> GroupElement:
-    return -u
-
-
-def scale(u: GroupElement, n: int) -> GroupElement:
-    return u.scale(n)
-
-
-def element_order(u: GroupElement) -> int | _InfiniteOrder:
-    return u.order()
 
 
 # ---------------------------------------------------------------------------

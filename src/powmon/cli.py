@@ -25,26 +25,20 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .ambient import GroupElement, SignatureMismatchError
+from .ambient import GroupElement
 from .monoids import (
     MonoidSpec,
     Window,
     element_to_dict,
     elements_in_window,
     full_n0,
+    is_unit,
     is_valuation,
     load_monoid_file,
     units,
 )
-from .powersets import (
-    FinSubset1,
-    MembershipError,
-    MonoidMismatchError,
-    reversion,
-    set_power,
-    set_product,
-)
-from .structure import IrreducibleStatus, decompose, is_irreducible, is_unit
+from .powersets import FinSubset1, reversion, set_power, set_product
+from .structure import IrreducibleStatus, decompose, is_irreducible
 from .suites import (
     SUITE_NAMES,
     SuiteConfig,
@@ -55,7 +49,7 @@ from .suites import (
     run_suite,
     verify_iso,
 )
-from .translation import ApplicabilityError, build_translation_iso
+from .translation import build_translation_iso
 
 __all__ = ["main", "console", "ParseError", "parse_expression"]
 
@@ -334,9 +328,7 @@ def cmd_analyze(args) -> int:
 
 
 def _report_exit(reports) -> int:
-    if any(r.verdict == Verdict.FAIL for r in reports):
-        return EXIT_PROPERTY_FAILURE
-    if any(r.verdict == Verdict.INCONCLUSIVE for r in reports):
+    if any(r.verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE) for r in reports):
         return EXIT_PROPERTY_FAILURE
     return EXIT_OK
 
@@ -441,16 +433,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, _SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ApplicabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MembershipError, MonoidMismatchError, SignatureMismatchError, _UsageError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
+        # ApplicabilityError, MembershipError, MonoidMismatchError and
+        # SignatureMismatchError are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

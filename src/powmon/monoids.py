@@ -63,8 +63,8 @@ __all__ = [
     "free_generated",
     "composite",
     "is_valuation",
+    "is_unit",
     "units",
-    "quotient_group",
     "elements_in_window",
     "ambient_window",
     "witness_search_order",
@@ -309,10 +309,6 @@ class Numerical(MonoidSpec):
         object.__setattr__(self, "_normalized", normalized)
         if 1 not in normalized:
             object.__setattr__(self, "_apery", _apery_table(normalized))
-
-    @property
-    def content_gcd(self) -> int:
-        return self._gcd
 
     def is_all_of_scaled_n0(self) -> bool:
         """True when the monoid is g*N0, i.e. a full copy of N0."""
@@ -867,13 +863,20 @@ def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
     return ValuationVerdict(ValuationStatus.UNKNOWN_UP_TO_WINDOW)
 
 
+def is_unit(spec: MonoidSpec, u: GroupElement) -> bool:
+    """Is u a member with -u also a member?  A certified reduced monoid
+    has the identity as its only unit."""
+    if spec.is_reduced():
+        return spec.contains(u) and u.is_identity()
+    return spec.contains(u) and spec.contains(-u)
+
+
 def units(spec: MonoidSpec, window: Window) -> tuple[GroupElement, ...]:
-    """Members u of the window with -u also a member."""
+    """The units inside the window: the identity alone when spec is
+    certified reduced, else a scan of the window's members."""
+    if spec.is_reduced():
+        return (spec.identity(),)
     return tuple(u for u in elements_in_window(spec, window) if spec.contains(-u))
-
-
-def quotient_group(spec: MonoidSpec) -> tuple[GroupElement, ...]:
-    return spec.quotient_generators()
 
 
 # ---------------------------------------------------------------------------
@@ -957,6 +960,8 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
             return FreeGenerated(sig, gens, label)
         if family == "COMPOSITE":
             val = spec_from_dict(obj["valuation_part"])
+            # one signature object for every part, so element checks hit `is`
+            sig = val.signature if val.signature == sig else sig
             comp = obj["complement_part"]
             complement = ComplementSpec(
                 sig,

@@ -28,6 +28,7 @@ from .monoids import (
     element_to_dict,
     elements_in_window,
     is_analytic_valuation_family,
+    is_unit,
     numerical,
     witness_search_order,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "PseudoUnitVerdict",
     "DecompositionReport",
     "is_independent",
-    "is_unit",
     "is_irreducible",
     "pseudo_unit",
     "decompose",
@@ -55,10 +55,6 @@ IRREDUCIBILITY_WINDOW_FACTOR = 4
 def is_independent(a: GroupElement, b: GroupElement) -> bool:
     """True when a and b satisfy no relation n*a + m*b = 0 besides (0, 0)."""
     return solve_relations(a, b).is_trivial
-
-
-def is_unit(spec: MonoidSpec, u: GroupElement) -> bool:
-    return spec.contains(u) and spec.contains(-u)
 
 
 class IrreducibleStatus(str, Enum):

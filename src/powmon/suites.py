@@ -35,7 +35,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable
 
 from .ambient import GroupElement, GroupSignature
@@ -67,6 +67,7 @@ from .translation import (
     decomposition_map,
     is_reversed,
     pullback,
+    reversed_by_order,
 )
 
 __all__ = [
@@ -321,10 +322,11 @@ def _one_reversed(s: _Sample) -> list[dict]:
     unequal value is g(a)-g(b) or g(b)-g(a).  Certifies that both
     classes were sampled; INCONCLUSIVE otherwise."""
     failures = []
-    seen = set()
-    for a, b in _pairs(s, is_independent):
-        ra, rb = is_reversed(s.iso, a), is_reversed(s.iso, b)
-        seen |= {ra, rb}
+    pairs = _pairs(s, is_independent)
+    # each distinct drawn member is certified once
+    rev = {u: is_reversed(s.iso, u) for u in dict.fromkeys(chain(*pairs))}
+    for a, b in pairs:
+        ra, rb = rev[a], rev[b]
         ga, gb, gab = pullback(s.iso, a), pullback(s.iso, b), pullback(s.iso, a + b)
         unequal = gab != ga + gb
         if unequal != (ra != rb):
@@ -339,7 +341,7 @@ def _one_reversed(s: _Sample) -> list[dict]:
             )
         elif unequal and gab not in (ga - gb, gb - ga):
             failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)})
-    if len(seen) < 2:
+    if len(set(rev.values())) < 2:
         s.note = "never sampled both a reversed and a non-reversed element"
     return failures
 
@@ -350,14 +352,22 @@ def _split_monoids(s: _Sample) -> list[dict]:
     products, and reversed members are pseudo-units."""
     classes: dict[bool, list[GroupElement]] = {True: [], False: []}
     for u in s.nonid:
-        classes[is_reversed(s.iso, u)].append(u)
+        classes[reversed_by_order(s.iso, u)].append(u)
     drawn = [
         (rev, s.rng.choice(pool), s.rng.choice(pool))
         for rev, pool in classes.items()
         if pool
         for _ in range(s.cfg.sample_count // 2)
     ]
+    # the pools come from the valuation parts; each distinct drawn member
+    # is certified by its chain image as well
+    pool_of = {u: rev for rev, a, b in drawn for u in (a, b)}
     failures = [
+        {"element": _elem_obj(u), "pool": _CLASS[rev]}
+        for u, rev in pool_of.items()
+        if is_reversed(s.iso, u) != rev
+    ]
+    failures += [
         {"a": _elem_obj(a), "b": _elem_obj(b), "class": _CLASS[rev]}
         for rev, a, b in drawn
         if is_reversed(s.iso, a + b) != rev
@@ -377,7 +387,7 @@ def _split_monoids(s: _Sample) -> list[dict]:
 def _decomposition_hom(s: _Sample) -> list[dict]:
     """h on (non-reversed) | (reversed)^-1 is multiplicative into the
     codomain."""
-    domain_pool = [-u if is_reversed(s.iso, u) else u for u in s.pool]
+    domain_pool = [-u if reversed_by_order(s.iso, u) else u for u in s.pool]
     failures = []
     for _ in range(s.cfg.sample_count):
         u, v = s.rng.choice(domain_pool), s.rng.choice(domain_pool)
@@ -400,9 +410,14 @@ def _pseudo_closure(s: _Sample) -> list[dict]:
     order each other totally (checked on the domain monoid)."""
     spec, window, count = s.iso.domain, s.cfg.window, s.cfg.sample_count
     dom_val = s.iso.domain_valuation
-    report = decompose(spec, window)
-    comp = list(report.complement)
-    val = list(report.pseudo_units)
+    if dom_val is None:
+        report = decompose(spec, window)
+        val, comp = list(report.pseudo_units), list(report.complement)
+    else:
+        # the certified pseudo-unit submonoid splits the window exactly
+        val, comp = [], []
+        for u in s.pool:
+            (val if dom_val.contains(u) else comp).append(u)
 
     def inside(u: GroupElement) -> bool:
         """Is u a certified pseudo-unit?  An UNKNOWN_UP_TO_WINDOW verdict

@@ -15,10 +15,8 @@ Applicability is certified structurally before any set is mapped:
   valuation parts of equal quotient groups, or the two specs are
   structurally identical.
 
-The pullback g (the element map with f({1, a}) = {1, g(a)}) is cached,
-and so is each member's reversed class once ``classify_reversed`` has
-checked its chain image; both caches are pure memoization and never
-observable.
+The pullback g (the element map with f({1, a}) = {1, g(a)}) is cached;
+the cache is pure memoization and never observable.
 
 Elements of infinite order are classified by how f acts on the chain
 {1, a, a^3}: fixing it pointwise up to pullback ("not reversed") or
@@ -55,6 +53,7 @@ __all__ = [
     "pullback",
     "classify_reversed",
     "is_reversed",
+    "reversed_by_order",
     "decomposition_map",
     "translation_element",
 ]
@@ -82,21 +81,23 @@ def valuation_min(k: MonoidSpec, s: Iterable[GroupElement]) -> GroupElement:
 
     K's divisibility order (u <= v iff v - u in K) is total on its
     quotient group because K is a valuation monoid, so the minimum
-    exists and is unique for finite nonempty S inside that group.
+    exists and is unique for finite nonempty S inside that group.  One
+    pass finds it: each element is compared with the least one so far,
+    which by transitivity lies below every element already passed.
     """
     elems = list(s)
     if not elems:
         raise ValueError("valuation_min needs a nonempty set")
     m = elems[0]
     for cand in elems[1:]:
-        if k.contains(m - cand):
-            m = cand
-    for cand in elems:
-        if not k.contains(cand - m):
+        if k.contains(cand - m):
+            continue
+        if not k.contains(m - cand):
             raise ValueError(
                 f"{k.label!r} does not totally order the given set: "
                 f"{cand!r} and {m!r} are incomparable"
             )
+        m = cand
     return m
 
 
@@ -111,9 +112,6 @@ class TranslationIso:
     identical_pair: bool
     certificate: str
     _pullback_cache: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _reversed_cache: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -246,15 +244,17 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
         raise ValueError("the identity is not classified")
     if a.order() is not INFINITE:
         raise ValueError(f"{a!r} has finite order; only infinite-order elements are classified")
-    if not f.domain.contains(a):
-        raise ValueError(f"{a!r} is not a member of the domain")
+    # a non-member raises MembershipError, a ValueError
     chain = FinSubset1.make(f.domain, (f.domain.identity(), a, a.scale(3)))
-    image = set(apply_iso(f, chain).elements)
+    # an image matching either pattern lies in the codomain with x, so it
+    # needs no membership check of its own
+    t = translation_element(f, chain)
+    image = {t + u for u in chain.elements}
     x = pullback(f, a)
-    identity = f.codomain.identity()
-    if image == {identity, x, x.scale(3)}:
+    identity, x3 = f.codomain.identity(), x.scale(3)
+    if image == {identity, x, x3}:
         return ReversedClassification(a, ReversedStatus.NOT_REVERSED)
-    if image == {identity, x.scale(2), x.scale(3)}:
+    if image == {identity, x.scale(2), x3}:
         return ReversedClassification(a, ReversedStatus.REVERSED)
     raise DichotomyViolationError(
         f"image of the power chain of {a!r} is {sorted(image, key=GroupElement.key)!r}, "
@@ -264,16 +264,33 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
 
 def is_reversed(f: TranslationIso, a: GroupElement) -> bool:
     """Is a reversed?  ``classify_reversed`` decides infinite-order
-    members, once per member and isomorphism; the identity and other
-    finite-order members are not reversed."""
+    members from their chain image; the identity and other finite-order
+    members are not reversed."""
     if a.order() is not INFINITE:
         # finite-order members multiply through the pullback unchanged
         return False
-    cached = f._reversed_cache.get(a)
-    if cached is None:
-        cached = classify_reversed(f, a).status is ReversedStatus.REVERSED
-        f._reversed_cache[a] = cached
-    return cached
+    return classify_reversed(f, a).status is ReversedStatus.REVERSED
+
+
+def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
+    """Is the domain member u reversed?  Read from the two certified
+    valuation parts, without mapping a set: u is reversed exactly when
+    u lies in V_H and -u in V_K.
+
+    Proof.  For u in V_H, the chain X = {0, u, 3u} lies in V_H, so
+    ``translation_element`` maps it by -min_K(X).  V_K totally orders the
+    quotient group, which V_H shares, so exactly one of u and -u lies in
+    V_K when u is not the identity.  If u is in V_K, min_K(X) = 0 and f
+    fixes X and {0, u}: g(u) = u and f(X) = {0, g(u), 3g(u)}, not
+    reversed.  If -u is in V_K, min_K(X) = 3u, f(X) = {-3u, -2u, 0} and
+    f({0, u}) = {-u, 0}: g(u) = -u and f(X) = {0, 2g(u), 3g(u)},
+    reversed.  A member outside V_H (a complement member) meets V_H in
+    no element of its chain but 0, so f fixes its chain and it is never
+    reversed; without a valuation part f is the identity.  The identity
+    is not reversed.
+    """
+    v_h, v_k = f.domain_valuation, f.codomain_valuation
+    return v_h is not None and not u.is_identity() and v_h.contains(u) and v_k.contains(-u)
 
 
 def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:

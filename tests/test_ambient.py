@@ -9,12 +9,8 @@ from powmon.ambient import (
     GroupSignature,
     RelationLattice,
     SignatureMismatchError,
-    compose,
-    element_order,
     hnf_rows,
-    inverse,
     lattice_contains,
-    scale,
     solve_relations,
     subgroup_rows,
     subgroup_contains,
@@ -67,7 +63,7 @@ def test_compose_signature_mismatch():
 def test_inverse_cancels():
     u = Z_X_MOD3.element((7,), (2,))
     assert (u + (-u)).is_identity()
-    assert compose(u, inverse(u)) == Z_X_MOD3.identity()
+    assert -(-u) == u
 
 
 def test_scale_examples():
@@ -97,7 +93,7 @@ def test_element_order():
     assert len(multiples) == 3
     assert Z_MOD6.element((), (2,)).order() == 3
     assert Z_X_MOD2.element((1,), (0,)).order() is INFINITE
-    assert element_order(Z_X_MOD2.element((0,), (1,))) == 2
+    assert Z_X_MOD2.element((0,), (1,)).order() == 2
 
 
 def test_solve_relations_standard_basis_trivial():
@@ -241,7 +237,7 @@ def test_group_laws(u, v):
 @given(elements_z_mod3, st.integers(-6, 6), st.integers(-6, 6))
 def test_scale_is_additive(u, n, m):
     assert u.scale(n + m) == u.scale(n) + u.scale(m)
-    assert scale(u, n) == u.scale(n)
+    assert u.scale(-n) == -u.scale(n)
 
 
 def test_identity_axioms_random_sample():

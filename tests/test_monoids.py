@@ -25,11 +25,12 @@ from powmon.monoids import (
     full_n0,
     half_plane_lex,
     irrational_cone,
+    is_unit,
     is_valuation,
+    load_monoid_file,
     monoid_from_json,
     monoid_to_json,
     numerical,
-    quotient_group,
     spec_from_dict,
     spec_to_dict,
     units,
@@ -148,7 +149,7 @@ def test_trivial_numerical():
     assert t.is_trivial()
     assert t.contains_int(0)
     assert not t.contains_int(1)
-    assert quotient_group(t) == ()
+    assert t.quotient_generators() == ()
 
 
 def test_free_generated_graded_membership():
@@ -320,19 +321,28 @@ def test_analytic_valuation_survives_witness_search(halfplane, cone_sqrt2):
                 assert spec.contains(u) or spec.contains(-u)
 
 
-def test_units(num23, halfplane):
-    w = Window(8)
-    assert units(num23, w) == (Z1.element(0),)
-    assert units(halfplane, w) == (Z2.element((0, 0)),)
+def test_units(n0, num23, halfplane, cone_sqrt2, rank4_h, rank4_k):
+    assert units(num23, Window(8)) == (Z1.element(0),)
+    assert units(halfplane, Window(8)) == (Z2.element((0, 0)),)
+    # a certified reduced spec answers without the window scan, and agrees with it
+    graded = free_generated(Z2, (Z2.element((2, 0)), Z2.element((1, 1))))
+    glued = composite(numerical(()), ComplementSpec(Z1, (), (Z1.element(2), Z1.element(3))))
+    w = Window(3)
+    for spec in (n0, num23, numerical(()), halfplane, cone_sqrt2, graded, glued, rank4_h, rank4_k):
+        assert spec.is_reduced()
+        members = elements_in_window(spec, w)
+        scan = tuple(u for u in members if spec.contains(-u))
+        assert units(spec, w) == scan == (spec.identity(),)
+        assert [is_unit(spec, u) for u in members] == [spec.contains(-u) for u in members]
 
 
 def test_quotient_groups(num23, halfplane, cone_sqrt2):
-    assert quotient_group(num23) == (Z1.element(1),)
-    assert set(quotient_group(halfplane)) == {Z2.element((1, 0)), Z2.element((0, 1))}
+    assert num23.quotient_generators() == (Z1.element(1),)
+    assert set(halfplane.quotient_generators()) == {Z2.element((1, 0)), Z2.element((0, 1))}
     # oracle: (1,1) and (1,0) lie in the cone and generate Z^2
     assert cone_sqrt2.contains(Z2.element((1, 1)))
     assert cone_sqrt2.contains(Z2.element((1, 0)))
-    assert set(quotient_group(cone_sqrt2)) == {Z2.element((1, 0)), Z2.element((0, 1))}
+    assert set(cone_sqrt2.quotient_generators()) == {Z2.element((1, 0)), Z2.element((0, 1))}
 
 
 def test_membership_closure_sampled(num23, halfplane, cone_sqrt2, rank4_h):
@@ -391,6 +401,15 @@ def test_json_round_trip(n0, num23, halfplane, cone_sqrt2, rank4_h):
         again = monoid_from_json(text)
         assert again == spec
         assert monoid_to_json(again) == text
+
+
+def test_loaded_composite_shares_one_signature(rank4_h, tmp_path):
+    path = tmp_path / "rank4-H.json"
+    path.write_text(monoid_to_json(rank4_h), encoding="utf-8")
+    loaded = load_monoid_file(path)
+    assert loaded == rank4_h
+    assert loaded.valuation_part.signature is loaded.signature
+    assert loaded.complement_part.signature is loaded.signature
 
 
 def test_json_schema_validation():

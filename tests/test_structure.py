@@ -14,6 +14,7 @@ from powmon.monoids import (
     elements_in_window,
     free_generated,
     half_plane_lex,
+    is_unit,
     numerical,
 )
 from powmon.structure import (
@@ -22,7 +23,6 @@ from powmon.structure import (
     decompose,
     is_independent,
     is_irreducible,
-    is_unit,
     pseudo_unit,
     pseudo_unit_submonoid,
 )

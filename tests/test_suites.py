@@ -16,14 +16,20 @@ from powmon.suites import (
 from powmon import suites, translation
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
+    ComplementSpec,
     IrrationalCone,
     MonoidSpec,
     QuadraticSurd,
     Window,
+    composite,
     elements_in_window,
     free_generated,
+    numerical,
 )
+from powmon.structure import decompose
 from powmon.translation import TranslationIso, build_translation_iso
+
+Z1 = GroupSignature(1)
 
 
 @pytest.fixture(scope="module")
@@ -213,26 +219,40 @@ def test_pseudo_closure_holds_without_an_analytic_valuation_part():
     assert 0 < report.trivial_skips < report.cases
 
 
-def test_reversed_classified_once_per_member(monkeypatch):
-    cfg = SuiteConfig(window_bound=3, sample_count=60)
-    classified = []
+@pytest.mark.parametrize("pair, bound", [("rank4", 3), ("zero-glued-2-3", 6), ("num23", 6)])
+def test_valuation_part_splits_the_window_as_decompose_does(pair, bound, num23):
+    # pseudo_closure draws its pools from the certified pseudo-unit
+    # submonoid; they must be decompose's partition, member for member
+    if pair == "rank4":
+        iso = build_translation_iso(*rank4_pair())
+    else:
+        complement = ComplementSpec(Z1, (), (Z1.element(2), Z1.element(3)))
+        glued = composite(numerical(()), complement, label="zero-glued-2-3")
+        h = glued if pair == "zero-glued-2-3" else num23
+        iso = build_translation_iso(h, h)
+    window = Window(bound)
+    members = elements_in_window(iso.domain, window)
+    inside = tuple(u for u in members if iso.domain_valuation.contains(u))
+    outside = tuple(u for u in members if not iso.domain_valuation.contains(u))
+    report = decompose(iso.domain, window)
+    assert (report.pseudo_units, report.complement, report.unknown) == (inside, outside, ())
+    assert inside and outside
 
-    def counting(f, a):
-        classified.append((id(f), a))
-        return original(f, a)
 
-    original = translation.classify_reversed
-    monkeypatch.setattr(translation, "classify_reversed", counting)
-    fresh = build_translation_iso(*rank4_pair())
-    first = format_reports(verify_iso(fresh, cfg), "json")
-    assert classified and len(classified) == len(set(classified))
-    # warm a second iso with other draws, then rerun both: the memo answers
-    # every member already classified and changes no report
-    warmed = build_translation_iso(*rank4_pair())
-    verify_iso(warmed, SuiteConfig(seed=2, window_bound=3, sample_count=60))
-    for iso in (warmed, fresh):
-        assert format_reports(verify_iso(iso, cfg), "json") == first
-    assert len(classified) == len(set(classified))
+def test_split_monoids_fails_a_drawn_member_its_pool_misplaces(iso, monkeypatch):
+    # pools that disagree with the chain images give failures naming the
+    # drawn members, not an exception, and add no case
+    cfg = SuiteConfig(window_bound=3, sample_count=20)
+    nonid = [u for u in elements_in_window(iso.domain, cfg.window) if not u.is_identity()]
+    flipped = [u for u in nonid if not translation.reversed_by_order(iso, u)]
+    monkeypatch.setattr(suites, "reversed_by_order", lambda f, u: u in flipped)
+    report = run_suite("split_monoids", iso, cfg)
+    misplaced = [f for f in report.failures if "element" in f]
+    assert report.verdict == Verdict.FAIL and misplaced
+    in_flipped = [[list(u.free), list(u.torsion)] for u in flipped]
+    for f in misplaced:
+        assert (f["pool"] == "REVERSED") == (f["element"] in in_flipped)
+    assert report.cases == 2 * (cfg.sample_count // 2) + len(flipped)
 
 
 def test_reports_change_with_seed(iso):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from powmon.ambient import GroupSignature
-from powmon.monoids import Window, elements_in_window, full_n0, numerical
+from powmon.monoids import Window, elements_in_window, free_generated, full_n0, numerical
 from powmon.powersets import (
     FinSubset1,
     quotient_multiplicity,
@@ -18,6 +18,7 @@ from powmon.translation import (
     classify_reversed,
     decomposition_map,
     pullback,
+    reversed_by_order,
     translation_element,
     valuation_min,
 )
@@ -156,6 +157,8 @@ def test_classify_reversed_identity_iso(num23):
 def test_classify_reversed_rejects_identity_and_finite_order(planar_iso):
     with pytest.raises(ValueError):
         classify_reversed(planar_iso, Z2.identity())
+    with pytest.raises(ValueError, match="not a member"):
+        classify_reversed(planar_iso, Z2.element((0, -1)))
 
 
 def test_reversed_iff_outside_codomain(planar_iso, halfplane, cone_sqrt2):
@@ -167,6 +170,38 @@ def test_reversed_iff_outside_codomain(planar_iso, halfplane, cone_sqrt2):
             ReversedStatus.NOT_REVERSED if cone_sqrt2.contains(u) else ReversedStatus.REVERSED
         )
         assert classify_reversed(planar_iso, u).status is expected
+
+
+@pytest.mark.parametrize(
+    "pair, bound, members, reversed_count",
+    [("rank4", 4, 1984, 25), ("planar", 6, 84, 54), ("planar-inverse", 6, 84, 54)],
+)
+def test_reversed_by_order_matches_chain_images(
+    pair, bound, members, reversed_count, halfplane, cone_sqrt2, rank4_h, rank4_k
+):
+    h, k = {
+        "rank4": (rank4_h, rank4_k),
+        "planar": (halfplane, cone_sqrt2),
+        "planar-inverse": (cone_sqrt2, halfplane),
+    }[pair]
+    iso = build_translation_iso(h, k)
+    nonid = [u for u in pool(h, bound) if not u.is_identity()]
+    by_order = [reversed_by_order(iso, u) for u in nonid]
+    by_chain = [classify_reversed(iso, u).status is ReversedStatus.REVERSED for u in nonid]
+    assert by_order == by_chain
+    assert (len(nonid), sum(by_order)) == (members, reversed_count)
+    assert not reversed_by_order(iso, h.identity())
+
+
+def test_reversed_by_order_without_valuation_part():
+    h = free_generated(Z2, [Z2.element((1, 0)), Z2.element((0, 1))])
+    iso = build_translation_iso(h, h)
+    assert iso.domain_valuation is None
+    for u in pool(h, 3):
+        if u.is_identity():
+            continue
+        assert classify_reversed(iso, u).status is ReversedStatus.NOT_REVERSED
+        assert not reversed_by_order(iso, u)
 
 
 def test_decomposition_map_examples(planar_iso):
