@@ -28,6 +28,7 @@ __all__ = [
     "kernel_rows",
     "lattice_contains",
     "lattice_residue",
+    "pivot_columns",
     "element_vector",
     "subgroup_rows",
     "subgroup_contains",
@@ -246,11 +247,20 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
     return not any(v)
 
 
-def lattice_residue(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
-    """Canonical coset representative of ``vec`` modulo the lattice."""
+def pivot_columns(basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The pivot column of each row of a row-HNF ``basis``."""
+    return tuple(map(_pivot_col, basis))
+
+
+def lattice_residue(
+    basis: Sequence[Sequence[int]], vec: Sequence[int], pivots: Sequence[int]
+) -> tuple[int, ...]:
+    """Canonical coset representative of ``vec`` modulo the lattice.
+
+    ``pivots`` is ``pivot_columns(basis)``, computed once per basis by
+    callers that reduce many vectors modulo it."""
     v = list(vec)
-    for row in basis:
-        j = _pivot_col(row)
+    for row, j in zip(basis, pivots):
         q = v[j] // row[j]
         if q:
             for idx in range(j, len(v)):

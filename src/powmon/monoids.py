@@ -40,6 +40,7 @@ from .ambient import (
     element_vector,
     lattice_contains,
     lattice_residue,
+    pivot_columns,
     subgroup_rows,
 )
 
@@ -153,16 +154,35 @@ def ambient_window(sig: GroupSignature, window: Window) -> Iterator[GroupElement
         yield GroupElement(sig, coords[: sig.free_rank], coords[sig.free_rank :])
 
 
-@lru_cache(maxsize=None)
-def witness_search_order(sig: GroupSignature, window: Window) -> tuple[GroupElement, ...]:
-    """Window elements ordered small-first, non-negative coordinates first.
+def _shell(rank: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Free coordinate tuples with largest absolute value k, descending."""
+    if not rank:
+        if not k:
+            yield ()
+        return
+    for c in range(k, -k - 1, -1):
+        if abs(c) == k:
+            rests = itertools.product(range(k, -k - 1, -1), repeat=rank - 1)
+        else:
+            rests = _shell(rank - 1, k)
+        for rest in rests:
+            yield (c, *rest)
+
+
+def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupElement]:
+    """Window elements small-first: shell by shell in ``norm_inf``
+    (0, 1, ..., bound), each shell with its free coordinates descending,
+    then its torsion ascending.
 
     Used by all bounded witness searches so that reported witnesses are
-    deterministic and as readable as possible.
+    deterministic and as readable as possible.  The order is generated
+    lazily, so a search that stops early builds only the shells it reads.
     """
-    elems = list(ambient_window(sig, window))
-    elems.sort(key=lambda u: (u.norm_inf(), tuple(-c for c in u.free), u.torsion))
-    return tuple(elems)
+    torsion_ranges = [range(n) for n in sig.torsion_orders]
+    for k in range(window.bound + 1):
+        for free in _shell(sig.free_rank, k):
+            for torsion in itertools.product(*torsion_ranges):
+                yield GroupElement(sig, free, torsion)
 
 
 class ValuationStatus(str, Enum):
@@ -215,7 +235,7 @@ class MonoidSpec:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def elements_in_window(spec: MonoidSpec, window: Window) -> tuple[GroupElement, ...]:
     """Sorted members of ``spec`` inside ``window`` (cached per pair)."""
     return tuple(sorted(spec.iter_window_members(window), key=GroupElement.key))
@@ -606,6 +626,10 @@ class FreeGenerated(MonoidSpec):
 # ---------------------------------------------------------------------------
 
 
+#: Marks a residue the membership memo has not seen (None is a verdict).
+_UNSEEN = object()
+
+
 @dataclass(frozen=True, slots=True)
 class ComplementSpec:
     """The set G.M: base subgroup G times the semigroup M generated by
@@ -625,8 +649,11 @@ class ComplementSpec:
     _base_rows: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     _grading: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _cache: dict = field(
+        init=False, repr=False, compare=False, default_factory=lambda: {"member": {}}
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_subgroup", tuple(self.base_subgroup))
@@ -638,6 +665,7 @@ class ComplementSpec:
             raise ValueError("complement needs at least one positive generator")
         rows = subgroup_rows(self.signature, self.base_subgroup)
         object.__setattr__(self, "_base_rows", rows)
+        object.__setattr__(self, "_pivots", pivot_columns(rows))
         grading = _positive_solution(
             [g.free for g in self.base_subgroup],
             [g.free for g in self.positive_generators],
@@ -664,11 +692,12 @@ class ComplementSpec:
         Every state (generator index, residue) is memoized, so repeated
         queries across a window collapse to a few searches.
         """
-        rows = self._base_rows
-        residue = lattice_residue(rows, element_vector(u))
-        memo = self._cache.setdefault("member", {})
-        if (0, residue) in memo:
-            return memo[0, residue]
+        rows, pivots = self._base_rows, self._pivots
+        residue = lattice_residue(rows, element_vector(u), pivots)
+        memo = self._cache["member"]
+        found = memo.get((0, residue), _UNSEEN)
+        if found is not _UNSEEN:
+            return found
         budget = self.grade(u)
         if budget < 1:
             memo[0, residue] = None
@@ -693,14 +722,14 @@ class ComplementSpec:
                     if tail is not None:
                         found = (c,) + tail
                         break
-                    r = lattice_residue(rows, [a - b for a, b in zip(r, gens[i])])
+                    r = lattice_residue(rows, [a - b for a, b in zip(r, gens[i])], pivots)
             memo[key] = found
             return found
 
         return search(0, residue, budget)
 
     def contains(self, u: GroupElement) -> bool:
-        if u.signature != self.signature:
+        if u.signature is not self.signature and u.signature != self.signature:
             raise SignatureMismatchError("element signature mismatch")
         return self.member_combination(u) is not None
 
@@ -865,9 +894,11 @@ def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
 
 def is_unit(spec: MonoidSpec, u: GroupElement) -> bool:
     """Is u a member with -u also a member?  A certified reduced monoid
-    has the identity as its only unit."""
+    has the identity as its only unit, and the identity is a member of
+    every monoid, so there the answer is an identity test."""
     if spec.is_reduced():
-        return spec.contains(u) and u.is_identity()
+        spec._check_element(u)
+        return u.is_identity()
     return spec.contains(u) and spec.contains(-u)
 
 
@@ -903,8 +934,15 @@ def _signature_to_obj(sig: GroupSignature) -> dict:
     return {"free_rank": sig.free_rank, "torsion_orders": list(sig.torsion_orders)}
 
 
+@lru_cache(maxsize=64)
+def _interned(sig: GroupSignature) -> GroupSignature:
+    """The first object seen equal to ``sig``: specs loaded from different
+    files share one signature, so their element checks hit ``is``."""
+    return sig
+
+
 def _signature_from_obj(obj: dict) -> GroupSignature:
-    return GroupSignature(obj["free_rank"], tuple(obj.get("torsion_orders", ())))
+    return _interned(GroupSignature(obj["free_rank"], tuple(obj.get("torsion_orders", ()))))
 
 
 def spec_to_dict(spec: MonoidSpec) -> dict:
@@ -960,8 +998,6 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
             return FreeGenerated(sig, gens, label)
         if family == "COMPOSITE":
             val = spec_from_dict(obj["valuation_part"])
-            # one signature object for every part, so element checks hit `is`
-            sig = val.signature if val.signature == sig else sig
             comp = obj["complement_part"]
             complement = ComplementSpec(
                 sig,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .ambient import GroupElement, solve_relations
 from .monoids import (
@@ -142,7 +143,10 @@ def _complement_irreducible(
     return _reducible(v, w)
 
 
+@lru_cache(maxsize=64)
 def _first_nonunit(spec: MonoidSpec, window: Window) -> GroupElement:
+    """The first non-unit member of spec in the witness search order; the
+    same for every complement member, so it is found once per window."""
     for v in witness_search_order(spec.signature, window):
         if not v.is_identity() and spec.contains(v) and not is_unit(spec, v):
             return v

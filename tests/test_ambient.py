@@ -11,6 +11,8 @@ from powmon.ambient import (
     SignatureMismatchError,
     hnf_rows,
     lattice_contains,
+    lattice_residue,
+    pivot_columns,
     solve_relations,
     subgroup_rows,
     subgroup_contains,
@@ -275,3 +277,32 @@ def test_relation_lattice_trivial_contains_only_zero():
     lat = RelationLattice(())
     assert lat.contains((0, 0))
     assert not lat.contains((1, 0))
+
+
+def residue_by_row_scan(basis, vec):
+    """Oracle: ``lattice_residue`` finding each row's pivot by a scan."""
+    v = list(vec)
+    for row in basis:
+        j = next(i for i, x in enumerate(row) if x)
+        q = v[j] // row[j]
+        for idx in range(j, len(v)):
+            v[idx] -= q * row[idx]
+    return tuple(v)
+
+
+@st.composite
+def bases_and_vectors(draw):
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    basis = hnf_rows(draw(st.lists(row, max_size=5)), width)
+    return basis, draw(row)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bases_and_vectors())
+def test_pivot_cached_residue_matches_row_scan(case):
+    basis, vec = case
+    expected = residue_by_row_scan(basis, vec)
+    assert lattice_residue(basis, vec, pivot_columns(basis)) == expected
+    # a representative of the coset of vec
+    assert lattice_contains(basis, [a - b for a, b in zip(vec, expected)])

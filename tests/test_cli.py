@@ -262,3 +262,21 @@ def test_analyze_composite_with_trivial_valuation_part(tmp_path, capsys):
         {"element": {"free": [x], "torsion": []}, "status": "IRREDUCIBLE_ANALYTIC"} for x in (2, 3)
     ]
     assert out["reducible_count"] == 7
+
+
+def test_analyze_composite_scans_for_a_non_unit_once(tmp_path, capsys, rank4_h, monkeypatch):
+    from powmon import structure
+
+    path = tmp_path / "rank4-H.json"
+    path.write_text(monoid_to_json(rank4_h), encoding="utf-8")
+    scans = []
+    original = structure.witness_search_order
+    monkeypatch.setattr(
+        structure, "witness_search_order", lambda *args: scans.append(args) or original(*args)
+    )
+    structure._first_nonunit.cache_clear()
+    assert main(["analyze", str(path), "--window", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # every complement member borrows the same non-unit of the valuation part
+    assert doc["reducible_count"] > 1
+    assert len(scans) == 1

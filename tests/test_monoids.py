@@ -34,6 +34,7 @@ from powmon.monoids import (
     spec_from_dict,
     spec_to_dict,
     units,
+    witness_search_order,
 )
 
 Z1 = GroupSignature(1)
@@ -336,6 +337,26 @@ def test_units(n0, num23, halfplane, cone_sqrt2, rank4_h, rank4_k):
         assert [is_unit(spec, u) for u in members] == [spec.contains(-u) for u in members]
 
 
+def test_is_unit_on_a_reduced_spec_asks_no_membership(
+    num23, halfplane, rank4_h, monkeypatch
+):
+    w = Window(3)
+    for spec in (num23, halfplane, rank4_h):
+        members = elements_in_window(spec, w)
+        queried = []
+        for cls in (type(spec), ComplementSpec):
+            original = cls.contains
+            monkeypatch.setattr(
+                cls, "contains", lambda s, u, _f=original: queried.append(u) or _f(s, u)
+            )
+        assert [is_unit(spec, u) for u in members] == [u.is_identity() for u in members]
+        assert queried == []
+        monkeypatch.undo()
+    # the signature check stays: another group's identity is no unit
+    with pytest.raises(SignatureMismatchError):
+        is_unit(rank4_h, Z2.identity())
+
+
 def test_quotient_groups(num23, halfplane, cone_sqrt2):
     assert num23.quotient_generators() == (Z1.element(1),)
     assert set(halfplane.quotient_generators()) == {Z2.element((1, 0)), Z2.element((0, 1))}
@@ -412,6 +433,18 @@ def test_loaded_composite_shares_one_signature(rank4_h, tmp_path):
     assert loaded.complement_part.signature is loaded.signature
 
 
+def test_loaded_files_share_one_signature(halfplane, cone_sqrt2, tmp_path):
+    assert halfplane.signature is not cone_sqrt2.signature
+    loaded = []
+    for name, spec in (("half-plane-lex", halfplane), ("cone-sqrt2", cone_sqrt2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(monoid_to_json(spec), encoding="utf-8")
+        loaded.append(load_monoid_file(path))
+    h, k = loaded
+    assert (h, k) == (halfplane, cone_sqrt2)
+    assert h.signature is k.signature
+
+
 def test_json_schema_validation():
     with pytest.raises(ValueError):
         spec_from_dict({"family": "NO_SUCH", "label": "", "signature": {"free_rank": 1}})
@@ -443,3 +476,28 @@ def test_elements_in_window_sorted_and_cached(num23):
     assert elems == tuple(sorted(elems, key=lambda u: u.key()))
     assert [u.free[0] for u in elems] == [0, 2, 3, 4, 5, 6, 7, 8, 9]
     assert elements_in_window(num23, Window(9)) is elems
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        GroupSignature(1),
+        GroupSignature(2),
+        GroupSignature(1, (3,)),
+        GroupSignature(0, (2, 3)),
+        GroupSignature(3, (2,)),
+        GroupSignature(4),
+    ],
+    ids=["Z", "Z2", "Z+Z3", "Z2+Z3-rank0", "Z3+Z2", "Z4"],
+)
+@pytest.mark.parametrize("bound", [1, 2, 4])
+def test_witness_search_order_matches_sorted_window(sig, bound):
+    """The lazy order is the sorted window it replaces."""
+    w = Window(bound)
+    expected = sorted(
+        ambient_window(sig, w),
+        key=lambda u: (u.norm_inf(), tuple(-c for c in u.free), u.torsion),
+    )
+    order = witness_search_order(sig, w)
+    assert iter(order) is order
+    assert list(order) == expected

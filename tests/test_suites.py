@@ -134,6 +134,7 @@ _DRAW_DIGESTS = {
         "independent_powers": "dc088bf1bb39d2fbc002725442c24c3f7c6e7784b6ce5397e6de82de27e0e853",
         "one_reversed": "2c187d57024a2f823097ed878c30b1343d919d87de25db31511390da3a620f35",
         "product_dichotomy": "e05e16ecd8d8cabc1f28b0349cce7d68baa54522a043c3705a4724cf8835b209",
+        "pseudo_closure": "f24776b9bef937437ef250df702aecb6917f32b75d57412e49c366b00899ed23",
         "pullback_powers": "404f43a59fd8746dd4649031a4276478f9d9feccaf8e0ad5d643d6a1ffa30fdc",
         "quotient_multiplicity": "92ccf93dce733d9b08d69b363fe4d995c73f47a18bfbbd941f17ab900fe90105",
         "split_monoids": "f05bd08bccbec28ab6d665d9cb80eb47d9f8460c0e0e12dc2691667c55ed848a",
@@ -170,9 +171,16 @@ def test_draws_pinned(pair, cfg, monkeypatch):
 
     ``is_reversed`` on a window member classifies a member of a sampling
     pool, which a suite may do for the whole window, so only its calls on
-    other elements (the sums a suite forms) are recorded.  A suite that
-    consumes its draws through none of these names (``pseudo_closure`` on
-    the planar domain, whose pools are all pseudo-units) records nothing.
+    other elements (the sums a suite forms) are recorded.
+
+    ``pseudo_closure`` on the planar domain, whose pools are all
+    pseudo-units, consumes its draws only through the valuation order's
+    ``contains``, so there that method is recorded too, under the same
+    rule: its calls on window members split the pool, its calls on the
+    differences that leave the window carry the draws.  On the rank-4
+    domain the suite's draws reach ``pseudo_unit``, and the valuation
+    order also answers inside every composite membership test, so it is
+    not recorded there.
     """
     iso = planar_iso() if pair == "planar" else build_translation_iso(*rank4_pair())
     window = set(elements_in_window(iso.domain, cfg.window))
@@ -189,7 +197,7 @@ def test_draws_pinned(pair, cfg, monkeypatch):
 
     def recorder(name, fn):
         def record(*args):
-            if not (name == "is_reversed" and args[1] in window):
+            if not (name in ("is_reversed", "contains") and args[1] in window):
                 calls.append(f"{name}({','.join(map(show, args))})")
             return fn(*args)
 
@@ -200,7 +208,11 @@ def test_draws_pinned(pair, cfg, monkeypatch):
     digests = {}
     for name in sorted(SUITE_NAMES):
         calls.clear()
-        run_suite(name, iso, cfg)
+        with monkeypatch.context() as patch:
+            if pair == "planar" and name == "pseudo_closure":
+                order = type(iso.domain_valuation)
+                patch.setattr(order, "contains", recorder("contains", order.contains))
+            run_suite(name, iso, cfg)
         if calls:
             digests[name] = hashlib.sha256("\n".join(calls).encode("utf-8")).hexdigest()
     assert digests == _DRAW_DIGESTS[pair]
