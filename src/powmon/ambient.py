@@ -12,7 +12,7 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import add, neg
 from typing import Iterable, Sequence
@@ -28,7 +28,7 @@ __all__ = [
     "kernel_rows",
     "lattice_contains",
     "lattice_residue",
-    "pivot_columns",
+    "residue_rows",
     "element_vector",
     "subgroup_rows",
     "subgroup_contains",
@@ -57,6 +57,8 @@ class GroupSignature:
 
     free_rank: int
     torsion_orders: tuple[int, ...] = ()
+    # built once: the identity is asked for on every set literal and pullback
+    _identity: GroupElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torsion_orders", tuple(self.torsion_orders))
@@ -67,6 +69,8 @@ class GroupSignature:
             raise ValueError("free_rank must be non-negative")
         if any(n < 2 for n in self.torsion_orders):
             raise ValueError("torsion orders must all be >= 2")
+        identity = GroupElement(self, (0,) * self.free_rank, (0,) * len(self.torsion_orders))
+        object.__setattr__(self, "_identity", identity)
 
     def element(self, free: int | Iterable[int] = (), torsion: Iterable[int] = ()) -> GroupElement:
         if isinstance(free, int):
@@ -82,7 +86,7 @@ class GroupSignature:
         return GroupElement(self, free, torsion)
 
     def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.free_rank, (0,) * len(self.torsion_orders))
+        return self._identity
 
     def basis_element(self, index: int) -> GroupElement:
         """Standard basis vector e_index of the free part."""
@@ -247,24 +251,34 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
     return not any(v)
 
 
-def pivot_columns(basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The pivot column of each row of a row-HNF ``basis``."""
-    return tuple(map(_pivot_col, basis))
+#: One row of a row-HNF basis as ``residue_rows`` gives it: (pivot
+#: column, pivot, the non-zero entries right of the pivot as (column, entry)).
+ResidueRow = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def lattice_residue(
-    basis: Sequence[Sequence[int]], vec: Sequence[int], pivots: Sequence[int]
-) -> tuple[int, ...]:
+def residue_rows(basis: Sequence[Sequence[int]]) -> tuple[ResidueRow, ...]:
+    """The sparse form of a row-HNF ``basis`` that ``lattice_residue`` reads."""
+    out = []
+    for row in basis:
+        j = _pivot_col(row)
+        tail = tuple((idx, row[idx]) for idx in range(j + 1, len(row)) if row[idx])
+        out.append((j, row[j], tail))
+    return tuple(out)
+
+
+def lattice_residue(rows: Sequence[ResidueRow], vec: Sequence[int]) -> tuple[int, ...]:
     """Canonical coset representative of ``vec`` modulo the lattice.
 
-    ``pivots`` is ``pivot_columns(basis)``, computed once per basis by
-    callers that reduce many vectors modulo it."""
+    ``rows`` is ``residue_rows(basis)``, computed once per basis by
+    callers that reduce many vectors modulo it; each row touches only its
+    pivot and its non-zero entries."""
     v = list(vec)
-    for row, j in zip(basis, pivots):
-        q = v[j] // row[j]
+    for j, pivot, tail in rows:
+        q = v[j] // pivot
         if q:
-            for idx in range(j, len(v)):
-                v[idx] -= q * row[idx]
+            v[j] -= q * pivot
+            for idx, x in tail:
+                v[idx] -= q * x
     return tuple(v)
 
 

@@ -36,11 +36,12 @@ from typing import ClassVar, Iterable, Iterator
 from .ambient import (
     GroupElement,
     GroupSignature,
+    ResidueRow,
     SignatureMismatchError,
     element_vector,
     lattice_contains,
     lattice_residue,
-    pivot_columns,
+    residue_rows,
     subgroup_rows,
 )
 
@@ -384,22 +385,27 @@ class _Planar(MonoidSpec):
     __slots__ = ()
 
     embedding: tuple[int, int]
+    #: the free coordinates outside the embedding, set by ``__post_init__``
+    _off_plane: tuple[int, ...]
 
-    def _validate_embedding(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "embedding", tuple(self.embedding))
         i, j = self.embedding
         d = self.signature.free_rank
         if not (0 <= i < d and 0 <= j < d and i != j):
             raise ValueError(f"embedding {self.embedding} invalid for free rank {d}")
+        object.__setattr__(self, "_off_plane", tuple(k for k in range(d) if k not in (i, j)))
 
     def plane_coords(self, u: GroupElement) -> tuple[int, int] | None:
         """(x, y) on the embedding plane, or None if u leaves the plane."""
-        i, j = self.embedding
         if any(u.torsion):
             return None
-        for k, c in enumerate(u.free):
-            if c and k not in (i, j):
+        free = u.free
+        for k in self._off_plane:
+            if free[k]:
                 return None
-        return u.free[i], u.free[j]
+        i, j = self.embedding
+        return free[i], free[j]
 
     def plane_element(self, x: int, y: int) -> GroupElement:
         i, j = self.embedding
@@ -426,12 +432,9 @@ class HalfPlaneLex(_Planar):
     signature: GroupSignature
     embedding: tuple[int, int]
     label: str = ""
+    _off_plane: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     family: ClassVar[str] = "HALF_PLANE_LEX"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "embedding", tuple(self.embedding))
-        self._validate_embedding()
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
@@ -461,12 +464,9 @@ class IrrationalCone(_Planar):
     embedding: tuple[int, int]
     alpha: QuadraticSurd
     label: str = ""
+    _off_plane: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     family: ClassVar[str] = "IRRATIONAL_CONE"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "embedding", tuple(self.embedding))
-        self._validate_embedding()
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
@@ -649,7 +649,9 @@ class ComplementSpec:
     _base_rows: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _residue_rows: tuple[ResidueRow, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
     _grading: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     _cache: dict = field(
         init=False, repr=False, compare=False, default_factory=lambda: {"member": {}}
@@ -665,7 +667,7 @@ class ComplementSpec:
             raise ValueError("complement needs at least one positive generator")
         rows = subgroup_rows(self.signature, self.base_subgroup)
         object.__setattr__(self, "_base_rows", rows)
-        object.__setattr__(self, "_pivots", pivot_columns(rows))
+        object.__setattr__(self, "_residue_rows", residue_rows(rows))
         grading = _positive_solution(
             [g.free for g in self.base_subgroup],
             [g.free for g in self.positive_generators],
@@ -692,8 +694,8 @@ class ComplementSpec:
         Every state (generator index, residue) is memoized, so repeated
         queries across a window collapse to a few searches.
         """
-        rows, pivots = self._base_rows, self._pivots
-        residue = lattice_residue(rows, element_vector(u), pivots)
+        rows, sparse = self._base_rows, self._residue_rows
+        residue = lattice_residue(sparse, element_vector(u))
         memo = self._cache["member"]
         found = memo.get((0, residue), _UNSEEN)
         if found is not _UNSEEN:
@@ -722,7 +724,7 @@ class ComplementSpec:
                     if tail is not None:
                         found = (c,) + tail
                         break
-                    r = lattice_residue(rows, [a - b for a, b in zip(r, gens[i])], pivots)
+                    r = lattice_residue(sparse, [a - b for a, b in zip(r, gens[i])])
             memo[key] = found
             return found
 

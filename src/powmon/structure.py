@@ -171,7 +171,8 @@ class PseudoUnitVerdict:
 
 
 def _verified_witness(spec: MonoidSpec, a: GroupElement, b: GroupElement) -> bool:
-    return spec.contains(b) and not spec.contains(a - b) and not spec.contains(b - a)
+    # a pure conjunction: the membership of b, the same for every a, goes last
+    return not spec.contains(a - b) and not spec.contains(b - a) and spec.contains(b)
 
 
 def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:

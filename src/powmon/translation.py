@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from operator import eq
+from typing import Iterable, Sequence
 
 from .ambient import GroupElement, INFINITE, subgroups_equal
 from .monoids import (
@@ -176,45 +177,81 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
     )
 
 
-def translation_element(f: TranslationIso, x: FinSubset1) -> GroupElement:
-    """The unique a with a + X inside the codomain power monoid."""
+def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupElement:
+    """The unique a with a + X inside the codomain, for the domain members
+    ``elements`` of X: minus the minimum, in K's order, of X's part in V_H."""
+    if f.identical_pair and f.domain_valuation is None:
+        return f.domain.identity()
+    s = [u for u in elements if f.domain_valuation.contains(u)]
+    return -valuation_min(f.codomain_valuation, s)
+
+
+def _image(f: TranslationIso, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
+    """a + X, sorted, for the sorted members ``elements`` of a domain set X.
+
+    Checked as ``FinSubset1.make`` checks a set literal: every translate
+    lies in the codomain, and nothing collapsed: the translates are
+    distinct and hold the identity.
+    """
+    a = _translation(f, elements)
+    codomain = f.codomain
+    image = sorted([a + u for u in elements], key=GroupElement.key)
+    for u in image:
+        # the identity belongs to every monoid
+        if not u.is_identity() and not codomain.contains(u):
+            raise TranslationCheckError(
+                f"translate {a!r} of {FinSubset1._trusted(f.domain, elements)!r} left "
+                f"the codomain at {u!r}; the applicability certificate is wrong"
+            )
+    if codomain.identity() not in image or any(map(eq, image, image[1:])):
+        raise TranslationCheckError("translation collapsed elements; ambient arithmetic broken")
+    return tuple(image)
+
+
+def _domain_chain(f: TranslationIso, elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
+    """The distinct non-identity ``elements`` with the identity, sorted,
+    each checked for domain membership in the order ``FinSubset1.make``
+    checks a set literal."""
+    domain = f.domain
+    identity = domain.identity()
+    chain = sorted((*elements, identity), key=GroupElement.key)
+    for u in chain:
+        if u is not identity and not domain.contains(u):
+            raise MembershipError(domain, u)
+    return tuple(chain)
+
+
+def _members(f: TranslationIso, x: FinSubset1) -> tuple[GroupElement, ...]:
     if x.monoid != f.domain:
         raise ValueError("set does not live over the isomorphism's domain")
-    if f.identical_pair and f.domain_valuation is None:
-        return f.domain.signature.identity()
-    s = [u for u in x.elements if f.domain_valuation.contains(u)]
-    m = valuation_min(f.codomain_valuation, s)
-    return -m
+    return x.elements
+
+
+def translation_element(f: TranslationIso, x: FinSubset1) -> GroupElement:
+    """The unique a with a + X inside the codomain power monoid."""
+    return _translation(f, _members(f, x))
 
 
 def apply_iso(f: TranslationIso, x: FinSubset1) -> FinSubset1:
     """Map X to a + X and verify the image lands in the codomain."""
-    a = translation_element(f, x)
-    translated = tuple(a + u for u in x.elements)
-    try:
-        image = FinSubset1.make(f.codomain, translated)
-    except MembershipError as exc:
-        raise TranslationCheckError(
-            f"translate {a!r} of {x!r} left the codomain at {exc.element!r}; "
-            "the applicability certificate is wrong"
-        ) from exc
-    if len(image) != len(x):
-        raise TranslationCheckError("translation collapsed elements; ambient arithmetic broken")
-    return image
+    return FinSubset1._trusted(f.codomain, _image(f, _members(f, x)))
 
 
 def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
-    """g(a): the non-identity element of f({1, a}), with g(1) = 1."""
+    """g(a): the non-identity element of f({1, a}), with g(1) = 1.
+
+    Maps the pair as ``apply_iso`` would, without building either set."""
     if a.is_identity():
         return a
     cached = f._pullback_cache.get(a)
     if cached is not None:
         return cached
-    pair = FinSubset1.make(f.domain, (f.domain.identity(), a))
-    image = apply_iso(f, pair)
-    others = [u for u in image.elements if not u.is_identity()]
+    image = _image(f, _domain_chain(f, (a,)))
+    others = [u for u in image if not u.is_identity()]
     if len(others) != 1:
-        raise TranslationCheckError(f"image of a 2-set was not a 2-set: {image!r}")
+        raise TranslationCheckError(
+            f"image of a 2-set was not a 2-set: {FinSubset1._trusted(f.codomain, image)!r}"
+        )
     result = others[0]
     f._pullback_cache[a] = result
     return result
@@ -245,11 +282,11 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
     if a.order() is not INFINITE:
         raise ValueError(f"{a!r} has finite order; only infinite-order elements are classified")
     # a non-member raises MembershipError, a ValueError
-    chain = FinSubset1.make(f.domain, (f.domain.identity(), a, a.scale(3)))
+    chain = _domain_chain(f, (a, a.scale(3)))
     # an image matching either pattern lies in the codomain with x, so it
     # needs no membership check of its own
-    t = translation_element(f, chain)
-    image = {t + u for u in chain.elements}
+    t = _translation(f, chain)
+    image = {t + u for u in chain}
     x = pullback(f, a)
     identity, x3 = f.codomain.identity(), x.scale(3)
     if image == {identity, x, x3}:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from powmon.ambient import (
     hnf_rows,
     lattice_contains,
     lattice_residue,
-    pivot_columns,
+    residue_rows,
     solve_relations,
     subgroup_rows,
     subgroup_contains,
@@ -300,9 +301,45 @@ def bases_and_vectors(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(bases_and_vectors())
-def test_pivot_cached_residue_matches_row_scan(case):
+def test_sparse_residue_rows_match_row_scan(case):
     basis, vec = case
     expected = residue_by_row_scan(basis, vec)
-    assert lattice_residue(basis, vec, pivot_columns(basis)) == expected
+    assert lattice_residue(residue_rows(basis), vec) == expected
     # a representative of the coset of vec
     assert lattice_contains(basis, [a - b for a, b in zip(vec, expected)])
+
+
+Z2_X_MOD6 = GroupSignature(2, (6,))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        # non-unit pivots with negative entries right of them
+        hnf_rows([[2, -3, 1], [0, 4, -5]]),
+        # a torsion column: the relation row 6*e2 of Z^2 + Z/6
+        subgroup_rows(
+            Z2_X_MOD6,
+            [Z2_X_MOD6.element((2, 0), (3,)), Z2_X_MOD6.element((0, 3), (4,))],
+        ),
+        # pivot in the torsion column only, behind a free pivot of 3
+        subgroup_rows(Z_X_MOD2, [Z_X_MOD2.element((3,), (1,))]),
+    ],
+)
+def test_sparse_residue_rows_fixed_cases(basis):
+    for vec in itertools.product(range(-7, 8, 3), repeat=len(basis[0])):
+        expected = residue_by_row_scan(basis, vec)
+        assert lattice_residue(residue_rows(basis), vec) == expected
+        assert lattice_contains(basis, [a - b for a, b in zip(vec, expected)])
+    # lattice vectors reduce to zero
+    for row in basis:
+        assert not any(lattice_residue(residue_rows(basis), [-3 * x for x in row]))
+
+
+def test_residue_rows_keep_only_the_non_zero_tail():
+    assert hnf_rows([[2, -3, 1], [0, 4, -5]]) == ((2, 1, -4), (0, 4, -5))
+    assert residue_rows(((2, 1, -4), (0, 4, -5))) == (
+        (0, 2, ((1, 1), (2, -4))),
+        (1, 4, ((2, -5),)),
+    )
+    assert residue_rows(((3, 0, 0), (0, 0, 6))) == ((0, 3, ()), (2, 6, ()))

@@ -280,6 +280,38 @@ def test_composite_witness_matches_full_loop(rank4_h, which):
     assert checked > 100
 
 
+def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
+    # each check is not a|b, not b|a, b in H: the membership of the
+    # candidate b is asked only by checks that find a witness
+    from powmon import structure
+
+    checks, asked = [], []
+    current = []
+    verified = structure._verified_witness
+    contains = type(rank4_h).contains
+
+    def counted_check(spec, a, b):
+        current.append(b)
+        try:
+            found = verified(spec, a, b)
+        finally:
+            current.pop()
+        checks.append(found)
+        return found
+
+    def counted_contains(spec, u):
+        if current and u == current[-1]:
+            asked.append(u)
+        return contains(spec, u)
+
+    monkeypatch.setattr(structure, "_verified_witness", counted_check)
+    monkeypatch.setattr(type(rank4_h), "contains", counted_contains)
+    report = decompose(rank4_h, Window(3))
+    # one successful check per complement member, out of twice as many
+    assert sum(checks) == len(asked) == len(report.complement) == 735
+    assert len(checks) == 1470
+
+
 def test_decompose_rank4(rank4_h):
     report = decompose(rank4_h, Window(4))
     val_members = tuple(

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from powmon.ambient import GroupSignature
+from powmon.ambient import GroupSignature, SignatureMismatchError
 from powmon.monoids import Window, elements_in_window, free_generated, full_n0, numerical
 from powmon.powersets import (
     FinSubset1,
+    MembershipError,
     quotient_multiplicity,
     set_product,
 )
@@ -13,6 +14,8 @@ from powmon.structure import is_independent, pseudo_unit, PseudoUnitStatus
 from powmon.translation import (
     ApplicabilityError,
     ReversedStatus,
+    TranslationCheckError,
+    TranslationIso,
     apply_iso,
     build_translation_iso,
     classify_reversed,
@@ -137,6 +140,98 @@ def test_pullback_cache_transparent(planar_iso):
     first = pullback(planar_iso, a)
     second = pullback(planar_iso, a)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "call, coords, named",
+    [
+        (pullback, (1, -1), (1, -1)),
+        (pullback, (0, -1), (0, -1)),
+        (classify_reversed, (1, -1), (1, -1)),
+        # the chain {3a, a, 0} is checked in sorted order, so 3a is named first
+        (classify_reversed, (0, -1), (0, -3)),
+    ],
+)
+def test_non_members_raise_membership_error(planar_iso, call, coords, named):
+    with pytest.raises(MembershipError) as info:
+        call(planar_iso, Z2.element(coords))
+    assert str(info.value) == (
+        f"element {Z2.element(named)!r} is not a member of monoid 'half-plane-lex'"
+    )
+    assert info.value.element == Z2.element(named)
+
+
+def test_rank4_non_members_raise_membership_error(rank4_iso):
+    with pytest.raises(MembershipError) as info:
+        pullback(rank4_iso, Z4.element((0, -1, 0, 0)))
+    assert str(info.value) == "element (0,-1,0,0) is not a member of monoid 'rank4-H'"
+    with pytest.raises(MembershipError) as info:
+        classify_reversed(rank4_iso, Z4.element((0, 0, -1, 1)))
+    assert str(info.value) == "element (0,0,-3,3) is not a member of monoid 'rank4-H'"
+
+
+@pytest.mark.parametrize("call", [pullback, classify_reversed])
+def test_foreign_elements_raise_signature_mismatch(planar_iso, call):
+    with pytest.raises(SignatureMismatchError, match="element of GroupSignature\\(free_rank=4"):
+        call(planar_iso, Z4.element((1, 0, 0, 0)))
+
+
+def test_lying_certificate_raises_translation_check_error(halfplane, cone_sqrt2):
+    # V_K claimed to be the half-plane: translates stay in the half-plane
+    # and leave the cone
+    lie = TranslationIso(halfplane, cone_sqrt2, halfplane, halfplane, False, "valuation-pair")
+    x = FinSubset1.make(halfplane, [Z2.element((1, 0)), Z2.element((1, 2))])
+    with pytest.raises(TranslationCheckError) as info:
+        apply_iso(lie, x)
+    assert str(info.value) == (
+        "translate (0,0) of {(0,0),(1,0),(1,2)} left the codomain at (1,2); "
+        "the applicability certificate is wrong"
+    )
+    with pytest.raises(TranslationCheckError) as info:
+        pullback(lie, Z2.element((0, 1)))
+    assert str(info.value) == (
+        "translate (0,0) of {(0,0),(0,1)} left the codomain at (0,1); "
+        "the applicability certificate is wrong"
+    )
+    assert not lie._pullback_cache
+
+
+def _pullback_by_sets(f, a):
+    """g(a) read off the set route: the non-identity element of f({1, a})."""
+    image = apply_iso(f, FinSubset1.make(f.domain, (f.domain.identity(), a)))
+    (other,) = [u for u in image.elements if not u.is_identity()]
+    return other
+
+
+def _check_set_free_path(h, k, members):
+    iso = build_translation_iso(h, k)  # fresh: its pullback cache is empty
+    for a in members:
+        if a.is_identity():
+            continue
+        assert a not in iso._pullback_cache
+        assert pullback(iso, a) == _pullback_by_sets(iso, a), a
+        reversed_ = classify_reversed(iso, a).status is ReversedStatus.REVERSED
+        assert reversed_ == reversed_by_order(iso, a), a
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_set_free_path_matches_sets_planar(halfplane, cone_sqrt2, inverse):
+    h, k = (cone_sqrt2, halfplane) if inverse else (halfplane, cone_sqrt2)
+    members = pool(h)
+    assert len(members) == 145
+    _check_set_free_path(h, k, members)
+
+
+def test_set_free_path_matches_sets_rank4(rank4_h, rank4_k):
+    rng = random.Random(8)
+    elems = pool(rank4_h)
+    sample = {elems[rng.randrange(len(elems))] for _ in range(300)}
+    sums = {
+        elems[rng.randrange(len(elems))] + elems[rng.randrange(len(elems))] for _ in range(300)
+    }
+    # sums reach outside the window
+    assert any(u.norm_inf() > 8 for u in sums)
+    _check_set_free_path(rank4_h, rank4_k, sorted(sample | sums, key=lambda u: u.key()))
 
 
 def test_classify_reversed_examples(planar_iso):
