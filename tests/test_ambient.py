@@ -301,7 +301,7 @@ def bases_and_vectors(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(bases_and_vectors())
-def test_sparse_residue_rows_match_row_scan(case):
+def test_pivot_cached_residue_matches_row_scan(case):
     basis, vec = case
     expected = residue_by_row_scan(basis, vec)
     assert lattice_residue(residue_rows(basis), vec) == expected
