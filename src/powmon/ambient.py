@@ -100,7 +100,9 @@ class GroupSignature:
 class GroupElement:
     """Element of an ambient group, torsion residues canonical in [0, n)."""
 
-    signature: GroupSignature
+    # compared, not hashed: hashing it would call a second, Python-level
+    # __hash__ on every element hash
+    signature: GroupSignature = field(hash=False)
     free: tuple[int, ...]
     torsion: tuple[int, ...]
 
@@ -237,20 +239,6 @@ def _pivot_col(row: Sequence[int]) -> int:
     raise ValueError("zero row has no pivot")
 
 
-def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Exact membership of ``vec`` in the lattice with row-HNF ``basis``."""
-    v = list(vec)
-    for row in basis:
-        j = _pivot_col(row)
-        if v[j]:
-            q, r = divmod(v[j], row[j])
-            if r:
-                return False
-            for idx in range(j, len(v)):
-                v[idx] -= q * row[idx]
-    return not any(v)
-
-
 #: One row of a row-HNF basis as ``residue_rows`` gives it: (pivot
 #: column, pivot, the non-zero entries right of the pivot as (column, entry)).
 ResidueRow = tuple[int, int, tuple[tuple[int, int], ...]]
@@ -282,6 +270,11 @@ def lattice_residue(rows: Sequence[ResidueRow], vec: Sequence[int]) -> tuple[int
     return tuple(v)
 
 
+def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """Exact membership of ``vec`` in the lattice with row-HNF ``basis``."""
+    return not any(lattice_residue(residue_rows(basis), vec))
+
+
 @dataclass(frozen=True, slots=True)
 class RelationLattice:
     """All (n, m) with n*a + m*b = 0, as a canonical (HNF) generator list."""
@@ -293,10 +286,6 @@ class RelationLattice:
         return not self.generators
 
     def contains(self, pair: tuple[int, int]) -> bool:
-        if pair == (0, 0):
-            return True
-        if not self.generators:
-            return False
         return lattice_contains(self.generators, pair)
 
 
@@ -353,8 +342,6 @@ def subgroup_rows(sig: GroupSignature, gens: Iterable[GroupElement]) -> tuple[tu
 
 
 def subgroup_contains(rows: Sequence[Sequence[int]], u: GroupElement) -> bool:
-    if not rows:
-        return u.is_identity()
     return lattice_contains(rows, element_vector(u))
 
 

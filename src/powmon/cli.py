@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes are a stable contract: 0 all checks passed, 1 property
 failure or inconclusive run, 2 applicability or usage error, 3 parse
-error.  The environment variable POWMON_SEED, when set, overrides the
-sampling seed (including an explicit --seed).
+error, 4 internal error.  The environment variable POWMON_SEED, when
+set, overrides the sampling seed (including an explicit --seed).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .suites import (
     run_suite,
     verify_iso,
 )
-from .translation import build_translation_iso
+from .translation import DichotomyViolationError, TranslationCheckError, build_translation_iso
 
 __all__ = ["main", "console", "ParseError", "parse_expression"]
 
@@ -57,6 +57,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(ValueError):
@@ -373,17 +374,19 @@ def cmd_example_rank4(args) -> int:
     return EXIT_OK if report.verdict == Verdict.PASS else EXIT_PROPERTY_FAILURE
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, default=8, help="window bound (default 8)")
-    parser.add_argument("--seed", type=int, default=SuiteConfig().seed, help="sampling seed")
-    parser.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
-    parser.add_argument(
-        "--max-set-size", type=int, default=6, dest="max_set_size",
-        help="largest sampled set size (default 6)",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json"), default="human", help="output format"
-    )
+#: Every flag a subcommand may take; each subcommand adds only those it reads.
+_FLAGS = {
+    "--window": dict(type=int, default=8, help="window bound (default 8)"),
+    "--seed": dict(type=int, default=SuiteConfig().seed, help="sampling seed"),
+    "--samples": dict(type=int, default=1000, help="sample count (default 1000)"),
+    "--max-set-size": dict(type=int, default=6, help="largest sampled set size (default 6)"),
+    "--format": dict(choices=("human", "json"), default="human", help="output format"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,30 +399,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a power-monoid expression")
     p_eval.add_argument("expression")
     p_eval.add_argument("--monoid", help="monoid definition file (default: N0)")
-    _add_common_flags(p_eval)
+    _add_flags(p_eval, "--format")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_analyze = sub.add_parser("analyze", help="analyze a monoid inside a window")
     p_analyze.add_argument("monoid_file")
-    _add_common_flags(p_analyze)
+    _add_flags(p_analyze, "--window", "--format")
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_iso = sub.add_parser("iso", help="build a translation isomorphism and verify it")
     p_iso.add_argument("domain_file")
     p_iso.add_argument("codomain_file")
     p_iso.add_argument("--suites", help="comma-separated suite names (default: all)")
-    _add_common_flags(p_iso)
+    _add_flags(p_iso, *_FLAGS)
     p_iso.set_defaults(fn=cmd_iso)
 
     p_suite = sub.add_parser("suite", help="run named property suites")
     p_suite.add_argument("names", nargs="+", help="suite names")
     p_suite.add_argument("--domain", help="domain monoid file (default: planar half-plane)")
     p_suite.add_argument("--codomain", help="codomain monoid file (default: sqrt(2) cone)")
-    _add_common_flags(p_suite)
+    _add_flags(p_suite, *_FLAGS)
     p_suite.set_defaults(fn=cmd_suite)
 
     p_rank4 = sub.add_parser("example-rank4", help="run the packaged rank-4 scenario")
-    _add_common_flags(p_rank4)
+    _add_flags(p_rank4, *_FLAGS)
     p_rank4.set_defaults(fn=cmd_example_rank4)
 
     return parser
@@ -441,6 +444,10 @@ def main(argv: list[str] | None = None) -> int:
         # SignatureMismatchError are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (TranslationCheckError, DichotomyViolationError, AssertionError) as exc:
+        # a failed postcondition of the package, not a verdict on the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console() -> None:

@@ -39,7 +39,6 @@ from .ambient import (
     ResidueRow,
     SignatureMismatchError,
     element_vector,
-    lattice_contains,
     lattice_residue,
     residue_rows,
     subgroup_rows,
@@ -561,7 +560,7 @@ class FreeGenerated(MonoidSpec):
     generators: tuple[GroupElement, ...]
     label: str = ""
     _complement: ComplementSpec | None = field(init=False, repr=False, compare=False, default=None)
-    _group_rows: tuple[tuple[int, ...], ...] | None = field(
+    _group_rows: tuple[ResidueRow, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -574,7 +573,7 @@ class FreeGenerated(MonoidSpec):
             if g.signature != self.signature:
                 raise SignatureMismatchError("generator signature mismatch")
         if not gens:
-            object.__setattr__(self, "_group_rows", subgroup_rows(self.signature, ()))
+            object.__setattr__(self, "_group_rows", residue_rows(subgroup_rows(self.signature, ())))
             return
         try:
             object.__setattr__(self, "_complement", ComplementSpec(self.signature, (), gens))
@@ -586,7 +585,8 @@ class FreeGenerated(MonoidSpec):
         frees = [g.free for g in gens]
         unit_rows = [tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens))]
         if _positive_solution(list(zip(*frees)), unit_rows, len(gens)) is not None:
-            object.__setattr__(self, "_group_rows", subgroup_rows(self.signature, gens))
+            rows = residue_rows(subgroup_rows(self.signature, gens))
+            object.__setattr__(self, "_group_rows", rows)
             return
         raise ValueError(
             "no integer functional is positive on every generator, and no "
@@ -607,9 +607,7 @@ class FreeGenerated(MonoidSpec):
             return True
         if self._complement is not None:
             return self._complement.contains(u)
-        if not self._group_rows:
-            return False
-        return lattice_contains(self._group_rows, element_vector(u))
+        return not any(lattice_residue(self._group_rows, element_vector(u)))
 
     def is_reduced(self) -> bool:
         if self._complement is not None:
@@ -646,9 +644,6 @@ class ComplementSpec:
     signature: GroupSignature
     base_subgroup: tuple[GroupElement, ...]
     positive_generators: tuple[GroupElement, ...]
-    _base_rows: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
     _residue_rows: tuple[ResidueRow, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -656,6 +651,8 @@ class ComplementSpec:
     _cache: dict = field(
         init=False, repr=False, compare=False, default_factory=lambda: {"member": {}}
     )
+    # the monoid families' signature check, with the same message
+    _check_element = MonoidSpec._check_element
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_subgroup", tuple(self.base_subgroup))
@@ -665,9 +662,8 @@ class ComplementSpec:
                 raise SignatureMismatchError("complement generator signature mismatch")
         if not self.positive_generators:
             raise ValueError("complement needs at least one positive generator")
-        rows = subgroup_rows(self.signature, self.base_subgroup)
-        object.__setattr__(self, "_base_rows", rows)
-        object.__setattr__(self, "_residue_rows", residue_rows(rows))
+        rows = residue_rows(subgroup_rows(self.signature, self.base_subgroup))
+        object.__setattr__(self, "_residue_rows", rows)
         grading = _positive_solution(
             [g.free for g in self.base_subgroup],
             [g.free for g in self.positive_generators],
@@ -694,8 +690,8 @@ class ComplementSpec:
         Every state (generator index, residue) is memoized, so repeated
         queries across a window collapse to a few searches.
         """
-        rows, sparse = self._base_rows, self._residue_rows
-        residue = lattice_residue(sparse, element_vector(u))
+        rows = self._residue_rows
+        residue = lattice_residue(rows, element_vector(u))
         memo = self._cache["member"]
         found = memo.get((0, residue), _UNSEEN)
         if found is not _UNSEEN:
@@ -716,7 +712,9 @@ class ComplementSpec:
             found = None
             if i == last:
                 c, rem = divmod(left, weights[i])
-                if not rem and lattice_contains(rows, [a - c * b for a, b in zip(r, gens[i])]):
+                if not rem and not any(
+                    lattice_residue(rows, [a - c * b for a, b in zip(r, gens[i])])
+                ):
                     found = (c,)
             else:
                 for c in range(left // weights[i] + 1):
@@ -724,25 +722,19 @@ class ComplementSpec:
                     if tail is not None:
                         found = (c,) + tail
                         break
-                    r = lattice_residue(sparse, [a - b for a, b in zip(r, gens[i])])
+                    r = lattice_residue(rows, [a - b for a, b in zip(r, gens[i])])
             memo[key] = found
             return found
 
         return search(0, residue, budget)
 
     def contains(self, u: GroupElement) -> bool:
-        if u.signature is not self.signature and u.signature != self.signature:
-            raise SignatureMismatchError("element signature mismatch")
+        self._check_element(u)
         return self.member_combination(u) is not None
 
     def contains_with_base(self, u: GroupElement) -> bool:
         """Membership in G.(M | {identity}) = G.M union G."""
-        if self._base_rows:
-            if lattice_contains(self._base_rows, element_vector(u)):
-                return True
-        elif u.is_identity():
-            return True
-        return self.contains(u)
+        return not any(lattice_residue(self._residue_rows, element_vector(u))) or self.contains(u)
 
     def has_incomparable_pair(self) -> bool:
         """Some pair of positive generators divides in neither direction."""
@@ -794,9 +786,9 @@ class Composite(MonoidSpec):
             raise SignatureMismatchError("complement signature mismatch")
         if not is_analytic_valuation_family(self.valuation_part):
             raise ValueError("composite valuation part must be an analytic valuation family")
-        rows = self.complement_part._base_rows
+        rows = self.complement_part._residue_rows
         for g in self.valuation_part.quotient_generators():
-            if not lattice_contains(rows, element_vector(g)):
+            if any(lattice_residue(rows, element_vector(g))):
                 raise ValueError(
                     "quotient group of the valuation part must lie in the "
                     "complement's base subgroup"
@@ -808,11 +800,10 @@ class Composite(MonoidSpec):
             )
 
     def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
+        # each part checks u's signature against this same signature
         return self.valuation_part.contains(u) or self.complement_part.contains(u)
 
     def in_complement(self, u: GroupElement) -> bool:
-        self._check_element(u)
         return self.complement_part.contains(u)
 
     def is_reduced(self) -> bool:
@@ -883,11 +874,10 @@ def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
     bounded witness search elsewhere."""
     if is_analytic_valuation_family(spec):
         return ValuationVerdict(ValuationStatus.TRUE_ANALYTIC)
-    q_rows = subgroup_rows(spec.signature, spec.quotient_generators())
+    q_rows = residue_rows(subgroup_rows(spec.signature, spec.quotient_generators()))
+    # the identity lies in every monoid, so it is never a witness
     for u in witness_search_order(spec.signature, window):
-        if u.is_identity():
-            continue
-        if not q_rows or not lattice_contains(q_rows, element_vector(u)):
+        if any(lattice_residue(q_rows, element_vector(u))):
             continue
         if not spec.contains(u) and not spec.contains(-u):
             return ValuationVerdict(ValuationStatus.FALSE_WITNESS, u)

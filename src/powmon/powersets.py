@@ -90,9 +90,6 @@ class FinSubset1:
     def __contains__(self, u: GroupElement) -> bool:
         return u in self.elements
 
-    def is_singleton_identity(self) -> bool:
-        return len(self.elements) == 1
-
     def ints(self) -> tuple[int, ...]:
         """Free coordinates for subsets of monoids inside Z."""
         return tuple(u.free[0] for u in self.elements)

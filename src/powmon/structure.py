@@ -20,9 +20,7 @@ from functools import lru_cache
 from .ambient import GroupElement, solve_relations
 from .monoids import (
     Composite,
-    FullN0,
     HalfPlaneLex,
-    IrrationalCone,
     MonoidSpec,
     Numerical,
     Window,
@@ -204,37 +202,27 @@ def _window_witness(spec: MonoidSpec, a: GroupElement, window: Window) -> GroupE
 def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnitVerdict:
     """Is a comparable (in either direction) with every member of spec?
 
-    Valuation families answer analytically for every member.  Proper
-    numerical monoids construct the witness a + F from the largest gap F.
-    Composites split analytically: valuation members are pseudo-units,
-    complement members get a constructed witness (cross-checked by the
+    Analytic exactly when a is the identity or lies in the analytic
+    ``pseudo_unit_submonoid``.  Otherwise proper numerical monoids
+    construct the witness a + F from the largest gap F, and complement
+    members of composites get a constructed witness (cross-checked by the
     bounded search when construction fails).  Everything else is a
     bounded search with an honest UNKNOWN.
     """
     if not spec.contains(a):
         raise ValueError(f"{a!r} is not a member of {spec.label!r}")
-    if a.is_identity():
+    pseudo = pseudo_unit_submonoid(spec)
+    if a.is_identity() or (pseudo is not None and pseudo.contains(a)):
         return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
-    if is_analytic_valuation_family(spec):
-        return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
+    b = None
     if isinstance(spec, Numerical):
-        gap = spec.frobenius_gap()
-        if gap is None:
-            return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
-        b = a + spec.signature.element(gap)
+        b = a + spec.signature.element(spec.frobenius_gap())
         if not _verified_witness(spec, a, b):
             raise AssertionError(f"gap witness construction failed for {a!r}")
-        return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
-    if isinstance(spec, Composite):
-        if spec.valuation_part.contains(a):
-            return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
+    elif isinstance(spec, Composite):
         b = _composite_witness(spec, a)
-        if b is None:
-            b = _window_witness(spec, a, window)
-        if b is not None:
-            return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
-        return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)
-    b = _window_witness(spec, a, window)
+    if b is None:
+        b = _window_witness(spec, a, window)
     if b is not None:
         return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
     return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)

@@ -148,33 +148,26 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
     if h == k:
         return TranslationIso(h, k, h_v, k_v, True, "identical-pair")
     if is_analytic_valuation_family(h) and is_analytic_valuation_family(k):
-        if not subgroups_equal(h.signature, h.quotient_generators(), k.quotient_generators()):
-            raise ApplicabilityError(
-                "quotient-groups-differ",
-                "valuation pair has different quotient groups inside the ambient group",
-            )
-        return TranslationIso(h, k, h_v, k_v, False, "valuation-pair")
-    if isinstance(h, Composite) and isinstance(k, Composite):
+        template = "valuation-pair"
+        differ = "valuation pair has different quotient groups inside the ambient group"
+    elif isinstance(h, Composite) and isinstance(k, Composite):
         if h.complement_part != k.complement_part:
             raise ApplicabilityError(
                 "complement-not-shared",
                 "composite pair must share the complement data exactly",
             )
-        if not subgroups_equal(
-            h.signature,
-            h.valuation_part.quotient_generators(),
-            k.valuation_part.quotient_generators(),
-        ):
-            raise ApplicabilityError(
-                "quotient-groups-differ",
-                "valuation parts have different quotient groups",
-            )
-        return TranslationIso(h, k, h_v, k_v, False, "composite-pair")
-    raise ApplicabilityError(
-        "template-mismatch",
-        f"domain {h.label!r} is neither a valuation monoid nor a composite "
-        f"sharing complement data with {k.label!r} (and the specs are not identical)",
-    )
+        template, differ = "composite-pair", "valuation parts have different quotient groups"
+    else:
+        raise ApplicabilityError(
+            "template-mismatch",
+            f"domain {h.label!r} is neither a valuation monoid nor a composite "
+            f"sharing complement data with {k.label!r} (and the specs are not identical)",
+        )
+    # both templates compare the quotient groups of the valuation parts
+    # (a valuation monoid is its own pseudo-unit submonoid)
+    if not subgroups_equal(h.signature, h_v.quotient_generators(), k_v.quotient_generators()):
+        raise ApplicabilityError("quotient-groups-differ", differ)
+    return TranslationIso(h, k, h_v, k_v, False, template)
 
 
 def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupElement:

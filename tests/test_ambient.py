@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powmon.ambient import (
@@ -185,20 +185,59 @@ def test_hnf_positive_pivots_and_reduction():
     assert rows == ((3, 0), (0, 2))
 
 
-def test_lattice_contains_matches_span():
-    basis = hnf_rows([[2, 1], [0, 3]])
-    members = {
-        tuple(a * 2 + b * 0 for a, b in [(x, y)])  # placeholder, recomputed below
-        for x in range(-4, 5)
-        for y in range(-4, 5)
-    }
-    members = {
-        (2 * x, x + 3 * y)
-        for x in range(-6, 7)
-        for y in range(-6, 7)
-    }
-    for u in [(vx, vy) for vx in range(-6, 7) for vy in range(-6, 7)]:
-        assert lattice_contains(basis, u) == (u in members)
+@st.composite
+def spanning_rows_and_vectors(draw):
+    """Integer rows of width 1-4 (zero rows and torsion-style rows n*e_j
+    among them, the empty list included) and a vector that is often, but
+    not always, in their span."""
+    width = draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    vector = st.lists(entry, min_size=width, max_size=width)
+    torsion_row = st.builds(
+        lambda j, n: [n * (i == j) for i in range(width)],
+        st.integers(0, width - 1),
+        st.integers(2, 7),
+    )
+    rows = draw(st.lists(st.one_of(vector, torsion_row, st.just([0] * width)), max_size=4))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    shift = draw(st.one_of(st.just([0] * width), vector))
+    vec = [x + sum(c * row[i] for c, row in zip(coeffs, rows)) for i, x in enumerate(shift)]
+    return rows, width, vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spanning_rows_and_vectors())
+@example(([[2, 1], [0, 3]], 2, [4, 5]))
+@example(([[2, 1], [0, 3]], 2, [3, 5]))
+def test_lattice_contains_matches_span(case):
+    rows, width, vec = case
+    # oracle: vec is in the lattice exactly when adding it leaves the HNF unchanged
+    span = hnf_rows(rows, width)
+    assert lattice_contains(span, vec) == (hnf_rows(rows + [vec], width) == span)
+
+
+# torsion signatures, and Z^2, where no generators give the empty lattice
+SUBGROUP_SIGNATURES = (Z_MOD6, Z_X_MOD3, Z_X_MOD2, GroupSignature(2, (4, 6)), Z2)
+
+
+@st.composite
+def subgroups_and_elements(draw):
+    sig = draw(st.sampled_from(SUBGROUP_SIGNATURES))
+    element = st.builds(
+        sig.element,
+        st.tuples(*[st.integers(-6, 6)] * sig.free_rank),
+        st.tuples(*[st.integers(0, n - 1) for n in sig.torsion_orders]),
+    )
+    gens = draw(st.lists(element, max_size=3))
+    return sig, gens, draw(element)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(subgroups_and_elements())
+def test_subgroup_contains_matches_span(case):
+    sig, gens, u = case
+    rows = subgroup_rows(sig, gens)
+    assert subgroup_contains(rows, u) == (subgroup_rows(sig, gens + [u]) == rows)
 
 
 def test_subgroup_membership_with_torsion():
@@ -272,6 +311,14 @@ def test_finite_order_is_minimal():
             assert u.scale(n).is_identity()
             for m in range(1, n):
                 assert not u.scale(m).is_identity()
+
+
+def test_element_hash_leaves_out_the_signature():
+    u, v = GroupSignature(1, (3,)).element(1, (1,)), GroupSignature(1, (4,)).element(1, (1,))
+    # equal coordinates, so equal hashes; the signatures still tell them apart
+    assert hash(u) == hash(v) == hash(((1,), (1,)))
+    assert u != v and len({u, v}) == 2
+    assert u == GroupSignature(1, (3,)).element(1, (4,))
 
 
 def test_relation_lattice_trivial_contains_only_zero():

@@ -9,6 +9,7 @@ import pytest
 from powmon.cli import main, parse_expression
 from powmon.monoids import monoid_to_json
 from powmon.powersets import FinSubset1
+from powmon.translation import DichotomyViolationError, TranslationCheckError
 
 
 @pytest.fixture()
@@ -187,6 +188,43 @@ def test_env_seed_overrides_flag(monkeypatch):
 
 def test_usage_error_exit_2(capsys):
     assert main(["suite", "homomorphism", "--domain", "only-one.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "{0}", "--seed", "1"],
+        ["eval", "{0}", "--window", "3"],
+        ["analyze", "num23", "--samples", "5"],
+        ["analyze", "num23", "--max-set-size", "2"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, monoid_files, argv):
+    argv = [monoid_files.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        TranslationCheckError("translate left the codomain"),
+        DichotomyViolationError("image matches neither pattern"),
+        AssertionError("identity is not classified as a pseudo-unit"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_error_exit_4(capsys, monkeypatch, error):
+    import powmon.cli
+
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(powmon.cli, "cmd_eval", broken)
+    assert main(["eval", "{0}"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"internal error: {error}\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

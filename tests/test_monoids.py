@@ -396,6 +396,29 @@ def test_composite_membership(rank4_h):
     assert rank4_h.is_reduced()
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda h: h.contains,
+        lambda h: h.in_complement,
+        lambda h: h.complement_part.contains,
+        lambda h: free_generated(h.signature, h.complement_part.positive_generators).contains,
+        # the positive generators and their negatives: a group certificate
+        lambda h: free_generated(
+            h.signature, [g.scale(s) for g in h.complement_part.positive_generators for s in (1, -1)]
+        ).contains,
+    ],
+    ids=["composite", "in-complement", "complement", "free-graded", "free-group"],
+)
+def test_foreign_signature_raises_the_family_message(rank4_h, query):
+    # every membership query names both signatures, in the same words
+    foreign = GroupSignature(4, (2,)).element((1, 0, 0, 0), (1,))
+    expected = f"element of {foreign.signature} queried against monoid over {rank4_h.signature}"
+    with pytest.raises(SignatureMismatchError) as err:
+        query(rank4_h)(foreign)
+    assert str(err.value) == expected
+
+
 def test_composite_rejects_totally_ordered_complement(halfplane):
     Z3 = GroupSignature(3)
     val = half_plane_lex(Z3, (0, 1))

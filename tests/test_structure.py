@@ -370,6 +370,21 @@ def test_pseudo_unit_submonoid(n0, num23, halfplane, cone_sqrt2, rank4_h):
     assert pseudo_unit_submonoid(m) is None
 
 
+def test_pseudo_unit_is_analytic_exactly_on_the_submonoid(
+    n0, num23, halfplane, cone_sqrt2, rank4_h
+):
+    graded = free_generated(Z2, (Z2.element((2, 0)), Z2.element((1, 1)), Z2.element((0, 3))))
+    cases = [
+        (n0, Window(6)), (num23, Window(12)), (numerical([3, 5, 7]), Window(12)),
+        (halfplane, Window(3)), (cone_sqrt2, Window(3)), (rank4_h, Window(2)), (graded, Window(3)),
+    ]
+    for spec, window in cases:
+        sub = pseudo_unit_submonoid(spec)
+        for a in elements_in_window(spec, window):
+            analytic = pseudo_unit(spec, a, window).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+            assert analytic == (a.is_identity() or (sub is not None and sub.contains(a))), (spec, a)
+
+
 def test_pseudo_complement_closure_on_rank4(rank4_h):
     """Complement closed under products and under translation by the
     quotient group of the valuation part; valuation part totally ordered."""

@@ -3,7 +3,16 @@ import random
 import pytest
 
 from powmon.ambient import GroupSignature, SignatureMismatchError
-from powmon.monoids import Window, elements_in_window, free_generated, full_n0, numerical
+from powmon.monoids import (
+    ComplementSpec,
+    Window,
+    composite,
+    elements_in_window,
+    free_generated,
+    full_n0,
+    half_plane_lex,
+    numerical,
+)
 from powmon.powersets import (
     FinSubset1,
     MembershipError,
@@ -91,6 +100,26 @@ def test_build_iso_rejects_quotient_mismatch(n0):
     with pytest.raises(ApplicabilityError) as err:
         build_translation_iso(doubled, n0)
     assert err.value.condition == "quotient-groups-differ"
+    assert str(err.value) == (
+        "APPLICABILITY_FAILED [quotient-groups-differ]: "
+        "valuation pair has different quotient groups inside the ambient group"
+    )
+
+
+def test_build_iso_rejects_composite_quotient_mismatch():
+    # one complement, valuation parts on the planes (e0, e1) and (e0, e2)
+    z5 = GroupSignature(5)
+    e = [z5.basis_element(i) for i in range(5)]
+    comp = ComplementSpec(z5, (e[0], e[1], e[2]), (e[3], e[4]))
+    h = composite(half_plane_lex(z5, (0, 1)), comp, label="H")
+    k = composite(half_plane_lex(z5, (0, 2)), comp, label="K")
+    with pytest.raises(ApplicabilityError) as err:
+        build_translation_iso(h, k)
+    assert err.value.condition == "quotient-groups-differ"
+    assert str(err.value) == (
+        "APPLICABILITY_FAILED [quotient-groups-differ]: "
+        "valuation parts have different quotient groups"
+    )
 
 
 def test_build_iso_rejects_ambient_mismatch(n0, halfplane):
