@@ -69,6 +69,7 @@ __all__ = [
     "elements_in_window",
     "ambient_window",
     "witness_search_order",
+    "pseudo_unit_submonoid",
     "element_to_dict",
     "spec_to_dict",
     "spec_from_dict",
@@ -115,6 +116,8 @@ class QuadraticSurd:
     n: int
 
     def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (self.p, self.q, self.r, self.n)):
+            raise ValueError("p, q, r and n must be integers")
         if self.r <= 0:
             raise ValueError("denominator r must be positive")
         if self.n < 2 or isqrt(self.n) ** 2 == self.n:
@@ -141,9 +144,6 @@ class Window:
         if self.bound < 1:
             raise ValueError("window bound must be >= 1")
 
-    def scaled(self, factor: int) -> Window:
-        return Window(self.bound * factor)
-
 
 def ambient_window(sig: GroupSignature, window: Window) -> Iterator[GroupElement]:
     """All ambient elements in the window, in canonical ascending order."""
@@ -152,21 +152,6 @@ def ambient_window(sig: GroupSignature, window: Window) -> Iterator[GroupElement
     torsion_ranges = [range(n) for n in sig.torsion_orders]
     for coords in itertools.product(*free_ranges, *torsion_ranges):
         yield GroupElement(sig, coords[: sig.free_rank], coords[sig.free_rank :])
-
-
-def _shell(rank: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Free coordinate tuples with largest absolute value k, descending."""
-    if not rank:
-        if not k:
-            yield ()
-        return
-    for c in range(k, -k - 1, -1):
-        if abs(c) == k:
-            rests = itertools.product(range(k, -k - 1, -1), repeat=rank - 1)
-        else:
-            rests = _shell(rank - 1, k)
-        for rest in rests:
-            yield (c, *rest)
 
 
 def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupElement]:
@@ -180,7 +165,9 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
     """
     torsion_ranges = [range(n) for n in sig.torsion_orders]
     for k in range(window.bound + 1):
-        for free in _shell(sig.free_rank, k):
+        for free in itertools.product(range(k, -k - 1, -1), repeat=sig.free_rank):
+            if max(map(abs, free), default=0) != k:
+                continue
             for torsion in itertools.product(*torsion_ranges):
                 yield GroupElement(sig, free, torsion)
 
@@ -269,9 +256,6 @@ class FullN0(MonoidSpec):
     def quotient_generators(self) -> tuple[GroupElement, ...]:
         return (self.signature.element(1),)
 
-    def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        return (self.signature.element(x) for x in range(window.bound + 1))
-
 
 def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
     """Least member of the monoid in each residue class mod the smallest
@@ -297,17 +281,19 @@ def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
 class Numerical(MonoidSpec):
     """Submonoid of N0 generated by positive integers.
 
-    An empty generator tuple gives the trivial monoid {0} (used as the
-    pseudo-unit submonoid of a proper numerical monoid).  Generators
-    with gcd > 1 are supported; membership is decided on the
-    gcd-normalized copy.
+    An empty generator tuple gives the trivial monoid {0}, the
+    pseudo-unit submonoid of a proper numerical monoid, which builds it
+    once.  Generators with gcd > 1 are supported; membership is decided
+    by the Apery table of the gcd-normalized generators, which is (0,)
+    exactly when the monoid is gcd*N0.
     """
 
     signature: GroupSignature
     generators: tuple[int, ...]
     label: str = ""
     _gcd: int = field(init=False, repr=False, compare=False, default=0)
-    _normalized: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    #: the trivial monoid {0} of a proper numerical monoid, else None
+    _pseudo_units: Numerical | None = field(init=False, repr=False, compare=False, default=None)
     _apery: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     family: ClassVar[str] = "NUMERICAL"
@@ -321,18 +307,16 @@ class Numerical(MonoidSpec):
         object.__setattr__(self, "generators", gens)
         if not gens:
             return
-        g0 = 0
-        for g in gens:
-            g0 = gcd(g0, g)
-        normalized = tuple(g // g0 for g in gens)
+        g0 = gcd(*gens)
         object.__setattr__(self, "_gcd", g0)
-        object.__setattr__(self, "_normalized", normalized)
-        if 1 not in normalized:
-            object.__setattr__(self, "_apery", _apery_table(normalized))
+        object.__setattr__(self, "_apery", _apery_table(tuple(g // g0 for g in gens)))
+        if not self.is_all_of_scaled_n0():
+            trivial = Numerical(self.signature, (), f"{self.label}-pseudo-units")
+            object.__setattr__(self, "_pseudo_units", trivial)
 
     def is_all_of_scaled_n0(self) -> bool:
         """True when the monoid is g*N0, i.e. a full copy of N0."""
-        return bool(self.generators) and 1 in self._normalized
+        return self._apery == (0,)
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -341,7 +325,7 @@ class Numerical(MonoidSpec):
         """Largest element of gcd*N0 missing from the monoid, None if none."""
         if self.is_trivial() or self.is_all_of_scaled_n0():
             return None
-        return self._gcd * (max(self._apery) - self._normalized[0])
+        return self._gcd * (max(self._apery) - len(self._apery))
 
     def contains_int(self, x: int) -> bool:
         if not self.generators:
@@ -349,9 +333,7 @@ class Numerical(MonoidSpec):
         if x < 0 or x % self._gcd:
             return False
         xn = x // self._gcd
-        if 1 in self._normalized:
-            return True
-        return xn >= self._apery[xn % self._normalized[0]]
+        return xn >= self._apery[xn % len(self._apery)]
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
@@ -364,13 +346,6 @@ class Numerical(MonoidSpec):
         if not self.generators:
             return ()
         return (self.signature.element(self._gcd),)
-
-    def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        return (
-            self.signature.element(x)
-            for x in range(window.bound + 1)
-            if self.contains_int(x)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +366,7 @@ class _Planar(MonoidSpec):
         object.__setattr__(self, "embedding", tuple(self.embedding))
         i, j = self.embedding
         d = self.signature.free_rank
-        if not (0 <= i < d and 0 <= j < d and i != j):
+        if not (type(i) is int and type(j) is int and 0 <= i < d and 0 <= j < d and i != j):
             raise ValueError(f"embedding {self.embedding} invalid for free rank {d}")
         object.__setattr__(self, "_off_plane", tuple(k for k in range(d) if k not in (i, j)))
 
@@ -738,22 +713,11 @@ class ComplementSpec:
 
     def has_incomparable_pair(self) -> bool:
         """Some pair of positive generators divides in neither direction."""
-        gens = self.positive_generators
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                d1 = gens[i] - gens[j]
-                if not self.contains_with_base(d1) and not self.contains_with_base(-d1):
-                    return True
+        for a, b in itertools.combinations(self.positive_generators, 2):
+            d1 = a - b
+            if not self.contains_with_base(d1) and not self.contains_with_base(-d1):
+                return True
         return False
-
-
-def is_analytic_valuation_family(spec: MonoidSpec) -> bool:
-    """Families whose total divisibility order is certified by construction."""
-    if isinstance(spec, (FullN0, HalfPlaneLex, IrrationalCone)):
-        return True
-    if isinstance(spec, Numerical):
-        return spec.is_trivial() or spec.is_all_of_scaled_n0()
-    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -784,7 +748,7 @@ class Composite(MonoidSpec):
             raise SignatureMismatchError("valuation part signature mismatch")
         if self.complement_part.signature != self.signature:
             raise SignatureMismatchError("complement signature mismatch")
-        if not is_analytic_valuation_family(self.valuation_part):
+        if pseudo_unit_submonoid(self.valuation_part) is not self.valuation_part:
             raise ValueError("composite valuation part must be an analytic valuation family")
         rows = self.complement_part._residue_rows
         for g in self.valuation_part.quotient_generators():
@@ -869,10 +833,27 @@ def composite(
 # ---------------------------------------------------------------------------
 
 
+def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec | None:
+    """The pseudo-units of spec as a spec of their own, when analytic.
+
+    Exactly the families whose total divisibility order is certified by
+    construction are their own pseudo-unit submonoid; a proper numerical
+    monoid collapses to {0}; composites keep exactly their valuation
+    part.  None means no analytic description is available.
+    """
+    if isinstance(spec, (FullN0, HalfPlaneLex, IrrationalCone)):
+        return spec
+    if isinstance(spec, Numerical):
+        return spec if spec._pseudo_units is None else spec._pseudo_units
+    if isinstance(spec, Composite):
+        return spec.valuation_part
+    return None
+
+
 def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
     """Total-order verdict: analytic for the order-cone families, a
     bounded witness search elsewhere."""
-    if is_analytic_valuation_family(spec):
+    if pseudo_unit_submonoid(spec) is spec:
         return ValuationVerdict(ValuationStatus.TRUE_ANALYTIC)
     q_rows = residue_rows(subgroup_rows(spec.signature, spec.quotient_generators()))
     # the identity lies in every monoid, so it is never a witness
@@ -918,8 +899,11 @@ def element_to_dict(u: GroupElement) -> dict:
 
 def _element_from_obj(sig: GroupSignature, obj: dict) -> GroupElement:
     # "torsion" may be left out only where the signature has no torsion
-    torsion = obj["torsion"] if sig.torsion_orders else obj.get("torsion", ())
-    return sig.element(tuple(obj["free"]), tuple(torsion))
+    free = tuple(obj["free"])
+    torsion = tuple(obj["torsion"] if sig.torsion_orders else obj.get("torsion", ()))
+    if not all(type(c) is int for c in free + torsion):
+        raise TypeError(f"element coordinates must be integers: {obj}")
+    return sig.element(free, torsion)
 
 
 def _signature_to_obj(sig: GroupSignature) -> dict:
@@ -931,6 +915,9 @@ def _interned(sig: GroupSignature) -> GroupSignature:
     """The first object seen equal to ``sig``: specs loaded from different
     files share one signature, so their element checks hit ``is``."""
     return sig
+
+
+_interned(_Z1)  # file-loaded monoids over Z share the factories' signature
 
 
 def _signature_from_obj(obj: dict) -> GroupSignature:
@@ -972,6 +959,8 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
     try:
         family = obj["family"]
         label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise TypeError("label must be a string")
         sig = _signature_from_obj(obj["signature"])
         if family == "FULL_N0":
             return FullN0(sig, label)
@@ -999,7 +988,7 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
             return Composite(sig, val, complement, label)
     except KeyError as exc:
         raise ValueError(f"monoid definition missing field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         raise ValueError(f"monoid definition has a field of the wrong type: {exc}") from exc
     raise ValueError(f"unknown monoid family {family!r}")
 

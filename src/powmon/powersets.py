@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ambient import GroupElement, GroupSignature
-from .monoids import FullN0, MonoidSpec
+from .ambient import GroupElement
+from .monoids import _Z1, FullN0, MonoidSpec
 
 __all__ = [
     "FinSubset1",
     "QuotientReport",
     "MonoidMismatchError",
     "MembershipError",
+    "checked_members",
     "set_product",
     "set_power",
     "divides",
@@ -31,7 +32,6 @@ __all__ = [
     "reversion",
 ]
 
-_Z1 = GroupSignature(1)
 _Z1_ELEMENTS: dict[int, GroupElement] = {}
 
 
@@ -56,30 +56,45 @@ class MembershipError(ValueError):
         super().__init__(f"element {element!r} is not a member of monoid {monoid.label!r}")
 
 
+def checked_members(
+    monoid: MonoidSpec, elements: Iterable[GroupElement]
+) -> tuple[GroupElement, ...]:
+    """The distinct ``elements`` with the identity, sorted, each checked
+    for membership in that order: the first non-member raises
+    ``MembershipError``.  The identity belongs to every monoid, so it is
+    never asked about."""
+    identity = monoid.identity()
+    # the identity object goes in first, so an equal one in ``elements``
+    # collapses onto it and the loop skips it by identity, not by ``==``
+    members = {identity}
+    members.update(elements)
+    canon = sorted(members, key=GroupElement.key)
+    for u in canon:
+        if u is not identity and not monoid.contains(u):
+            raise MembershipError(monoid, u)
+    return tuple(canon)
+
+
 @dataclass(frozen=True, slots=True)
 class FinSubset1:
-    """Finite identity-containing subset of a monoid, canonically sorted."""
+    """Finite identity-containing subset of a monoid, canonically sorted.
+
+    ``make`` checks a set literal.  The constructor trusts its caller:
+    ``elements`` must be sorted by ``GroupElement.key``, duplicate-free,
+    hold the identity and lie in ``monoid``.
+    """
 
     monoid: MonoidSpec
     elements: tuple[GroupElement, ...]
 
     @classmethod
     def make(cls, monoid: MonoidSpec, elements: Iterable[GroupElement]) -> FinSubset1:
-        canon = sorted(set(elements) | {monoid.identity()}, key=GroupElement.key)
-        for u in canon:
-            if not monoid.contains(u):
-                raise MembershipError(monoid, u)
-        return cls(monoid, tuple(canon))
+        return cls(monoid, checked_members(monoid, elements))
 
     @classmethod
     def from_ints(cls, monoid: MonoidSpec, values: Iterable[int]) -> FinSubset1:
         """Convenience constructor for monoids inside the ambient group Z."""
         return cls.make(monoid, [monoid.signature.element(v) for v in values])
-
-    @classmethod
-    def _trusted(cls, monoid: MonoidSpec, sorted_elements: tuple[GroupElement, ...]) -> FinSubset1:
-        # internal: callers guarantee sortedness, dedup, identity, membership
-        return cls(monoid, sorted_elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -121,19 +136,19 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
             a = u.free[0]
             values.update(a + b for b in ys)
         elems = tuple(_z1_element(v) for v in sorted(values))
-        return FinSubset1._trusted(x.monoid, elems)
+        return FinSubset1(x.monoid, elems)
     out: set[GroupElement] = set()
     for u in x.elements:
         for v in y.elements:
             out.add(u + v)
-    return FinSubset1._trusted(x.monoid, tuple(sorted(out, key=GroupElement.key)))
+    return FinSubset1(x.monoid, tuple(sorted(out, key=GroupElement.key)))
 
 
 def set_power(x: FinSubset1, n: int) -> FinSubset1:
     """n-fold product by repeated squaring; the zeroth power is {identity}."""
     if n < 0:
         raise ValueError("set powers need n >= 0")
-    result = FinSubset1._trusted(x.monoid, (x.monoid.identity(),))
+    result = FinSubset1(x.monoid, (x.monoid.identity(),))
     while n:
         if n & 1:
             result = set_product(result, x)
@@ -155,7 +170,7 @@ def divides(x: FinSubset1, y: FinSubset1) -> FinSubset1 | None:
     y_set = set(y.elements)
     if not set(x.elements) <= y_set:
         return None
-    z = FinSubset1._trusted(
+    z = FinSubset1(
         y.monoid, tuple(w for w in y.elements if all((u + w) in y_set for u in x.elements))
     )
     return z if set_product(x, z).elements == y.elements else None
@@ -214,9 +229,7 @@ def quotients(x: FinSubset1) -> QuotientReport:
         n = sum(1 for b in x.elements if (a + b) in members)
         if n == 0:
             continue
-        pair = FinSubset1._trusted(
-            monoid, tuple(sorted({identity, a}, key=GroupElement.key))
-        )
+        pair = FinSubset1(monoid, tuple(sorted({identity, a}, key=GroupElement.key)))
         if len(set_product(pair, x)) != 2 * len(x) - n:
             raise AssertionError(
                 f"multiplicity cross-check failed for candidate {a!r} on {x!r}"
@@ -232,4 +245,4 @@ def reversion(x: FinSubset1) -> FinSubset1:
     values = x.ints()
     top = values[-1]
     elems = tuple(_z1_element(top - v) for v in reversed(values))
-    return FinSubset1._trusted(x.monoid, elems)
+    return FinSubset1(x.monoid, elems)

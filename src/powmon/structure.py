@@ -26,9 +26,8 @@ from .monoids import (
     Window,
     element_to_dict,
     elements_in_window,
-    is_analytic_valuation_family,
     is_unit,
-    numerical,
+    pseudo_unit_submonoid,
     witness_search_order,
 )
 
@@ -86,7 +85,7 @@ def _half_plane_irreducible(spec: HalfPlaneLex, u: GroupElement) -> Irreducibili
 def _search_factorization(
     spec: MonoidSpec, u: GroupElement, window: Window
 ) -> IrreducibilityVerdict:
-    enlarged = window.scaled(IRREDUCIBILITY_WINDOW_FACTOR)
+    enlarged = Window(window.bound * IRREDUCIBILITY_WINDOW_FACTOR)
     for v in elements_in_window(spec, enlarged):
         if is_unit(spec, v):
             continue
@@ -283,19 +282,3 @@ def decompose(spec: MonoidSpec, window: Window) -> DecompositionReport:
     return DecompositionReport(
         spec, window, tuple(pseudo), tuple(comp), tuple(unknown), tuple(verdicts)
     )
-
-
-def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec | None:
-    """The pseudo-units of spec as a spec of their own, when analytic.
-
-    Valuation families are their own pseudo-unit submonoid; a proper
-    numerical monoid collapses to {0}; composites keep exactly their
-    valuation part.  None means no analytic description is available.
-    """
-    if is_analytic_valuation_family(spec):
-        return spec
-    if isinstance(spec, Numerical):
-        return numerical((), label=f"{spec.label}-pseudo-units")
-    if isinstance(spec, Composite):
-        return spec.valuation_part
-    return None

@@ -33,13 +33,8 @@ from operator import eq
 from typing import Iterable, Sequence
 
 from .ambient import GroupElement, INFINITE, subgroups_equal
-from .monoids import (
-    Composite,
-    MonoidSpec,
-    is_analytic_valuation_family,
-)
-from .powersets import FinSubset1, MembershipError, set_product
-from .structure import pseudo_unit_submonoid
+from .monoids import Composite, MonoidSpec, pseudo_unit_submonoid
+from .powersets import FinSubset1, checked_members, set_product
 
 __all__ = [
     "ApplicabilityError",
@@ -116,9 +111,6 @@ class TranslationIso:
         init=False, repr=False, compare=False, default_factory=dict
     )
 
-    def __call__(self, x: FinSubset1) -> FinSubset1:
-        return apply_iso(self, x)
-
 
 def _require_reduced(spec: MonoidSpec, side: str) -> None:
     if not spec.is_reduced():
@@ -147,7 +139,7 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
     k_v = pseudo_unit_submonoid(k)
     if h == k:
         return TranslationIso(h, k, h_v, k_v, True, "identical-pair")
-    if is_analytic_valuation_family(h) and is_analytic_valuation_family(k):
+    if h_v is h and k_v is k:
         template = "valuation-pair"
         differ = "valuation pair has different quotient groups inside the ambient group"
     elif isinstance(h, Composite) and isinstance(k, Composite):
@@ -173,9 +165,10 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
 def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupElement:
     """The unique a with a + X inside the codomain, for the domain members
     ``elements`` of X: minus the minimum, in K's order, of X's part in V_H."""
-    if f.identical_pair and f.domain_valuation is None:
-        return f.domain.identity()
-    s = [u for u in elements if f.domain_valuation.contains(u)]
+    identity, v_h = f.domain.identity(), f.domain_valuation
+    if f.identical_pair and v_h is None:
+        return identity
+    s = [u for u in elements if u is identity or v_h.contains(u)]
     return -valuation_min(f.codomain_valuation, s)
 
 
@@ -193,25 +186,12 @@ def _image(f: TranslationIso, elements: tuple[GroupElement, ...]) -> tuple[Group
         # the identity belongs to every monoid
         if not u.is_identity() and not codomain.contains(u):
             raise TranslationCheckError(
-                f"translate {a!r} of {FinSubset1._trusted(f.domain, elements)!r} left "
+                f"translate {a!r} of {FinSubset1(f.domain, elements)!r} left "
                 f"the codomain at {u!r}; the applicability certificate is wrong"
             )
     if codomain.identity() not in image or any(map(eq, image, image[1:])):
         raise TranslationCheckError("translation collapsed elements; ambient arithmetic broken")
     return tuple(image)
-
-
-def _domain_chain(f: TranslationIso, elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    """The distinct non-identity ``elements`` with the identity, sorted,
-    each checked for domain membership in the order ``FinSubset1.make``
-    checks a set literal."""
-    domain = f.domain
-    identity = domain.identity()
-    chain = sorted((*elements, identity), key=GroupElement.key)
-    for u in chain:
-        if u is not identity and not domain.contains(u):
-            raise MembershipError(domain, u)
-    return tuple(chain)
 
 
 def _members(f: TranslationIso, x: FinSubset1) -> tuple[GroupElement, ...]:
@@ -227,7 +207,7 @@ def translation_element(f: TranslationIso, x: FinSubset1) -> GroupElement:
 
 def apply_iso(f: TranslationIso, x: FinSubset1) -> FinSubset1:
     """Map X to a + X and verify the image lands in the codomain."""
-    return FinSubset1._trusted(f.codomain, _image(f, _members(f, x)))
+    return FinSubset1(f.codomain, _image(f, _members(f, x)))
 
 
 def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
@@ -239,11 +219,11 @@ def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
     cached = f._pullback_cache.get(a)
     if cached is not None:
         return cached
-    image = _image(f, _domain_chain(f, (a,)))
+    image = _image(f, checked_members(f.domain, (a,)))
     others = [u for u in image if not u.is_identity()]
     if len(others) != 1:
         raise TranslationCheckError(
-            f"image of a 2-set was not a 2-set: {FinSubset1._trusted(f.codomain, image)!r}"
+            f"image of a 2-set was not a 2-set: {FinSubset1(f.codomain, image)!r}"
         )
     result = others[0]
     f._pullback_cache[a] = result
@@ -275,7 +255,7 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
     if a.order() is not INFINITE:
         raise ValueError(f"{a!r} has finite order; only infinite-order elements are classified")
     # a non-member raises MembershipError, a ValueError
-    chain = _domain_chain(f, (a, a.scale(3)))
+    chain = checked_members(f.domain, (a, a.scale(3)))
     # an image matching either pattern lies in the codomain with x, so it
     # needs no membership check of its own
     t = _translation(f, chain)

@@ -1,13 +1,31 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powmon.ambient import GroupSignature
 from powmon.cli import main, parse_expression
-from powmon.monoids import monoid_to_json
+from powmon.monoids import (
+    ComplementSpec,
+    QuadraticSurd,
+    composite,
+    free_generated,
+    full_n0,
+    half_plane_lex,
+    irrational_cone,
+    monoid_to_json,
+    numerical,
+    spec_to_dict,
+)
 from powmon.powersets import FinSubset1
 from powmon.translation import DichotomyViolationError, TranslationCheckError
 
@@ -240,11 +258,19 @@ def test_internal_error_exit_4(capsys, monkeypatch, error):
         ("analyze", {"family": "FULL_N0", "signature": {"free_rank": 1, "torsion_orders": [3.0]}}),
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1, "torsion_orders": [3]},
                      "generators": [{"free": [1]}]}),
+        ("analyze", {"family": "HALF_PLANE_LEX", "signature": {"free_rank": 2}, "embedding": [0, 1.0]}),
+        ("analyze", {"family": "FULL_N0", "signature": {"free_rank": 1}, "label": []}),
+        ("analyze", {"family": "IRRATIONAL_CONE", "signature": {"free_rank": 2}, "embedding": [0, 1],
+                     "alpha": {"p": None, "q": 1, "r": 1, "n": 2}}),
+        ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1}, "generators": "1"}),
+        ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1, "torsion_orders": [3]},
+                     "generators": [{"free": [1], "torsion": [1.5]}, {"free": [-1], "torsion": [0]}]}),
     ],
     ids=["free-rank-string", "top-level-list", "numerical-generators-int",
          "free-generated-generators-int", "deeply-nested-expression",
          "free-rank-float", "free-rank-bool", "torsion-order-float",
-         "element-without-torsion"],
+         "element-without-torsion", "embedding-float", "label-list", "surd-coefficient-null",
+         "free-generated-generators-string", "torsion-coordinate-float"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     # exit 1 is reserved for property failures: bad input is a parse error
@@ -318,3 +344,153 @@ def test_analyze_composite_scans_for_a_non_unit_once(tmp_path, capsys, rank4_h, 
     # every complement member borrows the same non-unit of the valuation part
     assert doc["reducible_count"] > 1
     assert len(scans) == 1
+
+
+def run_quietly(argv):
+    """``main(argv)`` with its output captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# ints in -3..9 and at most two powers keep every set below a few thousand members
+_ints = st.integers(-3, 9).map(str)
+_element_texts = st.one_of(
+    _ints, st.lists(_ints, min_size=1, max_size=2).map(lambda xs: f"({','.join(xs)})")
+)
+_set_literals = st.lists(_element_texts, min_size=1, max_size=4).map(
+    lambda xs: "{" + ",".join(xs) + "}"
+)
+_grammar_expressions = st.recursive(
+    _set_literals,
+    lambda inner: st.one_of(
+        inner.map(lambda e: f"rev({e})"),
+        inner.map(lambda e: f"({e})"),
+        st.tuples(inner, _ints).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]}*{t[1]}"),
+    ),
+    max_leaves=4,
+)
+_token_soups = st.lists(
+    st.one_of(st.sampled_from(["{", "}", "(", ")", ",", ";", "*", "^", "rev"]), _ints),
+    max_size=14,
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_grammar_expressions, _token_soups).filter(lambda text: text.count("^") <= 2))
+def test_eval_fuzz_never_crashes(text):
+    code, err = run_quietly(["eval", text])
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+
+
+FAMILIES = ["FULL_N0", "NUMERICAL", "HALF_PLANE_LEX", "IRRATIONAL_CONE", "FREE_GENERATED",
+            "COMPOSITE", "NO_SUCH"]
+_MISSING = object()
+_junk_scalars = st.one_of(
+    st.none(), st.booleans(), st.floats(-3, 3, allow_nan=False), st.text("ab1", max_size=2)
+)
+_junk = st.one_of(
+    _junk_scalars, st.integers(-3, 3), st.lists(_junk_scalars, max_size=2), st.just({})
+)
+
+
+def _mostly(valid, *others):
+    """``valid`` five times in seven, else one of ``others``.  (``one_of``
+    would flatten nested choices and weigh every branch alike.)"""
+    return st.integers(0, 6).flatmap(lambda i: valid if i < 5 else others[i % len(others)])
+
+
+def _field(valid):
+    """Mostly a valid value, sometimes junk of a wrong type, sometimes absent."""
+    return _mostly(valid, _junk, st.just(_MISSING))
+
+
+def _ints_or_junk(lo, hi):
+    """An int in lo..hi, now and then a scalar of a wrong type."""
+    return _mostly(st.integers(lo, hi), _junk_scalars)
+
+
+def _object(**fields):
+    return st.fixed_dictionaries(fields).map(
+        lambda d: {k: v for k, v in d.items() if v is not _MISSING}
+    )
+
+
+_fuzz_coords = st.lists(_ints_or_junk(-3, 3), max_size=2)
+_fuzz_elements = _object(free=_field(_fuzz_coords), torsion=_field(_fuzz_coords))
+_fuzz_signatures = _object(
+    free_rank=_field(st.integers(0, 2)),
+    torsion_orders=_field(_mostly(st.just([]), st.lists(_ints_or_junk(-1, 3), max_size=1))),
+)
+
+
+def _fuzz_monoids(valuation_part):
+    return _object(
+        family=_field(st.sampled_from(FAMILIES)),
+        label=_field(st.text("ab", max_size=2)),
+        signature=_field(_fuzz_signatures),
+        generators=_field(st.one_of(
+            st.lists(_ints_or_junk(-3, 3), max_size=3), st.lists(_fuzz_elements, max_size=3)
+        )),
+        embedding=_field(st.lists(_ints_or_junk(-1, 2), min_size=2, max_size=2)),
+        alpha=_field(_object(**{k: _field(_ints_or_junk(-3, 3)) for k in "pqrn"})),
+        valuation_part=_field(valuation_part),
+        complement_part=_field(_object(
+            base_subgroup=_field(st.lists(_fuzz_elements, max_size=2)),
+            positive_generators=_field(st.lists(_fuzz_elements, max_size=3)),
+        )),
+    )
+
+
+_z1, _z2, _z_z3 = GroupSignature(1), GroupSignature(2), GroupSignature(1, (3,))
+#: one valid monoid file of each family, free rank <= 2
+VALID_DOCS = [
+    spec_to_dict(spec)
+    for spec in (
+        full_n0(),
+        numerical([2, 3]),
+        half_plane_lex(),
+        irrational_cone(QuadraticSurd(0, 1, 1, 2)),
+        free_generated(_z2, [_z2.element((1, 0)), _z2.element((1, 1))]),
+        free_generated(_z_z3, [_z_z3.element(1, (1,)), _z_z3.element(-1, (0,))]),
+        composite(numerical([]), ComplementSpec(_z1, (), (_z1.element(2), _z1.element(3)))),
+    )
+]
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A valid monoid file with one or two entries deleted, retyped or
+    replaced by a small int, or its family tag swapped."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 2))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(["delete", "junk", "int", "family"]))
+            if action == "delete":
+                del node[key]
+            elif action == "family":
+                doc["family"] = draw(st.sampled_from(FAMILIES))
+            else:
+                node[key] = draw(_junk if action == "junk" else st.integers(-3, 3))
+            break
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_fuzz_monoids(_fuzz_monoids(_junk)), _mutated_docs()))
+def test_analyze_fuzz_never_crashes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = run_quietly(["analyze", str(path), "--window", "1"])
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err

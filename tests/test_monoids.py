@@ -2,9 +2,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from powmon.ambient import (
     GroupSignature,
@@ -143,6 +145,42 @@ def test_numerical_frobenius(num23):
     assert numerical([3, 5]).frobenius_gap() == 7
     assert numerical([1]).frobenius_gap() is None
     assert numerical([1]).is_all_of_scaled_n0()
+
+
+def numerical_closure(gens, limit):
+    """Brute force: the members of the monoid generated by gens in 0..limit."""
+    members = {0}
+    for x in range(1, limit + 1):
+        if any(x - g in members for g in gens):
+            members.add(x)
+    return members
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 12), max_size=4))
+@example([2, 4])  # gcd > 1, normalized to <1, 2> = N0
+@example([4, 6, 9])
+@example([6])  # a single generator: 6*N0
+@example([3, 5, 7])
+@example([1, 3, 5, 7])  # a normalized 1 beside other generators
+@example([])  # the trivial monoid {0}
+def test_numerical_rules_match_closure(gens):
+    m = numerical(gens)
+    g = gcd(*gens)
+    # past g * (the Frobenius number) every multiple of g is a member; with
+    # generators <= 12 the Frobenius number is < 121 (Schur's bound)
+    limit = 300
+    members = numerical_closure(gens, limit)
+    for x in range(-3, 61):
+        assert m.contains_int(x) == (x in members), x
+    scaled_n0 = bool(gens) and all(x in members for x in range(0, limit + 1, g))
+    assert m.is_all_of_scaled_n0() == scaled_n0
+    if not gens or scaled_n0:
+        assert m.frobenius_gap() is None
+    else:
+        gap = max(x for x in range(0, limit + 1, g) if x not in members)
+        assert gap < limit - 12 * g  # the closure reached past the gap
+        assert m.frobenius_gap() == gap
 
 
 def test_trivial_numerical():
@@ -445,6 +483,76 @@ def test_json_round_trip(n0, num23, halfplane, cone_sqrt2, rank4_h):
         again = monoid_from_json(text)
         assert again == spec
         assert monoid_to_json(again) == text
+
+
+Z3_TORSION = GroupSignature(3, (2,))
+_coords = st.integers(-3, 3)
+
+
+def _elements(sig):
+    return st.builds(
+        sig.element,
+        st.tuples(*[_coords] * sig.free_rank),
+        st.tuples(*[st.integers(0, n - 1) for n in sig.torsion_orders]),
+    )
+
+
+_surds = st.builds(
+    QuadraticSurd,
+    _coords,
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    st.integers(1, 3),
+    st.sampled_from([2, 3, 5, 6, 7]),
+)
+
+
+@st.composite
+def valid_specs(draw):
+    """A spec of any family, drawn only among inputs the constructors accept."""
+    family = draw(st.sampled_from(["N0", "NUM", "LEX", "CONE", "FREE", "COMPOSITE"]))
+    label = draw(st.text("abc-", max_size=4))
+    if family == "N0":
+        return full_n0(label)
+    if family == "NUM":
+        return numerical(draw(st.lists(st.integers(1, 12), max_size=4)), label)
+    if family == "COMPOSITE":
+        # over Z^3 x Z/2, with the valuation plane inside the base subgroup
+        sig = Z3_TORSION
+        if draw(st.booleans()):
+            val = half_plane_lex(sig, (0, 1), "v")
+        else:
+            val = irrational_cone(draw(_surds), sig, (0, 1), "v")
+        extra = draw(st.lists(_elements(sig), max_size=1))
+        graded = st.tuples(_coords, _coords, st.integers(1, 3), st.integers(0, 1))
+        positive = [
+            sig.element((a, b, c), (t,))
+            for a, b, c, t in draw(st.lists(graded, min_size=2, max_size=3))
+        ]
+        try:
+            base = (sig.basis_element(0), sig.basis_element(1), *extra)
+            return composite(val, ComplementSpec(sig, base, positive), label)
+        except ValueError:
+            assume(False)
+    sig = draw(st.sampled_from([Z2, GroupSignature(3), Z3_TORSION]))
+    plane = tuple(draw(st.permutations(range(sig.free_rank)))[:2])
+    if family == "LEX":
+        return half_plane_lex(sig, plane, label)
+    if family == "CONE":
+        return irrational_cone(draw(_surds), sig, plane, label)
+    try:
+        return free_generated(sig, draw(st.lists(_elements(sig), max_size=3)), label)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(valid_specs())
+def test_json_round_trip_random(spec):
+    text = monoid_to_json(spec)
+    again = monoid_from_json(text)
+    assert again == spec
+    assert type(again) is type(spec)
+    assert monoid_to_json(again) == text
 
 
 def test_loaded_composite_shares_one_signature(rank4_h, tmp_path):

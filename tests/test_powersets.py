@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powmon.ambient import GroupSignature
-from powmon.monoids import free_generated, numerical
+from powmon.monoids import free_generated, full_n0, numerical
 from powmon.powersets import (
     FinSubset1,
     MembershipError,
@@ -43,6 +43,47 @@ def test_make_rejects_non_members(num23):
     with pytest.raises(MembershipError) as err:
         FinSubset1.from_ints(num23, [0, 1])
     assert "1" in str(err.value)
+
+
+class CountingMonoid:
+    """A monoid that records every element it is asked about."""
+
+    def __init__(self, spec):
+        self.spec, self.label, self.asked = spec, spec.label, []
+
+    def identity(self):
+        return self.spec.identity()
+
+    def contains(self, u):
+        self.asked.append(u)
+        return self.spec.contains(u)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([full_n0(), numerical([3, 5, 7]), numerical([2, 3])]),
+    st.lists(st.integers(-3, 12), max_size=6),
+)
+@example(full_n0(), [0, 0, 4])  # a second, equal identity object collapses onto the first
+@example(numerical([3, 5, 7]), [5, 4, 1])  # 1 and 4 fail: 1 comes first in sorted order
+def test_make_checks_each_distinct_member_once_in_order(spec, values):
+    monoid = CountingMonoid(spec)
+    # a fresh element object for every value, identities included
+    elements = [Z1.element(v) for v in values]
+    distinct = sorted(set(values) | {0})
+    failing = [v for v in distinct if not spec.contains(Z1.element(v))]
+    if failing:
+        with pytest.raises(MembershipError) as err:
+            FinSubset1.make(monoid, elements)
+        assert err.value.element == Z1.element(failing[0])
+        asked = [v for v in distinct if v <= failing[0]]
+    else:
+        x = FinSubset1.make(monoid, elements)
+        assert x.ints() == tuple(distinct)
+        assert x.elements[0] is spec.identity()
+        asked = distinct
+    # the identity is never asked about; every other member once, sorted
+    assert [u.free[0] for u in monoid.asked] == [v for v in asked if v != 0]
 
 
 def test_product_examples(n0):
