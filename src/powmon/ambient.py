@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, mod, neg
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "lattice_contains",
     "lattice_residue",
     "residue_rows",
-    "element_vector",
     "subgroup_rows",
     "subgroup_contains",
     "subgroups_equal",
@@ -69,8 +68,16 @@ class GroupSignature:
             raise ValueError("free_rank must be non-negative")
         if any(n < 2 for n in self.torsion_orders):
             raise ValueError("torsion orders must all be >= 2")
-        identity = GroupElement(self, (0,) * self.free_rank, (0,) * len(self.torsion_orders))
+        identity = GroupElement(self, (0,) * (self.free_rank + len(self.torsion_orders)))
         object.__setattr__(self, "_identity", identity)
+
+    def _canonical(self, coords: tuple[int, ...]) -> GroupElement:
+        """The element with these coordinates, torsion residues reduced
+        into [0, n): the one place an element's torsion is reduced."""
+        if not self.torsion_orders:
+            return GroupElement(self, coords)
+        d = self.free_rank
+        return GroupElement(self, coords[:d] + tuple(map(mod, coords[d:], self.torsion_orders)))
 
     def element(self, free: int | Iterable[int] = (), torsion: Iterable[int] = ()) -> GroupElement:
         if isinstance(free, int):
@@ -82,8 +89,7 @@ class GroupSignature:
                 f"coordinate count mismatch for signature {self}: "
                 f"got {len(free)} free / {len(torsion)} torsion"
             )
-        torsion = tuple(t % n for t, n in zip(torsion, self.torsion_orders))
-        return GroupElement(self, free, torsion)
+        return self._canonical(free + torsion)
 
     def identity(self) -> GroupElement:
         return self._identity
@@ -92,19 +98,28 @@ class GroupSignature:
         """Standard basis vector e_index of the free part."""
         if not 0 <= index < self.free_rank:
             raise ValueError(f"free coordinate index {index} out of range")
-        free = tuple(1 if i == index else 0 for i in range(self.free_rank))
-        return GroupElement(self, free, (0,) * len(self.torsion_orders))
+        width = self.free_rank + len(self.torsion_orders)
+        return GroupElement(self, tuple(int(i == index) for i in range(width)))
 
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
-    """Element of an ambient group, torsion residues canonical in [0, n)."""
+    """Element of an ambient group: its free coordinates, then its torsion
+    residues canonical in [0, n).  ``GroupSignature.element`` checks and
+    reduces coordinates; the constructor trusts its caller to."""
 
     # compared, not hashed: hashing it would call a second, Python-level
     # __hash__ on every element hash
     signature: GroupSignature = field(hash=False)
-    free: tuple[int, ...]
-    torsion: tuple[int, ...]
+    coords: tuple[int, ...]
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        return self.coords[: self.signature.free_rank]
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return self.coords[self.signature.free_rank :]
 
     def _check(self, other: GroupElement) -> None:
         # signatures are usually one shared object; compare fields only when not
@@ -115,36 +130,19 @@ class GroupElement:
 
     def __add__(self, other: GroupElement) -> GroupElement:
         self._check(other)
-        sig = self.signature
-        free = tuple(map(add, self.free, other.free))
-        if not sig.torsion_orders:
-            return GroupElement(sig, free, ())
-        torsion = tuple(
-            (a + b) % n for a, b, n in zip(self.torsion, other.torsion, sig.torsion_orders)
-        )
-        return GroupElement(sig, free, torsion)
+        return self.signature._canonical(tuple(map(add, self.coords, other.coords)))
 
     def __neg__(self) -> GroupElement:
-        sig = self.signature
-        free = tuple(map(neg, self.free))
-        if not sig.torsion_orders:
-            return GroupElement(sig, free, ())
-        torsion = tuple((-a) % n for a, n in zip(self.torsion, sig.torsion_orders))
-        return GroupElement(sig, free, torsion)
+        return self.signature._canonical(tuple(map(neg, self.coords)))
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         return self + (-other)
 
     def scale(self, n: int) -> GroupElement:
-        sig = self.signature
-        free = tuple(a * n for a in self.free)
-        if not sig.torsion_orders:
-            return GroupElement(sig, free, ())
-        torsion = tuple((a * n) % m for a, m in zip(self.torsion, sig.torsion_orders))
-        return GroupElement(sig, free, torsion)
+        return self.signature._canonical(tuple(a * n for a in self.coords))
 
     def is_identity(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
+        return not any(self.coords)
 
     def order(self) -> int | _InfiniteOrder:
         if any(self.free):
@@ -154,9 +152,10 @@ class GroupElement:
             result = lcm(result, n // gcd(t, n))
         return result
 
-    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Canonical sort key: lexicographic on free part, then torsion."""
-        return (self.free, self.torsion)
+    def key(self) -> tuple[int, ...]:
+        """Canonical sort key: within one signature, lexicographic on the
+        free part, then the torsion."""
+        return self.coords
 
     def norm_inf(self) -> int:
         return max((abs(a) for a in self.free), default=0)
@@ -289,6 +288,12 @@ class RelationLattice:
         return lattice_contains(self.generators, pair)
 
 
+def _torsion_relations(sig: GroupSignature) -> list[list[int]]:
+    """The rows n_j * e_(d+j): torsion coordinate j is defined modulo n_j."""
+    d, width = sig.free_rank, len(sig.identity().coords)
+    return [[n * (k == d + j) for k in range(width)] for j, n in enumerate(sig.torsion_orders)]
+
+
 def solve_relations(a: GroupElement, b: GroupElement) -> RelationLattice:
     """Kernel of (n, m) -> n*a + m*b, computed exactly.
 
@@ -298,19 +303,8 @@ def solve_relations(a: GroupElement, b: GroupElement) -> RelationLattice:
     inputs give identical generator lists.
     """
     a._check(b)
-    sig = a.signature
-    d = sig.free_rank
-    t = len(sig.torsion_orders)
-    width = d + t
-    rows: list[list[int]] = [
-        list(a.free) + list(a.torsion),
-        list(b.free) + list(b.torsion),
-    ]
-    for j, n in enumerate(sig.torsion_orders):
-        row = [0] * width
-        row[d + j] = n
-        rows.append(row)
-    ker = kernel_rows(rows, width)
+    rows = [list(a.coords), list(b.coords), *_torsion_relations(a.signature)]
+    ker = kernel_rows(rows, len(a.coords))
     projected = [row[:2] for row in ker]
     gens = hnf_rows(projected, 2)
     return RelationLattice(tuple((g[0], g[1]) for g in gens))
@@ -326,23 +320,13 @@ def solve_relations(a: GroupElement, b: GroupElement) -> RelationLattice:
 # ---------------------------------------------------------------------------
 
 
-def element_vector(u: GroupElement) -> tuple[int, ...]:
-    return u.free + u.torsion
-
-
 def subgroup_rows(sig: GroupSignature, gens: Iterable[GroupElement]) -> tuple[tuple[int, ...], ...]:
-    d = sig.free_rank
-    t = len(sig.torsion_orders)
-    rows = [list(element_vector(g)) for g in gens]
-    for j, n in enumerate(sig.torsion_orders):
-        row = [0] * (d + t)
-        row[d + j] = n
-        rows.append(row)
-    return hnf_rows(rows, d + t)
+    rows = [list(g.coords) for g in gens] + _torsion_relations(sig)
+    return hnf_rows(rows, len(sig.identity().coords))
 
 
 def subgroup_contains(rows: Sequence[Sequence[int]], u: GroupElement) -> bool:
-    return lattice_contains(rows, element_vector(u))
+    return lattice_contains(rows, u.coords)
 
 
 def subgroups_equal(sig: GroupSignature, gens_a: Iterable[GroupElement], gens_b: Iterable[GroupElement]) -> bool:

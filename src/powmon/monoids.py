@@ -38,7 +38,6 @@ from .ambient import (
     GroupSignature,
     ResidueRow,
     SignatureMismatchError,
-    element_vector,
     lattice_residue,
     residue_rows,
     subgroup_rows,
@@ -151,7 +150,7 @@ def ambient_window(sig: GroupSignature, window: Window) -> Iterator[GroupElement
     free_ranges = [range(-b, b + 1)] * sig.free_rank
     torsion_ranges = [range(n) for n in sig.torsion_orders]
     for coords in itertools.product(*free_ranges, *torsion_ranges):
-        yield GroupElement(sig, coords[: sig.free_rank], coords[sig.free_rank :])
+        yield GroupElement(sig, coords)
 
 
 def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupElement]:
@@ -169,7 +168,7 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
             if max(map(abs, free), default=0) != k:
                 continue
             for torsion in itertools.product(*torsion_ranges):
-                yield GroupElement(sig, free, torsion)
+                yield GroupElement(sig, free + torsion)
 
 
 class ValuationStatus(str, Enum):
@@ -248,7 +247,7 @@ class FullN0(MonoidSpec):
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
-        return u.free[0] >= 0
+        return u.coords[0] >= 0
 
     def is_reduced(self) -> bool:
         return True
@@ -337,7 +336,7 @@ class Numerical(MonoidSpec):
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
-        return self.contains_int(u.free[0])
+        return self.contains_int(u.coords[0])
 
     def is_reduced(self) -> bool:
         return True
@@ -359,7 +358,7 @@ class _Planar(MonoidSpec):
     __slots__ = ()
 
     embedding: tuple[int, int]
-    #: the free coordinates outside the embedding, set by ``__post_init__``
+    #: every coordinate outside the embedding, torsion included
     _off_plane: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -368,24 +367,23 @@ class _Planar(MonoidSpec):
         d = self.signature.free_rank
         if not (type(i) is int and type(j) is int and 0 <= i < d and 0 <= j < d and i != j):
             raise ValueError(f"embedding {self.embedding} invalid for free rank {d}")
-        object.__setattr__(self, "_off_plane", tuple(k for k in range(d) if k not in (i, j)))
+        width = d + len(self.signature.torsion_orders)
+        object.__setattr__(self, "_off_plane", tuple(k for k in range(width) if k not in (i, j)))
 
     def plane_coords(self, u: GroupElement) -> tuple[int, int] | None:
         """(x, y) on the embedding plane, or None if u leaves the plane."""
-        if any(u.torsion):
-            return None
-        free = u.free
+        coords = u.coords
         for k in self._off_plane:
-            if free[k]:
+            if coords[k]:
                 return None
         i, j = self.embedding
-        return free[i], free[j]
+        return coords[i], coords[j]
 
     def plane_element(self, x: int, y: int) -> GroupElement:
         i, j = self.embedding
-        free = [0] * self.signature.free_rank
-        free[i], free[j] = x, y
-        return self.signature.element(free, (0,) * len(self.signature.torsion_orders))
+        coords = list(self.signature.identity().coords)
+        coords[i], coords[j] = x, y
+        return GroupElement(self.signature, tuple(coords))
 
     def quotient_generators(self) -> tuple[GroupElement, ...]:
         return (self.plane_element(1, 0), self.plane_element(0, 1))
@@ -582,7 +580,7 @@ class FreeGenerated(MonoidSpec):
             return True
         if self._complement is not None:
             return self._complement.contains(u)
-        return not any(lattice_residue(self._group_rows, element_vector(u)))
+        return not any(lattice_residue(self._group_rows, u.coords))
 
     def is_reduced(self) -> bool:
         if self._complement is not None:
@@ -654,7 +652,8 @@ class ComplementSpec:
 
     def grade(self, u: GroupElement) -> int:
         """The grading functional at u; it vanishes on G."""
-        return sum(l * c for l, c in zip(self._grading, u.free))
+        # the grading has one entry per free coordinate, so zip stops there
+        return sum(l * c for l, c in zip(self._grading, u.coords))
 
     def member_combination(self, u: GroupElement) -> tuple[int, ...] | None:
         """The lexicographically least c in N0^k, c != 0, with
@@ -666,7 +665,7 @@ class ComplementSpec:
         queries across a window collapse to a few searches.
         """
         rows = self._residue_rows
-        residue = lattice_residue(rows, element_vector(u))
+        residue = lattice_residue(rows, u.coords)
         memo = self._cache["member"]
         found = memo.get((0, residue), _UNSEEN)
         if found is not _UNSEEN:
@@ -675,7 +674,7 @@ class ComplementSpec:
         if budget < 1:
             memo[0, residue] = None
             return None
-        gens = [element_vector(g) for g in self.positive_generators]
+        gens = [g.coords for g in self.positive_generators]
         weights = [self.grade(g) for g in self.positive_generators]
         last = len(gens) - 1
 
@@ -709,7 +708,7 @@ class ComplementSpec:
 
     def contains_with_base(self, u: GroupElement) -> bool:
         """Membership in G.(M | {identity}) = G.M union G."""
-        return not any(lattice_residue(self._residue_rows, element_vector(u))) or self.contains(u)
+        return not any(lattice_residue(self._residue_rows, u.coords)) or self.contains(u)
 
     def has_incomparable_pair(self) -> bool:
         """Some pair of positive generators divides in neither direction."""
@@ -752,7 +751,7 @@ class Composite(MonoidSpec):
             raise ValueError("composite valuation part must be an analytic valuation family")
         rows = self.complement_part._residue_rows
         for g in self.valuation_part.quotient_generators():
-            if any(lattice_residue(rows, element_vector(g))):
+            if any(lattice_residue(rows, g.coords)):
                 raise ValueError(
                     "quotient group of the valuation part must lie in the "
                     "complement's base subgroup"
@@ -809,11 +808,13 @@ def irrational_cone(
     alpha: QuadraticSurd,
     signature: GroupSignature = GroupSignature(2),
     embedding: tuple[int, int] = (0, 1),
-    label: str = "",
+    label: str | None = None,
 ) -> IrrationalCone:
+    """The cone of an irrational slope; without a label it is named after
+    the slope.  Monoid files load through here, keeping their label."""
     if not alpha.is_irrational():
         raise ValueError("cone slope must be irrational (q != 0)")
-    return IrrationalCone(signature, embedding, alpha, label or f"cone{alpha!r}")
+    return IrrationalCone(signature, embedding, alpha, f"cone{alpha!r}" if label is None else label)
 
 
 def free_generated(
@@ -858,7 +859,7 @@ def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
     q_rows = residue_rows(subgroup_rows(spec.signature, spec.quotient_generators()))
     # the identity lies in every monoid, so it is never a witness
     for u in witness_search_order(spec.signature, window):
-        if any(lattice_residue(q_rows, element_vector(u))):
+        if any(lattice_residue(q_rows, u.coords)):
             continue
         if not spec.contains(u) and not spec.contains(-u):
             return ValuationVerdict(ValuationStatus.FALSE_WITNESS, u)
@@ -971,9 +972,7 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
         if family == "IRRATIONAL_CONE":
             a = obj["alpha"]
             alpha = QuadraticSurd(a["p"], a["q"], a["r"], a["n"])
-            if not alpha.is_irrational():
-                raise ValueError("cone slope must be irrational (q != 0)")
-            return IrrationalCone(sig, tuple(obj["embedding"]), alpha, label)
+            return irrational_cone(alpha, sig, tuple(obj["embedding"]), label)
         if family == "FREE_GENERATED":
             gens = tuple(_element_from_obj(sig, g) for g in obj["generators"])
             return FreeGenerated(sig, gens, label)

@@ -38,7 +38,7 @@ _Z1_ELEMENTS: dict[int, GroupElement] = {}
 def _z1_element(x: int) -> GroupElement:
     elem = _Z1_ELEMENTS.get(x)
     if elem is None:
-        elem = GroupElement(_Z1, (x,), ())
+        elem = GroupElement(_Z1, (x,))
         _Z1_ELEMENTS[x] = elem
     return elem
 
@@ -107,7 +107,7 @@ class FinSubset1:
 
     def ints(self) -> tuple[int, ...]:
         """Free coordinates for subsets of monoids inside Z."""
-        return tuple(u.free[0] for u in self.elements)
+        return tuple(u.coords[0] for u in self.elements)
 
     def __mul__(self, other: FinSubset1) -> FinSubset1:
         return set_product(self, other)
@@ -131,9 +131,9 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
     _check_same_monoid(x, y)
     if x.monoid.signature == _Z1:
         values: set[int] = set()
-        ys = [v.free[0] for v in y.elements]
+        ys = [v.coords[0] for v in y.elements]
         for u in x.elements:
-            a = u.free[0]
+            a = u.coords[0]
             values.update(a + b for b in ys)
         elems = tuple(_z1_element(v) for v in sorted(values))
         return FinSubset1(x.monoid, elems)

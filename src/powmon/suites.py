@@ -45,6 +45,7 @@ from .monoids import (
     QuadraticSurd,
     Window,
     composite,
+    element_to_dict,
     elements_in_window,
     half_plane_lex,
     irrational_cone,
@@ -141,12 +142,8 @@ class SuiteReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _elem_obj(u: GroupElement) -> list:
-    return [list(u.free), list(u.torsion)]
-
-
 def _set_obj(x: FinSubset1) -> list:
-    return [_elem_obj(u) for u in x.elements]
+    return [element_to_dict(u) for u in x.elements]
 
 
 #: The value a failure records for a member's reversed class.
@@ -248,7 +245,7 @@ def _two_sets(s: _Sample):
     """Two-element sets map to two-element sets."""
     a = s.member()
     if len(apply_iso(s.iso, FinSubset1.make(s.iso.domain, (s.iso.domain.identity(), a)))) != 2:
-        yield {"a": _elem_obj(a)}
+        yield {"a": element_to_dict(a)}
 
 
 @_suite("cardinality", per_case=True)
@@ -266,7 +263,7 @@ def _pullback_powers(s: _Sample):
     ga = pullback(s.iso, a)
     for n in range(11):
         if pullback(s.iso, a.scale(n)) != ga.scale(n):
-            yield {"a": _elem_obj(a), "n": n}
+            yield {"a": element_to_dict(a), "n": n}
 
 
 @_suite("quotient_multiplicity", per_case=True)
@@ -278,7 +275,7 @@ def _quotient_multiplicity(s: _Sample):
     if not direct:
         s.skips += 1
     if direct != image:
-        yield {"X": _set_obj(x), "a": _elem_obj(a), "direct": direct, "image": image}
+        yield {"X": _set_obj(x), "a": element_to_dict(a), "direct": direct, "image": image}
 
 
 @_suite("product_dichotomy", per_case=True)
@@ -287,7 +284,7 @@ def _product_dichotomy(s: _Sample):
     a, b = s.member(), s.member()
     ga, gb, gab = pullback(s.iso, a), pullback(s.iso, b), pullback(s.iso, a + b)
     if gab != ga + gb and gab not in (ga - gb, gb - ga):
-        yield {"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)}
+        yield {"a": element_to_dict(a), "b": element_to_dict(b), "g(ab)": element_to_dict(gab)}
 
 
 @_suite("dependent_products", per_case=True)
@@ -297,7 +294,7 @@ def _dependent_products(s: _Sample):
     n, m = s.rng.randint(1, 4), s.rng.randint(1, 4)
     a, b = w.scale(n), w.scale(m)
     if pullback(s.iso, a + b) != pullback(s.iso, a) + pullback(s.iso, b):
-        yield {"a": _elem_obj(a), "b": _elem_obj(b)}
+        yield {"a": element_to_dict(a), "b": element_to_dict(b)}
 
 
 @_suite("independent_powers")
@@ -308,7 +305,7 @@ def _independent_powers(s: _Sample) -> list[dict]:
     for a, b in _pairs(s, lambda a, b: g(a + b) != g(a) + g(b)):
         ga, gb = g(a), g(b)
         failures += [
-            {"a": _elem_obj(a), "b": _elem_obj(b), "n": n, "m": m}
+            {"a": element_to_dict(a), "b": element_to_dict(b), "n": n, "m": m}
             for n in range(1, 4)
             for m in range(1, 4)
             if g(a.scale(n) + b.scale(m)) == ga.scale(n) + gb.scale(m)
@@ -332,15 +329,17 @@ def _one_reversed(s: _Sample) -> list[dict]:
         if unequal != (ra != rb):
             failures.append(
                 {
-                    "a": _elem_obj(a),
-                    "b": _elem_obj(b),
+                    "a": element_to_dict(a),
+                    "b": element_to_dict(b),
                     "reversed_a": _CLASS[ra],
                     "reversed_b": _CLASS[rb],
-                    "g(ab)": _elem_obj(gab),
+                    "g(ab)": element_to_dict(gab),
                 }
             )
         elif unequal and gab not in (ga - gb, gb - ga):
-            failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "g(ab)": _elem_obj(gab)})
+            failures.append(
+                {"a": element_to_dict(a), "b": element_to_dict(b), "g(ab)": element_to_dict(gab)}
+            )
     if len(set(rev.values())) < 2:
         s.note = "never sampled both a reversed and a non-reversed element"
     return failures
@@ -363,17 +362,17 @@ def _split_monoids(s: _Sample) -> list[dict]:
     # is certified by its chain image as well
     pool_of = {u: rev for rev, a, b in drawn for u in (a, b)}
     failures = [
-        {"element": _elem_obj(u), "pool": _CLASS[rev]}
+        {"element": element_to_dict(u), "pool": _CLASS[rev]}
         for u, rev in pool_of.items()
         if is_reversed(s.iso, u) != rev
     ]
     failures += [
-        {"a": _elem_obj(a), "b": _elem_obj(b), "class": _CLASS[rev]}
+        {"a": element_to_dict(a), "b": element_to_dict(b), "class": _CLASS[rev]}
         for rev, a, b in drawn
         if is_reversed(s.iso, a + b) != rev
     ]
     failures += [
-        {"reversed_non_pseudo_unit": _elem_obj(u)}
+        {"reversed_non_pseudo_unit": element_to_dict(u)}
         for u in classes[True]
         if pseudo_unit(s.iso.domain, u, s.cfg.window).status is PseudoUnitStatus.NOT_PSEUDO_UNIT
     ]
@@ -396,10 +395,10 @@ def _decomposition_hom(s: _Sample) -> list[dict]:
             hv = decomposition_map(s.iso, v)
             huv = decomposition_map(s.iso, u + v)
         except ValueError as exc:
-            failures.append({"u": _elem_obj(u), "v": _elem_obj(v), "error": str(exc)})
+            failures.append({"u": element_to_dict(u), "v": element_to_dict(v), "error": str(exc)})
             continue
         if huv != hu + hv or not s.iso.codomain.contains(hu):
-            failures.append({"u": _elem_obj(u), "v": _elem_obj(v)})
+            failures.append({"u": element_to_dict(u), "v": element_to_dict(v)})
     return failures
 
 
@@ -437,16 +436,18 @@ def _pseudo_closure(s: _Sample) -> list[dict]:
     for _ in range(count if comp else 0):
         a, b = s.rng.choice(comp), s.rng.choice(comp)
         if inside(a + b):
-            failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "law": "product"})
+            failures.append({"a": element_to_dict(a), "b": element_to_dict(b), "law": "product"})
         if q_pool:
             q = s.rng.choice(q_pool)
             if not spec.contains(a + q) or inside(a + q):
-                failures.append({"a": _elem_obj(a), "q": _elem_obj(q), "law": "translation"})
+                failures.append(
+                    {"a": element_to_dict(a), "q": element_to_dict(q), "law": "translation"}
+                )
     order = spec if dom_val is None else dom_val
     for _ in range(count):
         a, b = s.rng.choice(val), s.rng.choice(val)
         if not (order.contains(a - b) or order.contains(b - a)):
-            failures.append({"a": _elem_obj(a), "b": _elem_obj(b), "law": "valuation"})
+            failures.append({"a": element_to_dict(a), "b": element_to_dict(b), "law": "valuation"})
     s.cases = count * (1 + bool(comp) + bool(q_pool))
     return failures
 
@@ -600,14 +601,16 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
             v = is_irreducible(k, u, window)
         except ValueError as exc:
             # a unit where none should exist, or a membership defect
-            failures.append({"check": "cone-reducibility", "element": _elem_obj(u), "error": str(exc)})
+            failures.append(
+                {"check": "cone-reducibility", "element": element_to_dict(u), "error": str(exc)}
+            )
             continue
         if v.status is not IrreducibleStatus.REDUCIBLE:
-            failures.append({"check": "cone-reducibility", "element": _elem_obj(u)})
+            failures.append({"check": "cone-reducibility", "element": element_to_dict(u)})
             continue
         f1, f2 = v.factors
         if f1 + f2 != u or not k.contains(f1) or not k.contains(f2):
-            failures.append({"check": "cone-witness", "element": _elem_obj(u)})
+            failures.append({"check": "cone-witness", "element": element_to_dict(u)})
 
     # (iv) the translation isomorphism exists and respects products
     cases += 1

@@ -597,8 +597,24 @@ def test_json_schema_validation():
         "embedding": [0, 1],
         "alpha": {"p": 3, "q": 0, "r": 2, "n": 2},
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="irrational"):
         spec_from_dict(bad)
+    # a cone file without a label loads with the empty label, not a slope name
+    unlabelled = {k: v for k, v in bad.items() if k != "label"}
+    unlabelled["alpha"] = {"p": 0, "q": 1, "r": 1, "n": 2}
+    assert spec_from_dict(unlabelled).label == ""
+
+
+@pytest.mark.parametrize("embedding", [(0, 1), (1, 0)])
+def test_plane_coords_none_exactly_off_the_plane(embedding):
+    # in Z^2 + Z/3 the plane is the whole free part, so only a non-zero
+    # torsion residue leaves it
+    sig = GroupSignature(2, (3,))
+    lex = half_plane_lex(sig, embedding)
+    i, j = embedding
+    for x, y, t in itertools.product(range(-2, 3), range(-2, 3), range(3)):
+        xy = (x, y)
+        assert lex.plane_coords(sig.element(xy, (t,))) == (None if t else (xy[i], xy[j]))
 
 
 def test_elements_in_window_sorted_and_cached(num23):

@@ -22,6 +22,7 @@ from powmon.monoids import (
     QuadraticSurd,
     Window,
     composite,
+    element_to_dict,
     elements_in_window,
     free_generated,
     numerical,
@@ -261,7 +262,7 @@ def test_split_monoids_fails_a_drawn_member_its_pool_misplaces(iso, monkeypatch)
     report = run_suite("split_monoids", iso, cfg)
     misplaced = [f for f in report.failures if "element" in f]
     assert report.verdict == Verdict.FAIL and misplaced
-    in_flipped = [[list(u.free), list(u.torsion)] for u in flipped]
+    in_flipped = [element_to_dict(u) for u in flipped]
     for f in misplaced:
         assert (f["pool"] == "REVERSED") == (f["element"] in in_flipped)
     assert report.cases == 2 * (cfg.sample_count // 2) + len(flipped)
