@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import add, mod, neg
+from operator import add, mod, neg, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -136,7 +136,8 @@ class GroupElement:
         return self.signature._canonical(tuple(map(neg, self.coords)))
 
     def __sub__(self, other: GroupElement) -> GroupElement:
-        return self + (-other)
+        self._check(other)
+        return self.signature._canonical(tuple(map(sub, self.coords, other.coords)))
 
     def scale(self, n: int) -> GroupElement:
         return self.signature._canonical(tuple(a * n for a in self.coords))

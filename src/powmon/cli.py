@@ -40,13 +40,11 @@ from .monoids import (
 from .powersets import FinSubset1, reversion, set_power, set_product
 from .structure import IrreducibleStatus, decompose, is_irreducible
 from .suites import (
-    SUITE_NAMES,
     SuiteConfig,
     Verdict,
     format_reports,
     planar_iso,
     run_rank4_example,
-    run_suite,
     verify_iso,
 )
 from .translation import DichotomyViolationError, TranslationCheckError, build_translation_iso
@@ -72,7 +70,8 @@ class ParseError(ValueError):
 #   term    := factor { '^' INT }
 #   factor  := setlit | 'rev' '(' expr ')' | '(' expr ')'
 #   setlit  := '{' element { ',' element } '}'
-#   element := INT | '(' INT {',' INT} [';' INT {',' INT}] ')'
+#   element := INT | '(' ints [';' ints] ')'
+#   ints    := INT { ',' INT }
 # ---------------------------------------------------------------------------
 
 
@@ -182,6 +181,13 @@ class _Parser:
         self.expect("}")
         return FinSubset1.make(self.monoid, elements)
 
+    def parse_ints(self) -> tuple[int, ...]:
+        ints = [int(self.expect("int").text)]
+        while self.peek().kind == ",":
+            self.next()
+            ints.append(int(self.expect("int").text))
+        return tuple(ints)
+
     def parse_element(self) -> GroupElement:
         sig = self.monoid.signature
         tok = self.peek()
@@ -193,20 +199,14 @@ class _Parser:
                 )
             return sig.element(int(tok.text))
         opening = self.expect("(")
-        free = [int(self.expect("int").text)]
-        while self.peek().kind == ",":
-            self.next()
-            free.append(int(self.expect("int").text))
-        torsion = []
+        free = self.parse_ints()
+        torsion = ()
         if self.peek().kind == ";":
             self.next()
-            torsion.append(int(self.expect("int").text))
-            while self.peek().kind == ",":
-                self.next()
-                torsion.append(int(self.expect("int").text))
+            torsion = self.parse_ints()
         self.expect(")")
         try:
-            return sig.element(tuple(free), tuple(torsion))
+            return sig.element(free, torsion)
         except ValueError as exc:
             raise ParseError(str(exc), opening.pos) from exc
 
@@ -233,7 +233,9 @@ def _load_monoid(path: str | None) -> MonoidSpec:
         raise _UsageError(f"monoid file not found: {path}")
     except OSError as exc:
         raise _UsageError(f"cannot read monoid file {path}: {exc.strerror or exc}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; a RecursionError is JSON
+        # nested past the decoder's depth
         raise _SchemaError(f"invalid monoid file {path}: {exc}")
 
 
@@ -357,12 +359,7 @@ def cmd_suite(args) -> int:
         iso = build_translation_iso(_load_monoid(args.domain), _load_monoid(args.codomain))
     else:
         iso = planar_iso()
-    for name in args.names:
-        if name not in SUITE_NAMES:
-            raise _UsageError(
-                f"unknown suite {name!r}; available: {', '.join(sorted(SUITE_NAMES))}"
-            )
-    reports = [run_suite(name, iso, cfg) for name in sorted(args.names)]
+    reports = verify_iso(iso, cfg, args.names)
     sys.stdout.write(format_reports(reports, args.format))
     return _report_exit(reports)
 

@@ -91,9 +91,8 @@ def _sign_a_plus_b_sqrt(a: int, b: int, n: int) -> int:
         return 1
     if a < 0 and b < 0:
         return -1
+    # a*a == b*b*n would make n a square, which QuadraticSurd refuses
     lhs, rhs = a * a, b * b * n
-    if lhs == rhs:
-        return 0
     if a > 0:
         return 1 if lhs > rhs else -1
     return 1 if rhs > lhs else -1
@@ -545,9 +544,6 @@ class FreeGenerated(MonoidSpec):
         for g in gens:
             if g.signature != self.signature:
                 raise SignatureMismatchError("generator signature mismatch")
-        if not gens:
-            object.__setattr__(self, "_group_rows", residue_rows(subgroup_rows(self.signature, ())))
-            return
         try:
             object.__setattr__(self, "_complement", ComplementSpec(self.signature, (), gens))
             return
@@ -709,6 +705,18 @@ class ComplementSpec:
     def contains_with_base(self, u: GroupElement) -> bool:
         """Membership in G.(M | {identity}) = G.M union G."""
         return not any(lattice_residue(self._residue_rows, u.coords)) or self.contains(u)
+
+    def generator_outside(self, other: ComplementSpec) -> GroupElement | None:
+        """The first positive generator of this complement that ``other``
+        does not contain, or None.
+
+        For two complements over the same base lattice G, None both ways
+        certifies that they are one set: ``other`` is closed under
+        addition and under translation by G, so holding every m_i it
+        holds all of G.M.  Equal sets hold each other's generators, so
+        the test is also complete.
+        """
+        return next((g for g in self.positive_generators if not other.contains(g)), None)
 
     def has_incomparable_pair(self) -> bool:
         """Some pair of positive generators divides in neither direction."""

@@ -12,7 +12,9 @@ integer fast path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .ambient import GroupElement
@@ -32,15 +34,12 @@ __all__ = [
     "reversion",
 ]
 
-_Z1_ELEMENTS: dict[int, GroupElement] = {}
 
-
+# bounded: 4096 entries hold every member of a set spanning 0..4095,
+# such as {0, 1, 3}^1000 with its members 0..3000
+@lru_cache(maxsize=4096)
 def _z1_element(x: int) -> GroupElement:
-    elem = _Z1_ELEMENTS.get(x)
-    if elem is None:
-        elem = GroupElement(_Z1, (x,))
-        _Z1_ELEMENTS[x] = elem
-    return elem
+    return GroupElement(_Z1, (x,))
 
 
 class MonoidMismatchError(ValueError):
@@ -209,26 +208,21 @@ def quotient_multiplicity(x: FinSubset1, a: GroupElement) -> int:
 def quotients(x: FinSubset1) -> QuotientReport:
     """All quotients of X with multiplicities.
 
-    Candidates are the pairwise differences u - v taken in the ambient
-    group; only those landing in the monoid count.  Each multiplicity is
-    cross-checked against the cardinality identity
-    |{identity, a} * X| = 2|X| - n.
+    The multiplicity of a is the number of pairs (u, v) of members with
+    u - v = a (take u = a + b, v = b), so one count of the pairwise
+    differences u - v, u != v, taken in the ambient group, gives every
+    candidate with its multiplicity; only those landing in the monoid
+    count.  Each multiplicity is cross-checked against the cardinality
+    identity |{identity, a} * X| = 2|X| - n.
     """
     monoid = x.monoid
     identity = monoid.identity()
-    members = set(x.elements)
-    candidates: set[GroupElement] = set()
-    for u in x.elements:
-        for v in x.elements:
-            if u != v:
-                candidates.add(u - v)
+    counts = Counter(u - v for u in x.elements for v in x.elements if u is not v)
     entries = []
-    for a in sorted(candidates, key=GroupElement.key):
-        if a == identity or not monoid.contains(a):
+    for a in sorted(counts, key=GroupElement.key):
+        if not monoid.contains(a):
             continue
-        n = sum(1 for b in x.elements if (a + b) in members)
-        if n == 0:
-            continue
+        n = counts[a]
         pair = FinSubset1(monoid, tuple(sorted({identity, a}, key=GroupElement.key)))
         if len(set_product(pair, x)) != 2 * len(x) - n:
             raise AssertionError(

@@ -79,8 +79,6 @@ __all__ = [
     "SUITE_NAMES",
     "run_suite",
     "verify_iso",
-    "standard_half_plane",
-    "sqrt2_cone",
     "planar_pair",
     "planar_iso",
     "rank4_pair",
@@ -516,17 +514,9 @@ def verify_iso(
 _Z4 = GroupSignature(4)
 
 
-def standard_half_plane():
-    return half_plane_lex(label="half-plane-lex")
-
-
-def sqrt2_cone():
-    return irrational_cone(QuadraticSurd(0, 1, 1, 2), label="cone-sqrt2")
-
-
 def planar_pair():
     """The lexicographic half-plane and the sqrt(2)-cone inside Z^2."""
-    return standard_half_plane(), sqrt2_cone()
+    return half_plane_lex(), irrational_cone(QuadraticSurd(0, 1, 1, 2), label="cone-sqrt2")
 
 
 def planar_iso() -> TranslationIso:
@@ -579,10 +569,7 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
     # (i) decomposition recovers the valuation part
     report = decompose(h, window)
     cases += 1
-    val_members = tuple(
-        u for u in elements_in_window(h, window) if h.valuation_part.contains(u)
-    )
-    if report.pseudo_units != val_members or report.unknown:
+    if report.pseudo_units != elements_in_window(h.valuation_part, window) or report.unknown:
         failures.append({"check": "decomposition", "detail": "pseudo-units != valuation part"})
 
     # (ii) the (1,0)-image is irreducible in the domain

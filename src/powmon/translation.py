@@ -11,7 +11,7 @@ Applicability is certified structurally before any set is mapped:
 
 * both monoids reduced (certified per family, never searched);
 * either both are analytic valuation families with equal quotient
-  groups, or both are composites sharing the complement data with
+  groups, or both are composites with the same complement set and
   valuation parts of equal quotient groups, or the two specs are
   structurally identical.
 
@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .ambient import GroupElement, INFINITE, subgroups_equal
 from .monoids import Composite, MonoidSpec, pseudo_unit_submonoid
-from .powersets import FinSubset1, checked_members, set_product
+from .powersets import FinSubset1, checked_members
 
 __all__ = [
     "ApplicabilityError",
@@ -125,7 +125,7 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
     Checks run in a fixed order and the first violated condition is
     reported: ambient signatures equal, H reduced, K reduced, then one
     of the three templates (identical pair / valuation pair with equal
-    quotient groups / composite pair sharing complement data with
+    quotient groups / composite pair with the same complement set and
     valuation parts of equal quotient groups).
     """
     if h.signature != k.signature:
@@ -143,11 +143,20 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
         template = "valuation-pair"
         differ = "valuation pair has different quotient groups inside the ambient group"
     elif isinstance(h, Composite) and isinstance(k, Composite):
-        if h.complement_part != k.complement_part:
+        h_c, k_c = h.complement_part, k.complement_part
+        if not subgroups_equal(h.signature, h_c.base_subgroup, k_c.base_subgroup):
             raise ApplicabilityError(
                 "complement-not-shared",
                 "composite pair must share the complement data exactly",
             )
+        for a, b in ((h, k), (k, h)):
+            stray = a.complement_part.generator_outside(b.complement_part)
+            if stray is not None:
+                raise ApplicabilityError(
+                    "complement-not-shared",
+                    f"composite pair must share the complement set: positive generator "
+                    f"{stray!r} of {a.label!r} lies outside the complement of {b.label!r}",
+                )
         template, differ = "composite-pair", "valuation parts have different quotient groups"
     else:
         raise ApplicabilityError(
@@ -219,13 +228,9 @@ def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
     cached = f._pullback_cache.get(a)
     if cached is not None:
         return cached
-    image = _image(f, checked_members(f.domain, (a,)))
-    others = [u for u in image if not u.is_identity()]
-    if len(others) != 1:
-        raise TranslationCheckError(
-            f"image of a 2-set was not a 2-set: {FinSubset1(f.codomain, image)!r}"
-        )
-    result = others[0]
+    # _image checks that the two translates are distinct and hold the identity
+    low, high = _image(f, checked_members(f.domain, (a,)))
+    result = high if low.is_identity() else low
     f._pullback_cache[a] = result
     return result
 

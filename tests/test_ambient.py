@@ -53,6 +53,11 @@ def test_compose_reduces_torsion():
 def test_compose_signature_mismatch():
     with pytest.raises(SignatureMismatchError):
         Z1.element(1) + Z2.element((1, 2))
+    # binary minus checks the signatures once, with the message of plus
+    message = f"cannot combine elements of {Z1} and {Z2}"
+    with pytest.raises(SignatureMismatchError) as err:
+        Z1.element(1) - Z2.element((1, 2))
+    assert str(err.value) == message
     # a torsion-free element meets one with torsion of the same free rank
     for u, v in ((Z1.element(1), Z_X_MOD3.element((1,), (1,))),
                  (Z_X_MOD3.element((1,), (1,)), Z1.element(1))):

@@ -283,6 +283,20 @@ def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "FILE"], ["eval", "{0}", "--monoid", "FILE"], ["iso", "FILE", "FILE"]],
+    ids=["analyze", "eval-monoid", "iso"],
+)
+def test_deeply_nested_monoid_file_exit_3(tmp_path, capsys, argv):
+    # JSON nested past the decoder's depth is a schema error, not a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid monoid file ") and err.count("\n") == 1, err
+
+
 def test_unreadable_monoid_path_exit_2(tmp_path, capsys):
     # a directory is an OSError other than FileNotFoundError: a usage error
     assert main(["analyze", str(tmp_path)]) == 2

@@ -4,12 +4,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powmon.ambient import GroupSignature
-from powmon.monoids import free_generated, full_n0, numerical
+from powmon.ambient import GroupElement, GroupSignature
+from powmon.monoids import (
+    Window,
+    ambient_window,
+    elements_in_window,
+    free_generated,
+    full_n0,
+    half_plane_lex,
+    numerical,
+)
 from powmon.powersets import (
     FinSubset1,
     MembershipError,
     MonoidMismatchError,
+    _z1_element,
     divides,
     quotient_multiplicity,
     quotients,
@@ -217,6 +226,41 @@ def test_quotients_respect_monoid(num23):
     report = quotients(x)
     assert Z1.element(1) not in report.quotient_elements()
     assert report.multiplicity(Z1.element(2)) == 1
+
+
+Z_MOD3 = GroupSignature(1, (3,))
+QUOTIENT_MONOIDS = (
+    full_n0(),
+    half_plane_lex(),
+    free_generated(Z_MOD3, (Z_MOD3.element((1,), (1,)), Z_MOD3.element((2,), (0,)))),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(QUOTIENT_MONOIDS).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.sampled_from(elements_in_window(m, Window(3))), max_size=5))))
+def test_quotients_match_definition(case):
+    # every a != 0 of the monoid with #{b in X : a + b in X} > 0, in key
+    # order; X - X lies in the window of bound 6
+    monoid, members = case
+    x = FinSubset1.make(monoid, members)
+    count = {
+        a: sum(a + b in x for b in x)
+        for a in ambient_window(monoid.signature, Window(6))
+        if not a.is_identity() and monoid.contains(a)
+    }
+    assert quotients(x).entries == tuple((a, n) for a, n in count.items() if n)
+    for a, n in count.items():
+        assert quotient_multiplicity(x, a) == n
+
+
+def test_z1_element_cache_is_bounded():
+    maxsize = _z1_element.cache_info().maxsize
+    values = range(-10, maxsize + 10)
+    assert [_z1_element(x) for x in values] == [GroupElement(Z1, (x,)) for x in values]
+    assert _z1_element.cache_info().currsize <= maxsize
+    # values evicted by the sweep come back equal
+    assert _z1_element(-10) == GroupElement(Z1, (-10,))
 
 
 def test_reversion_examples(n0):

@@ -20,6 +20,7 @@ from powmon.powersets import (
     set_product,
 )
 from powmon.structure import is_independent, pseudo_unit, PseudoUnitStatus
+from powmon.suites import SuiteConfig, Verdict, verify_iso
 from powmon.translation import (
     ApplicabilityError,
     ReversedStatus,
@@ -38,6 +39,7 @@ from powmon.translation import (
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
 Z4 = GroupSignature(4)
+E4 = [Z4.basis_element(i) for i in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,43 @@ def test_build_iso_rejects_composite_quotient_mismatch():
     assert str(err.value) == (
         "APPLICABILITY_FAILED [quotient-groups-differ]: "
         "valuation parts have different quotient groups"
+    )
+
+
+@pytest.mark.parametrize(
+    "base, gens",
+    [((E4[1], E4[0]), (E4[3], E4[2])), ((E4[0], E4[0] + E4[1]), (E4[2], E4[3], E4[2] + E4[3]))],
+    ids=["reordered", "redundant-generator"],
+)
+def test_build_iso_accepts_the_same_complement_set(rank4_h, rank4_k, base, gens):
+    # another presentation of the complement set of rank4_k
+    complement = ComplementSpec(Z4, base, gens)
+    k = composite(rank4_k.valuation_part, complement, label="rank4-K-presented")
+    iso = build_translation_iso(rank4_h, k)
+    assert iso.certificate == "composite-pair"
+    reports = verify_iso(iso, SuiteConfig(window_bound=4, sample_count=200))
+    assert len(reports) == 16
+    assert {r.verdict for r in reports} <= {Verdict.PASS, Verdict.NOT_APPLICABLE}
+
+
+def test_build_iso_rejects_another_complement_set(rank4_h, rank4_k):
+    other = ComplementSpec(Z4, (E4[0], E4[1]), (E4[2], E4[2] + E4[3]))
+    # e3 lies outside <e2, e2 + e3> over <e0, e1>, whichever side holds it
+    for h, k in (
+        (rank4_h, composite(rank4_k.valuation_part, other, label="K")),
+        (composite(rank4_h.valuation_part, other, label="H"), rank4_k),
+    ):
+        with pytest.raises(ApplicabilityError) as err:
+            build_translation_iso(h, k)
+        assert err.value.condition == "complement-not-shared"
+        assert "positive generator (0,0,0,1) of 'rank4-" in str(err.value)
+    # a different base lattice keeps the first message
+    wider = ComplementSpec(Z4, (E4[0], E4[1], E4[2].scale(2)), (E4[3], E4[2] + E4[3]))
+    with pytest.raises(ApplicabilityError) as err:
+        build_translation_iso(rank4_h, composite(rank4_k.valuation_part, wider))
+    assert str(err.value) == (
+        "APPLICABILITY_FAILED [complement-not-shared]: "
+        "composite pair must share the complement data exactly"
     )
 
 
