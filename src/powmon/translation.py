@@ -147,7 +147,7 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
         if not subgroups_equal(h.signature, h_c.base_subgroup, k_c.base_subgroup):
             raise ApplicabilityError(
                 "complement-not-shared",
-                "composite pair must share the complement data exactly",
+                "composite pair must have the same base lattice",
             )
         for a, b in ((h, k), (k, h)):
             stray = a.complement_part.generator_outside(b.complement_part)
@@ -162,7 +162,7 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
         raise ApplicabilityError(
             "template-mismatch",
             f"domain {h.label!r} is neither a valuation monoid nor a composite "
-            f"sharing complement data with {k.label!r} (and the specs are not identical)",
+            f"with the same complement set as {k.label!r} (and the specs are not identical)",
         )
     # both templates compare the quotient groups of the valuation parts
     # (a valuation monoid is its own pseudo-unit submonoid)

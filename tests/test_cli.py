@@ -94,6 +94,28 @@ def test_eval_json_format(capsys):
     assert doc == {"elements": [{"free": [0], "torsion": []}, {"free": [1], "torsion": []}]}
 
 
+def test_eval_sparse_set_power(capsys):
+    # a span of 10**12 per member takes the generic path, never a 10**12-bit mask
+    assert main(["eval", "{0,1000000000000}^3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["free"] for e in doc["elements"]] == [[k * 10**12] for k in range(4)]
+
+
+def test_eval_negative_members_match_generic_path(capsys, tmp_path):
+    # the same expression scaled by 10**12 is sparse, so it takes the generic path
+    z = GroupSignature(1)
+    path = tmp_path / "z.json"
+    path.write_text(monoid_to_json(free_generated(z, [z.element(1), z.element(-1)], "Z")))
+    results = []
+    for scale in (1, 10**12):
+        sets = [[v * scale for v in values] for values in ([-9, 5], [-1, 2, 7], [-20, 3])]
+        text = "{%s}*{%s}^2*{%s}" % tuple(",".join(map(str, values)) for values in sets)
+        assert main(["eval", text, "--monoid", str(path), "--format", "json"]) == 0
+        results.append([e["free"][0] for e in json.loads(capsys.readouterr().out)["elements"]])
+    dense, sparse = results
+    assert dense[0] == -31 and [v * 10**12 for v in dense] == sparse
+
+
 def test_eval_parse_error_exit_3(capsys):
     assert main(["eval", "{0,1"]) == 3
     err = capsys.readouterr().err

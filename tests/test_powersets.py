@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from powmon.ambient import GroupElement, GroupSignature
 from powmon.monoids import (
+    FullN0,
     Window,
     ambient_window,
     elements_in_window,
@@ -18,7 +20,7 @@ from powmon.powersets import (
     FinSubset1,
     MembershipError,
     MonoidMismatchError,
-    _z1_element,
+    _byte_elements,
     divides,
     quotient_multiplicity,
     quotients,
@@ -254,13 +256,59 @@ def test_quotients_match_definition(case):
         assert quotient_multiplicity(x, a) == n
 
 
-def test_z1_element_cache_is_bounded():
-    maxsize = _z1_element.cache_info().maxsize
-    values = range(-10, maxsize + 10)
-    assert [_z1_element(x) for x in values] == [GroupElement(Z1, (x,)) for x in values]
-    assert _z1_element.cache_info().currsize <= maxsize
-    # values evicted by the sweep come back equal
-    assert _z1_element(-10) == GroupElement(Z1, (-10,))
+Z_GROUP = free_generated(Z1, (Z1.element(1), Z1.element(-1)), "Z")
+KERNEL_CASES = ((Z_GROUP, range(-8, 25)), (full_n0(), range(25)), (numerical([2, 3]), range(25)))
+
+
+def reference_product(xs, ys):
+    return tuple(sorted({u + v for u in xs for v in ys}, key=GroupElement.key))
+
+
+@st.composite
+def kernel_cases(draw):
+    monoid, values = draw(st.sampled_from(KERNEL_CASES))
+    members = [u for u in map(Z1.element, values) if monoid.contains(u)]
+    x, y = (FinSubset1.make(monoid, draw(st.lists(st.sampled_from(members), max_size=8)))
+            for _ in range(2))
+    return x, y, draw(st.integers(0, 4)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_mask_kernel_matches_componentwise_reference(case):
+    # sets over Z run on masks; the reference adds GroupElements
+    x, y, n, divisible = case
+    monoid = x.monoid
+    assert set_product(x, y).elements == reference_product(x.elements, y.elements)
+    power = (monoid.identity(),)
+    for _ in range(n):
+        power = reference_product(power, x.elements)
+    assert set_power(x, n).elements == power
+    target = FinSubset1(monoid, reference_product(x.elements, y.elements)) if divisible else y
+    members = set(target.elements)
+    zstar = tuple(w for w in target.elements if all(u + w in members for u in x.elements))
+    exact = set(x.elements) <= members and reference_product(x.elements, zstar) == target.elements
+    witness = divides(x, target)
+    assert (None if witness is None else witness.elements) == (zstar if exact else None)
+    counts = Counter(u - v for u in x.elements for v in x.elements if u != v)
+    assert quotients(x).entries == tuple(
+        (a, counts[a]) for a in sorted(counts, key=GroupElement.key) if monoid.contains(a)
+    )
+    if isinstance(monoid, FullN0):
+        top = x.elements[-1]
+        assert reversion(x).elements == tuple(top - u for u in reversed(x.elements))
+
+
+def test_byte_element_table_is_bounded():
+    maxsize = _byte_elements.cache_info().maxsize
+    keys = [(index, byte) for index in range(-2, maxsize // 255 + 2) for byte in range(1, 256)]
+    assert len(keys) > maxsize
+    for index, byte in keys:
+        members = tuple(8 * index + i for i in range(8) if byte >> i & 1)
+        assert _byte_elements(index, byte) == tuple(GroupElement(Z1, (v,)) for v in members)
+    assert _byte_elements.cache_info().currsize <= maxsize
+    # entries evicted by the sweep come back equal
+    assert _byte_elements(-2, 0b101) == (GroupElement(Z1, (-16,)), GroupElement(Z1, (-14,)))
 
 
 def test_reversion_examples(n0):

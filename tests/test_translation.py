@@ -157,7 +157,7 @@ def test_build_iso_rejects_another_complement_set(rank4_h, rank4_k):
         build_translation_iso(rank4_h, composite(rank4_k.valuation_part, wider))
     assert str(err.value) == (
         "APPLICABILITY_FAILED [complement-not-shared]: "
-        "composite pair must share the complement data exactly"
+        "composite pair must have the same base lattice"
     )
 
 
