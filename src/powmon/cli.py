@@ -94,9 +94,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        if "0" <= ch <= "9" or (ch == "-" and "0" <= text[i + 1 : i + 2] <= "9"):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j

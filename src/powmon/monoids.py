@@ -299,9 +299,9 @@ class Numerical(MonoidSpec):
     def __post_init__(self) -> None:
         if self.signature != _Z1:
             raise ValueError("NUMERICAL monoids live in the ambient group Z")
+        if not all(type(g) is int and g >= 1 for g in self.generators):
+            raise ValueError("numerical monoid generators must be positive integers")
         gens = tuple(sorted(set(self.generators)))
-        if any(g < 1 for g in gens):
-            raise ValueError("numerical monoid generators must be positive")
         object.__setattr__(self, "generators", gens)
         if not gens:
             return
@@ -706,23 +706,28 @@ class ComplementSpec:
         """Membership in G.(M | {identity}) = G.M union G."""
         return not any(lattice_residue(self._residue_rows, u.coords)) or self.contains(u)
 
-    def generator_outside(self, other: ComplementSpec) -> GroupElement | None:
-        """The first positive generator of this complement that ``other``
-        does not contain, or None.
-
-        For two complements over the same base lattice G, None both ways
-        certifies that they are one set: ``other`` is closed under
-        addition and under translation by G, so holding every m_i it
-        holds all of G.M.  Equal sets hold each other's generators, so
-        the test is also complete.
+    def difference_witness(self, other: ComplementSpec) -> GroupElement | None:
+        """An element of exactly one of the two complement sets, or None
+        exactly when they are one set.  Each side's positive generators are
+        tried against the other set, then m' + t and m' - t against the set
+        of m', for t a base generator of one side and m' a positive generator
+        of the other.  Sound: a member of G'.M' is some m' plus a member of G'
+        or G'.M', so a passing t stabilises G'.M'; holding each m_i, it holds G.M.
+        Complete: equal sets have equal stabilisers, each holding its base.
+        Translates come after all generators pass, so m' +- t is in t's set only.
         """
-        return next((g for g in self.positive_generators if not other.contains(g)), None)
+        pairs = ((self, other), (other, self))
+        generators = (m for a, b in pairs for m in a.positive_generators if not b.contains(m))
+        translates = (
+            u for a, b in pairs for t in a.base_subgroup
+            for m in b.positive_generators for u in (m + t, m - t) if not b.contains(u)
+        )
+        return next(itertools.chain(generators, translates), None)
 
     def has_incomparable_pair(self) -> bool:
         """Some pair of positive generators divides in neither direction."""
         for a, b in itertools.combinations(self.positive_generators, 2):
-            d1 = a - b
-            if not self.contains_with_base(d1) and not self.contains_with_base(-d1):
+            if not self.contains_with_base(a - b) and not self.contains_with_base(b - a):
                 return True
         return False
 

@@ -143,20 +143,14 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
         template = "valuation-pair"
         differ = "valuation pair has different quotient groups inside the ambient group"
     elif isinstance(h, Composite) and isinstance(k, Composite):
-        h_c, k_c = h.complement_part, k.complement_part
-        if not subgroups_equal(h.signature, h_c.base_subgroup, k_c.base_subgroup):
+        witness = h.complement_part.difference_witness(k.complement_part)
+        if witness is not None:
+            holder = h if h.complement_part.contains(witness) else k
             raise ApplicabilityError(
                 "complement-not-shared",
-                "composite pair must have the same base lattice",
+                f"composite pair must share the complement set: {witness!r} lies "
+                f"in the complement of {holder.label!r} only",
             )
-        for a, b in ((h, k), (k, h)):
-            stray = a.complement_part.generator_outside(b.complement_part)
-            if stray is not None:
-                raise ApplicabilityError(
-                    "complement-not-shared",
-                    f"composite pair must share the complement set: positive generator "
-                    f"{stray!r} of {a.label!r} lies outside the complement of {b.label!r}",
-                )
         template, differ = "composite-pair", "valuation parts have different quotient groups"
     else:
         raise ApplicabilityError(

@@ -122,6 +122,14 @@ def test_eval_parse_error_exit_3(capsys):
     assert "parse error" in err and "position" in err
 
 
+@pytest.mark.parametrize("text", ["{²}", "{٣}"], ids=["superscript-two", "arabic-indic-three"])
+def test_eval_non_ascii_digit_exit_3(capsys, text):
+    # str.isdigit accepts both; an int token is ASCII digits only
+    assert main(["eval", text]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error at position 1: ") and err.count("\n") == 1, err
+
+
 def test_eval_membership_violation_names_element(capsys, monoid_files):
     code = main(["eval", "{0,1}", "--monoid", monoid_files["num23"]])
     assert code == 2
@@ -273,6 +281,7 @@ def test_internal_error_exit_4(capsys, monkeypatch, error):
         ("analyze", {"family": "FULL_N0", "label": "n0", "signature": {"free_rank": "1"}}),
         ("analyze", [{"family": "FULL_N0", "signature": {"free_rank": 1}}]),
         ("analyze", {"family": "NUMERICAL", "signature": {"free_rank": 1}, "generators": 5}),
+        ("analyze", {"family": "NUMERICAL", "signature": {"free_rank": 1}, "generators": [True, 3]}),
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1}, "generators": 5}),
         ("eval", "(" * 5000 + "{0}" + ")" * 5000),
         ("analyze", {"family": "HALF_PLANE_LEX", "signature": {"free_rank": 2.5}, "embedding": [0, 1]}),
@@ -288,7 +297,7 @@ def test_internal_error_exit_4(capsys, monkeypatch, error):
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1, "torsion_orders": [3]},
                      "generators": [{"free": [1], "torsion": [1.5]}, {"free": [-1], "torsion": [0]}]}),
     ],
-    ids=["free-rank-string", "top-level-list", "numerical-generators-int",
+    ids=["free-rank-string", "top-level-list", "numerical-generators-int", "numerical-generator-bool",
          "free-generated-generators-int", "deeply-nested-expression",
          "free-rank-float", "free-rank-bool", "torsion-order-float",
          "element-without-torsion", "embedding-float", "label-list", "surd-coefficient-null",

@@ -318,11 +318,13 @@ def test_complement_matches_brute_force(sig, base, gens, bound):
 
 @st.composite
 def complement_pairs(draw):
-    """Two complements in Z^2 or Z^3, each with a positive grading: the
-    base vectors have first coordinate 0, the generators 1 or 2.  The
-    second is often a rewriting of the first that keeps the set:
+    """Two complements in Z^2 or Z^3, each with a positive grading, and
+    whether the second rewrites the first: the base vectors have first
+    coordinate 0, the generators 1 or 2.  A rewriting keeps the set:
     generators reordered, shifted by a base vector or joined by a sum of
-    two, and base vectors negated or joined by a sum."""
+    two, base vectors negated or joined by a sum, and a base vector t
+    doubled while every generator m is joined by m + t, which changes
+    the base lattice."""
     d = draw(st.sampled_from((2, 3)))
     sig = GroupSignature(d)
     coord = st.integers(-2, 2)
@@ -330,10 +332,11 @@ def complement_pairs(draw):
     gen_vec = st.tuples(st.integers(1, 2), coord, coord).map(lambda t: sig.element(t[:d]))
     base = draw(st.lists(base_vec, max_size=2))
     gens = draw(st.lists(gen_vec, min_size=1, max_size=3))
-    if draw(st.booleans()):
+    rewritten = draw(st.booleans())
+    if rewritten:
         other_base, other_gens = list(base), draw(st.permutations(gens))
         for _ in range(draw(st.integers(0, 3))):
-            step = draw(st.sampled_from(("shift", "sum", "negate", "base-sum")))
+            step = draw(st.sampled_from(("shift", "sum", "negate", "base-sum", "double")))
             if step == "shift" and other_base:
                 i = draw(st.integers(0, len(other_gens) - 1))
                 other_gens[i] = other_gens[i] + draw(st.sampled_from(other_base))
@@ -343,29 +346,29 @@ def complement_pairs(draw):
                 other_base[0] = -other_base[0]
             elif step == "base-sum" and other_base:
                 other_base.append(other_base[0] + other_base[-1])
+            elif step == "double" and other_base:
+                t = other_base[-1]
+                other_base[-1] = t.scale(2)
+                other_gens += [m + t for m in other_gens]
     else:
         other_base = base if draw(st.booleans()) else draw(st.lists(base_vec, max_size=2))
         other_gens = draw(st.lists(gen_vec, min_size=1, max_size=3))
-    return sig, ComplementSpec(sig, base, gens), ComplementSpec(sig, other_base, other_gens)
+    a, b = ComplementSpec(sig, base, gens), ComplementSpec(sig, other_base, other_gens)
+    return sig, a, b, rewritten
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(complement_pairs())
 def test_complement_set_certificate_matches_window(pair):
-    # the certificate: equal base lattices and every positive generator of
-    # each complement inside the other; the generators lie in the window
-    sig, a, b = pair
-    window = list(ambient_window(sig, Window(3)))
-    in_a = {u for u in window if a.contains(u)}
-    in_b = {u for u in window if b.contains(u)}
-    same_base = a._residue_rows == b._residue_rows
-    strays = (a.generator_outside(b), b.generator_outside(a))
-    if same_base and strays == (None, None):
-        assert in_a == in_b
-    elif same_base:
-        assert in_a != in_b
-        stray = next(g for g in strays if g is not None)
-        assert (stray in in_a) != (stray in in_b)
+    # difference_witness: None only for one set, else an element of exactly one
+    sig, a, b, rewritten = pair
+    witness = a.difference_witness(b)
+    if witness is None:
+        window = list(ambient_window(sig, Window(3)))
+        assert [u for u in window if a.contains(u)] == [u for u in window if b.contains(u)]
+    else:
+        assert a.contains(witness) != b.contains(witness)
+        assert not rewritten
 
 
 def test_gradings_pinned(rank4_complement):

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powmon.ambient import GroupSignature, SignatureMismatchError
 from powmon.monoids import (
     ComplementSpec,
+    QuadraticSurd,
     Window,
     composite,
     elements_in_window,
     free_generated,
     full_n0,
     half_plane_lex,
+    irrational_cone,
     numerical,
 )
 from powmon.powersets import (
@@ -125,15 +129,32 @@ def test_build_iso_rejects_composite_quotient_mismatch():
 
 
 @pytest.mark.parametrize(
-    "base, gens",
-    [((E4[1], E4[0]), (E4[3], E4[2])), ((E4[0], E4[0] + E4[1]), (E4[2], E4[3], E4[2] + E4[3]))],
-    ids=["reordered", "redundant-generator"],
+    "h_complement, k_complement",
+    [
+        (None, ((E4[1], E4[0]), (E4[3], E4[2]))),
+        (None, ((E4[0], E4[0] + E4[1]), (E4[2], E4[3], E4[2] + E4[3]))),
+        # {x3 >= 2} over the base lattices <e0, e1, e2> and <e0, e1, 2e2>
+        (
+            ((E4[0], E4[1], E4[2]), (E4[3].scale(2), E4[3].scale(3))),
+            (
+                (E4[0], E4[1], E4[2].scale(2)),
+                (E4[3].scale(2), E4[3].scale(3), E4[2] + E4[3].scale(2), E4[2] + E4[3].scale(3)),
+            ),
+        ),
+    ],
+    ids=["reordered", "redundant-generator", "different-base-lattice"],
 )
-def test_build_iso_accepts_the_same_complement_set(rank4_h, rank4_k, base, gens):
-    # another presentation of the complement set of rank4_k
-    complement = ComplementSpec(Z4, base, gens)
-    k = composite(rank4_k.valuation_part, complement, label="rank4-K-presented")
-    iso = build_translation_iso(rank4_h, k)
+def test_build_iso_accepts_the_same_complement_set(rank4_h, rank4_k, h_complement, k_complement):
+    # each side glued with another presentation of one complement set
+    # (None keeps the fixture's own complement)
+    def glued(spec, complement):
+        if complement is None:
+            return spec
+        return composite(
+            spec.valuation_part, ComplementSpec(Z4, *complement), label=f"{spec.label}-presented"
+        )
+
+    iso = build_translation_iso(glued(rank4_h, h_complement), glued(rank4_k, k_complement))
     assert iso.certificate == "composite-pair"
     reports = verify_iso(iso, SuiteConfig(window_bound=4, sample_count=200))
     assert len(reports) == 16
@@ -150,15 +171,22 @@ def test_build_iso_rejects_another_complement_set(rank4_h, rank4_k):
         with pytest.raises(ApplicabilityError) as err:
             build_translation_iso(h, k)
         assert err.value.condition == "complement-not-shared"
-        assert "positive generator (0,0,0,1) of 'rank4-" in str(err.value)
-    # a different base lattice keeps the first message
+        assert "(0,0,0,1) lies in the complement of 'rank4-" in str(err.value)
+    # over a different base lattice the set {x3 >= 1} misses e2
     wider = ComplementSpec(Z4, (E4[0], E4[1], E4[2].scale(2)), (E4[3], E4[2] + E4[3]))
     with pytest.raises(ApplicabilityError) as err:
         build_translation_iso(rank4_h, composite(rank4_k.valuation_part, wider))
     assert str(err.value) == (
-        "APPLICABILITY_FAILED [complement-not-shared]: "
-        "composite pair must have the same base lattice"
+        "APPLICABILITY_FAILED [complement-not-shared]: composite pair must share the "
+        "complement set: (0,0,1,0) lies in the complement of 'rank4-H' only"
     )
+    # the generators lie in both sets, but 2(e2 - e3) does not stabilise
+    # rank4_h's complement: the witness is a translate of e2
+    skew = ComplementSpec(Z4, (E4[0], E4[1], (E4[2] - E4[3]).scale(2)), (E4[2], E4[3]))
+    assert rank4_h.complement_part.difference_witness(skew) == Z4.element((0, 0, 3, -2))
+    with pytest.raises(ApplicabilityError) as err:
+        build_translation_iso(rank4_h, composite(rank4_k.valuation_part, skew, label="K"))
+    assert str(err.value).endswith("(0,0,3,-2) lies in the complement of 'K' only")
 
 
 def test_build_iso_rejects_ambient_mismatch(n0, halfplane):
@@ -354,6 +382,31 @@ def test_reversed_by_order_matches_chain_images(
     assert by_order == by_chain
     assert (len(nonid), sum(by_order)) == (members, reversed_count)
     assert not reversed_by_order(iso, h.identity())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(-3, 3),
+    st.integers(-3, 3).filter(bool),
+    st.integers(1, 3),
+    st.sampled_from((2, 3, 5, 6, 7, 8, 10, 11)),
+    st.booleans(),
+    st.data(),
+)
+def test_valuation_pairs_match_chain_images_and_brute_force(p, q, r, n, cone_first, data):
+    # the half-plane and a random irrational cone, in either direction
+    cone = irrational_cone(QuadraticSurd(p, q, r, n))
+    h, k = (cone, half_plane_lex()) if cone_first else (half_plane_lex(), cone)
+    iso = build_translation_iso(h, k)
+    assert iso.certificate == "valuation-pair"
+    nonid = [u for u in pool(h, 3) if not u.is_identity()]
+    for u in nonid:
+        chain = classify_reversed(iso, u).status is ReversedStatus.REVERSED
+        assert reversed_by_order(iso, u) == chain, u
+    for spec in (h, k):
+        s = data.draw(st.lists(st.sampled_from(nonid), min_size=1, max_size=6, unique=True))
+        least = [m for m in s if all(spec.contains(v - m) for v in s)]
+        assert [valuation_min(spec, s)] == least
 
 
 def test_reversed_by_order_without_valuation_part():
