@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -247,11 +248,22 @@ class _SchemaError(Exception):
     pass
 
 
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits, the one reader of integer flags and
+    POWMON_SEED; ``int`` alone would also take '٢', '²' and '2_0'."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _suite_config(args) -> SuiteConfig:
     seed = args.seed
     env_seed = os.environ.get("POWMON_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = _ascii_int(env_seed)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"POWMON_SEED: {exc}") from None
     return SuiteConfig(
         seed=seed,
         window_bound=args.window,
@@ -373,10 +385,12 @@ def cmd_example_rank4(args) -> int:
 
 #: Every flag a subcommand may take; each subcommand adds only those it reads.
 _FLAGS = {
-    "--window": dict(type=int, default=8, help="window bound (default 8)"),
-    "--seed": dict(type=int, default=SuiteConfig().seed, help="sampling seed"),
-    "--samples": dict(type=int, default=1000, help="sample count (default 1000)"),
-    "--max-set-size": dict(type=int, default=6, help="largest sampled set size (default 6)"),
+    "--window": dict(type=_ascii_int, default=8, help="window bound (default 8)"),
+    "--seed": dict(type=_ascii_int, default=SuiteConfig().seed, help="sampling seed"),
+    "--samples": dict(type=_ascii_int, default=1000, help="sample count (default 1000)"),
+    "--max-set-size": dict(
+        type=_ascii_int, default=6, help="largest sampled set size (default 6)"
+    ),
     "--format": dict(choices=("human", "json"), default="human", help="output format"),
 }
 

@@ -746,12 +746,16 @@ class Composite(MonoidSpec):
     * some pair of positive generators is incomparable, so the
       complement genuinely breaks the total order (otherwise the glued
       monoid would itself be a valuation monoid).
+
+    ``borrowed_nonunit`` is a non-unit v of the valuation part, or None
+    exactly when that part is {0}; a complement member u is v + (u - v).
     """
 
     signature: GroupSignature
     valuation_part: MonoidSpec
     complement_part: ComplementSpec
     label: str = ""
+    borrowed_nonunit: GroupElement | None = field(init=False, repr=False, compare=False)
 
     family: ClassVar[str] = "COMPOSITE"
 
@@ -774,6 +778,14 @@ class Composite(MonoidSpec):
                 "complement positive generators are totally ordered; the "
                 "glued monoid would be a plain valuation monoid"
             )
+        # V totally orders its quotient group, so g or -g is a member for
+        # each quotient generator g.  Were all those members units, V would
+        # be a group; of the valuation families a composite admits only {0}
+        # is one, and it has no quotient generator.  So None iff V is {0}.
+        val = self.valuation_part
+        signed = (v for g in val.quotient_generators() for v in (g, -g))
+        borrow = next((v for v in signed if val.contains(v) and not is_unit(val, v)), None)
+        object.__setattr__(self, "borrowed_nonunit", borrow)
 
     def contains(self, u: GroupElement) -> bool:
         # each part checks u's signature against this same signature

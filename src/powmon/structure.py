@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .ambient import GroupElement, solve_relations
 from .monoids import (
@@ -28,7 +27,6 @@ from .monoids import (
     elements_in_window,
     is_unit,
     pseudo_unit_submonoid,
-    witness_search_order,
 )
 
 __all__ = [
@@ -110,7 +108,7 @@ def is_irreducible(spec: MonoidSpec, u: GroupElement, window: Window) -> Irreduc
         return _half_plane_irreducible(spec, u)
     if isinstance(spec, Composite):
         if spec.in_complement(u):
-            return _complement_irreducible(spec, u, window)
+            return _complement_irreducible(spec, u)
         # valuation members only factor inside the valuation part: any
         # complement factor would contribute positive grading that the
         # other factor cannot cancel
@@ -118,36 +116,23 @@ def is_irreducible(spec: MonoidSpec, u: GroupElement, window: Window) -> Irreduc
     return _search_factorization(spec, u, window)
 
 
-def _complement_irreducible(
-    spec: Composite, u: GroupElement, window: Window
-) -> IrreducibilityVerdict:
-    """A complement member u of V | (G.M).  With V non-trivial, u always
-    factors: peel one positive generator off after borrowing any non-unit
-    of V.  With V trivial (of the valuation families a composite admits,
-    only the numerical monoid {0}), u = v + w needs v, w in G.M, and then
-    u - g = w + (v - g) is in G.M for a generator g with a positive
-    coefficient in v, so trying each generator decides exactly."""
+def _complement_irreducible(spec: Composite, u: GroupElement) -> IrreducibilityVerdict:
+    """A complement member u of V | (G.M).  With V non-trivial, u is the
+    composite's ``borrowed_nonunit`` v plus u - v, which G.M holds.  With
+    V trivial (``borrowed_nonunit`` None), u = v + w needs v, w in G.M,
+    and then u - g = w + (v - g) is in G.M for a generator g with a
+    positive coefficient in v, so trying each generator decides exactly."""
     comp = spec.complement_part
-    if isinstance(spec.valuation_part, Numerical) and spec.valuation_part.is_trivial():
+    v = spec.borrowed_nonunit
+    if v is None:
         for g in comp.positive_generators:
             if comp.contains(u - g):
                 return _reducible(g, u - g)
         return IrreducibilityVerdict(IrreducibleStatus.IRREDUCIBLE_ANALYTIC)
-    v = _first_nonunit(spec.valuation_part, window)
     w = u - v
     if not (spec.contains(v) and spec.in_complement(w)):
         raise AssertionError("constructed composite factorization failed")
     return _reducible(v, w)
-
-
-@lru_cache(maxsize=64)
-def _first_nonunit(spec: MonoidSpec, window: Window) -> GroupElement:
-    """The first non-unit member of spec in the witness search order; the
-    same for every complement member, so it is found once per window."""
-    for v in witness_search_order(spec.signature, window):
-        if not v.is_identity() and spec.contains(v) and not is_unit(spec, v):
-            return v
-    raise ValueError(f"no non-unit of {spec.label!r} found in the window")
 
 
 class PseudoUnitStatus(str, Enum):

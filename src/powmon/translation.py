@@ -105,7 +105,6 @@ class TranslationIso:
     codomain: MonoidSpec
     domain_valuation: MonoidSpec | None
     codomain_valuation: MonoidSpec | None
-    identical_pair: bool
     certificate: str
     _pullback_cache: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -138,7 +137,7 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
     h_v = pseudo_unit_submonoid(h)
     k_v = pseudo_unit_submonoid(k)
     if h == k:
-        return TranslationIso(h, k, h_v, k_v, True, "identical-pair")
+        return TranslationIso(h, k, h_v, k_v, "identical-pair")
     if h_v is h and k_v is k:
         template = "valuation-pair"
         differ = "valuation pair has different quotient groups inside the ambient group"
@@ -162,14 +161,15 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
     # (a valuation monoid is its own pseudo-unit submonoid)
     if not subgroups_equal(h.signature, h_v.quotient_generators(), k_v.quotient_generators()):
         raise ApplicabilityError("quotient-groups-differ", differ)
-    return TranslationIso(h, k, h_v, k_v, False, template)
+    return TranslationIso(h, k, h_v, k_v, template)
 
 
 def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupElement:
     """The unique a with a + X inside the codomain, for the domain members
     ``elements`` of X: minus the minimum, in K's order, of X's part in V_H."""
     identity, v_h = f.domain.identity(), f.domain_valuation
-    if f.identical_pair and v_h is None:
+    # only an identical pair lacks a pseudo-unit part, and then a = 0
+    if v_h is None:
         return identity
     s = [u for u in elements if u is identity or v_h.contains(u)]
     return -valuation_min(f.codomain_valuation, s)
@@ -247,7 +247,8 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
     Decided exactly from the image of {1, a, a^3}: the image must be
     {1, x, x^3} (not reversed) or {1, x^2, x^3} (reversed) for
     x = g(a); any other image is an implementation error, not a verdict.
-    Only infinite-order elements carry the classification.
+    Only infinite-order elements carry the classification.  The library
+    reads the split from ``reversed_by_order``; this is its reference.
     """
     if a.is_identity():
         raise ValueError("the identity is not classified")
@@ -272,9 +273,9 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
 
 
 def is_reversed(f: TranslationIso, a: GroupElement) -> bool:
-    """Is a reversed?  ``classify_reversed`` decides infinite-order
-    members from their chain image; the identity and other finite-order
-    members are not reversed."""
+    """Is a reversed?  The reference for ``reversed_by_order``: the chain
+    image decides infinite-order members through ``classify_reversed``;
+    the identity and other finite-order members are not reversed."""
     if a.order() is not INFINITE:
         # finite-order members multiply through the pullback unchanged
         return False
@@ -304,17 +305,18 @@ def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
 
 def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:
     """The isomorphism h from (non-reversed part) | (reversed part)^-1
-    onto the codomain: h = g on the former, h(u) = g(-u) on the latter.
+    onto the codomain: h = g on the former, h(u) = g(-u) on the latter,
+    the parts read from the valuation parts by ``reversed_by_order``.
     """
     if u.is_identity():
         return f.codomain.identity()
     if f.domain.contains(u):
-        if not is_reversed(f, u):
+        if not reversed_by_order(f, u):
             return pullback(f, u)
         raise ValueError(
             f"{u!r} is reversed, so it belongs to neither the non-reversed "
             "part nor the inverted reversed part"
         )
-    if f.domain.contains(-u) and is_reversed(f, -u):
+    if f.domain.contains(-u) and reversed_by_order(f, -u):
         return pullback(f, -u)
     raise ValueError(f"{u!r} is outside the domain of the decomposition map")

@@ -234,6 +234,34 @@ def test_env_seed_overrides_flag(monkeypatch):
     assert _suite_config(args).seed == 7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "num23", "--window", "٢"],
+        ["example-rank4", "--samples", "²"],
+        ["analyze", "num23", "--window", "2_0"],
+        ["suite", "two_sets", "--seed", "1٣"],
+        ["suite", "two_sets", "--max-set-size", " 2"],
+    ],
+    ids=["arabic-indic-two", "superscript-two", "underscore", "mixed-digits", "space"],
+)
+def test_integer_flags_take_ascii_digits_only_exit_2(capsys, monoid_files, argv):
+    # int() reads each of these as an integer; a flag reads ASCII digits only
+    argv = [monoid_files.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"{argv[-1]!r} is not an integer in ASCII digits"), err
+
+
+def test_env_seed_takes_ascii_digits_only(monkeypatch, capsys):
+    monkeypatch.setenv("POWMON_SEED", "٣")
+    assert main(["suite", "two_sets", "--samples", "5", "--window", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: POWMON_SEED: '٣' is not an integer in ASCII digits\n"
+    monkeypatch.setenv("POWMON_SEED", "-5")
+    assert main(["suite", "two_sets", "--samples", "5", "--window", "2"]) == 0
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["suite", "homomorphism", "--domain", "only-one.json"]) == 2
 
@@ -371,24 +399,6 @@ def test_analyze_composite_with_trivial_valuation_part(tmp_path, capsys):
         {"element": {"free": [x], "torsion": []}, "status": "IRREDUCIBLE_ANALYTIC"} for x in (2, 3)
     ]
     assert out["reducible_count"] == 7
-
-
-def test_analyze_composite_scans_for_a_non_unit_once(tmp_path, capsys, rank4_h, monkeypatch):
-    from powmon import structure
-
-    path = tmp_path / "rank4-H.json"
-    path.write_text(monoid_to_json(rank4_h), encoding="utf-8")
-    scans = []
-    original = structure.witness_search_order
-    monkeypatch.setattr(
-        structure, "witness_search_order", lambda *args: scans.append(args) or original(*args)
-    )
-    structure._first_nonunit.cache_clear()
-    assert main(["analyze", str(path), "--window", "3", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    # every complement member borrows the same non-unit of the valuation part
-    assert doc["reducible_count"] > 1
-    assert len(scans) == 1
 
 
 def run_quietly(argv):

@@ -9,11 +9,14 @@ import pytest
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
     ComplementSpec,
+    IrrationalCone,
+    QuadraticSurd,
     Window,
     composite,
     elements_in_window,
     free_generated,
     half_plane_lex,
+    irrational_cone,
     is_unit,
     numerical,
 )
@@ -116,6 +119,7 @@ def test_composite_with_trivial_valuation_part_matches_numerical(num23):
     # non-unit to borrow from {0}, irreducibility is decided from the generators
     complement = ComplementSpec(Z1, (), (Z1.element(2), Z1.element(3)))
     glued = composite(numerical(()), complement, label="zero-glued-2-3")
+    assert glued.borrowed_nonunit is None
     window = Window(10)
     assert elements_in_window(glued, window) == elements_in_window(num23, window)
     ours, theirs = decompose(glued, window), decompose(num23, window)
@@ -134,6 +138,38 @@ def test_composite_with_trivial_valuation_part_matches_numerical(num23):
         assert f1 + f2 == Z1.element(x)
         assert not is_unit(glued, f1) and not is_unit(glued, f2)
         assert glued.contains(f1) and glued.contains(f2)
+
+
+#: Valuation parts on (0, 1) in Z^4 and the non-unit each should lend:
+#: the first of g, -g over its quotient generators that is a non-unit member.
+_RANK4_VALUATIONS = {
+    "half-plane": (lambda: half_plane_lex(Z4, (0, 1)), (1, 0, 0, 0)),
+    "cone-sqrt2": (lambda: irrational_cone(QuadraticSurd(0, 1, 1, 2), Z4, (0, 1)), (1, 0, 0, 0)),
+    "cone-minus-sqrt2": (
+        lambda: irrational_cone(QuadraticSurd(0, -1, 1, 2), Z4, (0, 1)),
+        (-1, 0, 0, 0),
+    ),
+    # rational slopes: not reduced, so only the dataclass builds them
+    "slope-1.5": (lambda: IrrationalCone(Z4, (0, 1), QuadraticSurd(3, 0, 2, 2)), (1, 0, 0, 0)),
+    # +-e0 lie on the boundary line y = 0 and are units
+    "slope-0": (lambda: IrrationalCone(Z4, (0, 1), QuadraticSurd(0, 0, 1, 2)), (0, -1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANK4_VALUATIONS))
+def test_composite_borrows_a_nonunit_of_its_valuation_part(name, rank4_complement):
+    build, expected = _RANK4_VALUATIONS[name]
+    valuation = build()
+    glued = composite(valuation, rank4_complement, label=f"glued-{name}")
+    borrow = glued.borrowed_nonunit
+    assert borrow == Z4.element(expected)
+    assert valuation.contains(borrow) and not is_unit(valuation, borrow)
+    members = [u for u in elements_in_window(glued, Window(2)) if glued.in_complement(u)]
+    assert members
+    for u in members:
+        for bound in (1, 3):
+            v = is_irreducible(glued, u, Window(bound))
+            assert (v.status, v.factors) == (IrreducibleStatus.REDUCIBLE, (borrow, u - borrow))
 
 
 def test_irreducibility_rejects_units_and_nonmembers(halfplane):

@@ -70,7 +70,7 @@ def test_not_applicable_suites_refuse_a_non_reduced_domain():
     # their verdict rests on the domain being reduced; only a hand-built
     # isomorphism can have a domain that is not
     cone = IrrationalCone(GroupSignature(2), (0, 1), QuadraticSurd(3, 0, 2, 2), label="cone-3/2")
-    iso = TranslationIso(cone, cone, cone, cone, True, "hand-built")
+    iso = TranslationIso(cone, cone, cone, cone, "hand-built")
     for name in ("pullback_unit_inverses", "torsion_products", "units_not_reversed", "nothing_reversed"):
         with pytest.raises(ValueError, match="not reduced"):
             run_suite(name, iso, SuiteConfig(window_bound=2, sample_count=5))

@@ -90,7 +90,7 @@ def test_build_iso_planar(planar_iso, halfplane, cone_sqrt2):
 
 def test_build_iso_identical_numerical(num23):
     iso = build_translation_iso(num23, num23)
-    assert iso.identical_pair
+    assert iso.certificate == "identical-pair"
     x = FinSubset1.from_ints(num23, [0, 2, 5])
     assert apply_iso(iso, x) == x
 
@@ -275,7 +275,7 @@ def test_foreign_elements_raise_signature_mismatch(planar_iso, call):
 def test_lying_certificate_raises_translation_check_error(halfplane, cone_sqrt2):
     # V_K claimed to be the half-plane: translates stay in the half-plane
     # and leave the cone
-    lie = TranslationIso(halfplane, cone_sqrt2, halfplane, halfplane, False, "valuation-pair")
+    lie = TranslationIso(halfplane, cone_sqrt2, halfplane, halfplane, "valuation-pair")
     x = FinSubset1.make(halfplane, [Z2.element((1, 0)), Z2.element((1, 2))])
     with pytest.raises(TranslationCheckError) as info:
         apply_iso(lie, x)
@@ -318,16 +318,21 @@ def test_set_free_path_matches_sets_planar(halfplane, cone_sqrt2, inverse):
     _check_set_free_path(h, k, members)
 
 
-def test_set_free_path_matches_sets_rank4(rank4_h, rank4_k):
+def rank4_sample(rank4_h):
+    """300 seeded window members of rank4-H and 300 seeded sums of two,
+    which reach outside the window; sorted."""
     rng = random.Random(8)
     elems = pool(rank4_h)
     sample = {elems[rng.randrange(len(elems))] for _ in range(300)}
     sums = {
         elems[rng.randrange(len(elems))] + elems[rng.randrange(len(elems))] for _ in range(300)
     }
-    # sums reach outside the window
     assert any(u.norm_inf() > 8 for u in sums)
-    _check_set_free_path(rank4_h, rank4_k, sorted(sample | sums, key=lambda u: u.key()))
+    return sorted(sample | sums, key=lambda u: u.key())
+
+
+def test_set_free_path_matches_sets_rank4(rank4_h, rank4_k):
+    _check_set_free_path(rank4_h, rank4_k, rank4_sample(rank4_h))
 
 
 def test_classify_reversed_examples(planar_iso):
@@ -578,6 +583,35 @@ def test_reversed_parts_are_closed(planar_iso, halfplane):
     for u in reversed_pool:
         verdict = pseudo_unit(halfplane, u, Window(8))
         assert verdict.status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+
+
+def _check_decomposition_map(iso, members):
+    """Check the map on each member against the chain-image check, the
+    reference for the order rule the map reads; the count of each kind."""
+    seen = {ReversedStatus.NOT_REVERSED: 0, ReversedStatus.REVERSED: 0}
+    for u in members:
+        if u.is_identity():
+            continue
+        status = classify_reversed(iso, u).status
+        seen[status] += 1
+        if status is ReversedStatus.NOT_REVERSED:
+            assert decomposition_map(iso, u) == pullback(iso, u), u
+            continue
+        with pytest.raises(ValueError, match="is reversed"):
+            decomposition_map(iso, u)
+        assert decomposition_map(iso, -u) == pullback(iso, u), u
+    return seen[ReversedStatus.NOT_REVERSED], seen[ReversedStatus.REVERSED]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_decomposition_map_matches_chain_images_planar(halfplane, cone_sqrt2, inverse):
+    h, k = (cone_sqrt2, halfplane) if inverse else (halfplane, cone_sqrt2)
+    # (not reversed, reversed) non-identity members
+    assert _check_decomposition_map(build_translation_iso(h, k), pool(h, 4)) == (15, 25)
+
+
+def test_decomposition_map_matches_chain_images_rank4(rank4_iso, rank4_h):
+    assert _check_decomposition_map(rank4_iso, rank4_sample(rank4_h)) == (597, 2)
 
 
 def test_decomposition_map_is_multiplicative(planar_iso, halfplane, cone_sqrt2):
