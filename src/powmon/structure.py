@@ -130,7 +130,8 @@ def _complement_irreducible(spec: Composite, u: GroupElement) -> IrreducibilityV
                 return _reducible(g, u - g)
         return IrreducibilityVerdict(IrreducibleStatus.IRREDUCIBLE_ANALYTIC)
     w = u - v
-    if not (spec.contains(v) and spec.in_complement(w)):
+    # v is a member by construction (Composite.__post_init__)
+    if not spec.in_complement(w):
         raise AssertionError("constructed composite factorization failed")
     return _reducible(v, w)
 

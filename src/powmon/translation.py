@@ -15,8 +15,10 @@ Applicability is certified structurally before any set is mapped:
   valuation parts of equal quotient groups, or the two specs are
   structurally identical.
 
-The pullback g (the element map with f({1, a}) = {1, g(a)}) is cached;
-the cache is pure memoization and never observable.
+The pullback g (the element map with f({1, a}) = {1, g(a)}) follows the
+order rule: g(a) = -a when a lies in V_H and -a in V_K, the pseudo-unit
+submonoids, else g(a) = a; the set path ``_image`` is its reference.  It
+is cached; the cache is pure memoization and never observable.
 
 Elements of infinite order are classified by how f acts on the chain
 {1, a, a^3}: fixing it pointwise up to pullback ("not reversed") or
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .ambient import GroupElement, INFINITE, subgroups_equal
 from .monoids import Composite, MonoidSpec, pseudo_unit_submonoid
-from .powersets import FinSubset1, checked_members
+from .powersets import FinSubset1, MembershipError, checked_members
 
 __all__ = [
     "ApplicabilityError",
@@ -180,7 +182,7 @@ def _image(f: TranslationIso, elements: tuple[GroupElement, ...]) -> tuple[Group
 
     Checked as ``FinSubset1.make`` checks a set literal: every translate
     lies in the codomain, and nothing collapsed: the translates are
-    distinct and hold the identity.
+    distinct and hold the identity.  The reference for ``pullback``.
     """
     a = _translation(f, elements)
     codomain = f.codomain
@@ -214,17 +216,24 @@ def apply_iso(f: TranslationIso, x: FinSubset1) -> FinSubset1:
 
 
 def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
-    """g(a): the non-identity element of f({1, a}), with g(1) = 1.
-
-    Maps the pair as ``apply_iso`` would, without building either set."""
+    """g(a): the non-identity element of f({1, a}), with g(1) = 1, read by
+    the order rule of ``reversed_by_order`` with no set built.  A failed
+    check of the set path (V_K holds a or -a for a in V_H; g(a) lies in
+    the codomain) falls back to ``_image``, which raises its error."""
     if a.is_identity():
         return a
     cached = f._pullback_cache.get(a)
     if cached is not None:
         return cached
-    # _image checks that the two translates are distinct and hold the identity
-    low, high = _image(f, checked_members(f.domain, (a,)))
-    result = high if low.is_identity() else low
+    if not f.domain.contains(a):
+        raise MembershipError(f.domain, a)
+    result, v_h, v_k = a, f.domain_valuation, f.codomain_valuation
+    if v_h is not None and v_h.contains(a):
+        # V_K is asked in valuation_min's order on {0, a}, as _image asks it
+        first, second = (a, -a) if a.key() > f.domain.identity().key() else (-a, a)
+        result = first if v_k.contains(first) else second if v_k.contains(second) else None
+    if result is None or not f.codomain.contains(result):
+        _image(f, checked_members(f.domain, (a,)))
     f._pullback_cache[a] = result
     return result
 

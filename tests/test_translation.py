@@ -292,6 +292,35 @@ def test_lying_certificate_raises_translation_check_error(halfplane, cone_sqrt2)
     assert not lie._pullback_cache
 
 
+def test_lying_certificates_raise_in_both_order_branches(halfplane, cone_sqrt2):
+    # reversed branch: the cone holds -a, and g(a) = -a leaves the half-plane
+    lie = TranslationIso(halfplane, halfplane, halfplane, cone_sqrt2, "valuation-pair")
+    with pytest.raises(TranslationCheckError) as info:
+        pullback(lie, Z2.element((0, 1)))
+    assert str(info.value) == (
+        "translate (0,-1) of {(0,0),(0,1)} left the codomain at (0,-1); "
+        "the applicability certificate is wrong"
+    )
+    assert not lie._pullback_cache
+    # incomparable branch: V_K orders only the last two coordinates, so it
+    # holds neither a nor -a, while the codomain holds a; the message names
+    # the pair in sorted order
+    v_h = half_plane_lex(Z4, (0, 1), "vh")
+    v_k = half_plane_lex(Z4, (2, 3), "vk")
+    lie = TranslationIso(v_h, v_h, v_h, v_k, "valuation-pair")
+    for coords, named in [
+        ((1, 0, 0, 0), "(1,0,0,0) and (0,0,0,0)"),
+        ((-1, 1, 0, 0), "(0,0,0,0) and (-1,1,0,0)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            pullback(lie, Z4.element(coords))
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"'vk' does not totally order the given set: {named} are incomparable"
+        )
+    assert not lie._pullback_cache
+
+
 def _pullback_by_sets(f, a):
     """g(a) read off the set route: the non-identity element of f({1, a})."""
     image = apply_iso(f, FinSubset1.make(f.domain, (f.domain.identity(), a)))
@@ -333,6 +362,10 @@ def rank4_sample(rank4_h):
 
 def test_set_free_path_matches_sets_rank4(rank4_h, rank4_k):
     _check_set_free_path(rank4_h, rank4_k, rank4_sample(rank4_h))
+
+
+def test_set_free_path_matches_sets_rank4_inverse(rank4_h, rank4_k):
+    _check_set_free_path(rank4_k, rank4_h, rank4_sample(rank4_k))
 
 
 def test_classify_reversed_examples(planar_iso):
@@ -408,6 +441,7 @@ def test_valuation_pairs_match_chain_images_and_brute_force(p, q, r, n, cone_fir
     for u in nonid:
         chain = classify_reversed(iso, u).status is ReversedStatus.REVERSED
         assert reversed_by_order(iso, u) == chain, u
+        assert pullback(iso, u) == _pullback_by_sets(iso, u), u
     for spec in (h, k):
         s = data.draw(st.lists(st.sampled_from(nonid), min_size=1, max_size=6, unique=True))
         least = [m for m in s if all(spec.contains(v - m) for v in s)]
