@@ -139,6 +139,8 @@ class Window:
     bound: int
 
     def __post_init__(self) -> None:
+        if type(self.bound) is not int:  # bool is refused too
+            raise ValueError(f"window bound must be an integer, not {self.bound!r}")
         if self.bound < 1:
             raise ValueError("window bound must be >= 1")
 
@@ -210,7 +212,8 @@ class MonoidSpec:
         raise NotImplementedError
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        """Members inside the window; families override with sparse walks."""
+        """Members inside the window, by a scan in ascending ``key()``
+        order; planar families and composites override it with walks."""
         return (u for u in ambient_window(self.signature, window) if self.contains(u))
 
     def _check_element(self, u: GroupElement) -> None:
@@ -749,6 +752,10 @@ class Composite(MonoidSpec):
 
     ``borrowed_nonunit`` is a non-unit v of the valuation part, or None
     exactly when that part is {0}; a complement member u is v + (u - v).
+
+    Window members are built: V walks its window; G.M, a union of cosets
+    of G, is tested per representative with the coordinates G absorbs at
+    0, then expanded over them.  V and G.M are disjoint by the grading.
     """
 
     signature: GroupSignature
@@ -793,6 +800,19 @@ class Composite(MonoidSpec):
 
     def in_complement(self, u: GroupElement) -> bool:
         return self.complement_part.contains(u)
+
+    def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
+        sig, comp, b = self.signature, self.complement_part, window.bound
+        spans = [range(-b, b + 1)] * sig.free_rank + [range(n) for n in sig.torsion_orders]
+        # G absorbs coordinate j when its HNF holds the unit row e_j
+        absorbed = [(j, 1, ()) in comp._residue_rows for j in range(len(spans))]
+        found = [u.coords for u in self.valuation_part.iter_window_members(window)]
+        for rep in itertools.product(*(range(1) if a else r for a, r in zip(absorbed, spans))):
+            if comp.contains(GroupElement(sig, rep)):
+                coset = (r if a else (x,) for a, x, r in zip(absorbed, rep, spans))
+                found += itertools.product(*coset)
+        # sorted as tuples, so the elements are built in the scan's order
+        return (GroupElement(sig, coords) for coords in sorted(found))
 
     def is_reduced(self) -> bool:
         # complement members have strictly positive grading, so none is

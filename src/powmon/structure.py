@@ -162,15 +162,16 @@ def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
     """Witness for a complement member: some multiple of a positive
     generator is incomparable with a.
 
-    With c = ``member_combination(a)``, the multiples k*g_i for
-    1 <= k < c_i are skipped: a - k*g_i is a G-part plus a non-zero
-    combination with (c_i - k)*g_i, so it lies in G.M and k*g_i divides a.
-    The first verified witness is therefore the one the full loop finds."""
+    With c = ``member_combination(a)``, generator i starts at k = c_i, or
+    at c_i + 1 when another c_j is positive (c != 0, so k >= 1): for a
+    smaller k, a - k*g_i is a G-part plus a non-zero combination of the
+    generators, so it lies in G.M and k*g_i divides a.  The first verified
+    witness is therefore the one the full loop finds."""
     comp = spec.complement_part
     budget = comp.grade(a) + 1
     c = comp.member_combination(a)
     for g, c_i in zip(comp.positive_generators, c):
-        for k in range(max(1, c_i), budget + 1):
+        for k in range(c_i + (sum(c) > c_i), budget + 1):
             b = g.scale(k)
             if _verified_witness(spec, a, b):
                 return b

@@ -98,7 +98,10 @@ class SuiteConfig:
     max_set_size: int = 6
 
     def __post_init__(self) -> None:
-        if self.window_bound < 1 or self.sample_count < 1 or self.max_set_size < 1:
+        counts = (self.window_bound, self.sample_count, self.max_set_size)
+        if not all(type(n) is int for n in counts):  # bool is refused too
+            raise ValueError(f"suite config values must be integers, not {counts}")
+        if min(counts) < 1:
             raise ValueError("suite config values must be positive")
 
     @property

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
@@ -11,7 +13,49 @@ from powmon.monoids import (
     numerical,
 )
 
+Z1 = GroupSignature(1)
 Z4 = GroupSignature(4)
+
+
+@st.composite
+def glued_composites(draw):
+    """A valid composite V | (G.M), drawn for the window and witness oracles.
+
+    Over Z it is {0} glued with <2,3>, where G is trivial.  Over Z^3 or
+    Z^4, with or without a Z/2 or Z/3 factor, V is the half-plane or the
+    sqrt2 cone on a drawn plane; G holds that plane and up to two drawn
+    elements, so its HNF has unit rows only (absorbing the plane, and at
+    times a third coordinate or the torsion) or also rows with a pivot
+    above 1 or a tail; M has two or three drawn generators.  Z^2 has no
+    composite: the plane fills its free part, so no grading vanishes on
+    G and not on M.
+    """
+    d = draw(st.sampled_from((1, 3, 4)))
+    if d == 1:
+        complement = ComplementSpec(Z1, (), (Z1.element(2), Z1.element(3)))
+        return composite(numerical(()), complement, label="zero-glued-2-3")
+    torsion = draw(st.sampled_from(((), (2,), (3,))))
+    sig = GroupSignature(d, torsion)
+    plane = tuple(draw(st.permutations(range(d)))[:2])
+    if draw(st.booleans()):
+        val = half_plane_lex(sig, plane, "v")
+    else:
+        val = irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, plane, "v")
+
+    def elements(off_plane):
+        # off the plane, coordinates come from ``off_plane``; torsion is reduced
+        coords = [off_plane] * d + [st.integers(0, 2)] * len(torsion)
+        for k in plane:
+            coords[k] = st.integers(-2, 2)
+        return st.tuples(*coords).map(lambda c: sig.element(c[:d], c[d:]))
+
+    extra = draw(st.lists(elements(st.integers(-1, 2)), max_size=2))
+    positive = draw(st.lists(elements(st.integers(0, 3)), min_size=2, max_size=3))
+    base = (sig.basis_element(plane[0]), sig.basis_element(plane[1]), *extra)
+    try:
+        return composite(val, ComplementSpec(sig, base, positive), label="drawn")
+    except ValueError:  # no grading, or no incomparable pair of generators
+        assume(False)
 
 
 @pytest.fixture(scope="session")

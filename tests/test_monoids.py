@@ -17,6 +17,7 @@ from powmon.ambient import (
 from powmon.monoids import (
     ComplementSpec,
     FreeGenerated,
+    MonoidSpec,
     QuadraticSurd,
     ValuationStatus,
     Window,
@@ -38,6 +39,8 @@ from powmon.monoids import (
     units,
     witness_search_order,
 )
+
+from conftest import glued_composites
 
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
@@ -685,6 +688,44 @@ def test_elements_in_window_sorted_and_cached(num23):
     assert elems == tuple(sorted(elems, key=lambda u: u.key()))
     assert [u.free[0] for u in elems] == [0, 2, 3, 4, 5, 6, 7, 8, 9]
     assert elements_in_window(num23, Window(9)) is elems
+
+
+@pytest.mark.parametrize("bound", [True, 2.5, "3", None])
+def test_window_refuses_a_non_int_bound(bound):
+    # Window(True) would write "window": true into a decomposition report
+    with pytest.raises(ValueError, match="window bound must be an integer"):
+        Window(bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(glued_composites())
+def test_composite_window_walk_matches_scan(spec):
+    # the walk builds exactly the members the generic scan tests for, in its order
+    for bound in (1, 2, 3):
+        w = Window(bound)
+        assert list(spec.iter_window_members(w)) == list(MonoidSpec.iter_window_members(spec, w))
+
+
+@pytest.mark.parametrize("name", ["rank4-H", "rank4-K"])
+def test_composite_window_walk_matches_scan_at_window_8(name, rank4_h, rank4_k):
+    spec = rank4_h if name == "rank4-H" else rank4_k
+    w = Window(8)
+    assert elements_in_window(spec, w) == tuple(MonoidSpec.iter_window_members(spec, w))
+
+
+def test_composite_window_tests_each_complement_representative_once(rank4_h, monkeypatch):
+    # G = <e0, e1> absorbs two coordinates, so 17^2 representatives are
+    # tested for the 17^4 points of window 8
+    calls = []
+    contains = ComplementSpec.contains
+
+    def counted(comp, u):
+        calls.append(u)
+        return contains(comp, u)
+
+    monkeypatch.setattr(ComplementSpec, "contains", counted)
+    assert len(list(rank4_h.iter_window_members(Window(8)))) == 23265
+    assert len(calls) <= 17**2
 
 
 @pytest.mark.parametrize(

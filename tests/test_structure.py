@@ -5,6 +5,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
@@ -29,6 +30,8 @@ from powmon.structure import (
     pseudo_unit,
     pseudo_unit_submonoid,
 )
+
+from conftest import glued_composites
 
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
@@ -316,6 +319,19 @@ def test_composite_witness_matches_full_loop(rank4_h, which):
     assert checked > 100
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(glued_composites())
+def test_composite_witness_matches_full_loop_on_drawn_composites(spec):
+    # with G larger than V's quotient group, a - c_i*g_i may lie in G
+    # outside V and -V: then k = c_i is the witness and must not be skipped
+    window = Window(2)
+    for a in elements_in_window(spec, window):
+        if spec.in_complement(a):
+            verdict = pseudo_unit(spec, a, window)
+            assert verdict.status is PseudoUnitStatus.NOT_PSEUDO_UNIT
+            assert verdict.witness == _full_loop_witness(spec, a), a
+
+
 def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
     # each check is not a|b, not b|a, b in H: the membership of the
     # candidate b is asked only by checks that find a witness
@@ -343,9 +359,10 @@ def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
     monkeypatch.setattr(structure, "_verified_witness", counted_check)
     monkeypatch.setattr(type(rank4_h), "contains", counted_contains)
     report = decompose(rank4_h, Window(3))
-    # one successful check per complement member, out of twice as many
+    # one successful check per complement member a = (x, y, p, q); the
+    # 147 members with q = 0 first fail twice, on p*e2 and (p+1)*e2
     assert sum(checks) == len(asked) == len(report.complement) == 735
-    assert len(checks) == 1470
+    assert len(checks) == 735 + 2 * 147 == 1029
 
 
 def test_decompose_rank4(rank4_h):

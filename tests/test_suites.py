@@ -43,6 +43,13 @@ def small_cfg():
     return SuiteConfig(sample_count=150, window_bound=6)
 
 
+@pytest.mark.parametrize("value", [True, 2.5])
+@pytest.mark.parametrize("name", ["window_bound", "sample_count", "max_set_size"])
+def test_suite_config_refuses_non_int_values(name, value):
+    with pytest.raises(ValueError, match="suite config values must be integers"):
+        SuiteConfig(**{name: value})
+
+
 def test_unknown_suite_rejected(iso):
     with pytest.raises(ValueError):
         run_suite("no_such_suite", iso)
