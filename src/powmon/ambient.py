@@ -84,6 +84,8 @@ class GroupSignature:
             free = (free,)
         free = tuple(free)
         torsion = tuple(torsion)
+        if not all(type(c) is int for c in free + torsion):  # bool is refused too
+            raise TypeError(f"element coordinates must be integers: {free} / {torsion}")
         if len(free) != self.free_rank or len(torsion) != len(self.torsion_orders):
             raise ValueError(
                 f"coordinate count mismatch for signature {self}: "

@@ -159,9 +159,11 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
     (0, 1, ..., bound), each shell with its free coordinates descending,
     then its torsion ascending.
 
-    Used by all bounded witness searches so that reported witnesses are
-    deterministic and as readable as possible.  The order is generated
-    lazily, so a search that stops early builds only the shells it reads.
+    Used by ``is_valuation``'s witness search so that its witnesses are
+    deterministic and as readable as possible; the window searches of
+    ``pseudo_unit`` and ``is_irreducible`` walk ``elements_in_window`` in
+    key order instead.  The order is generated lazily, so a search that
+    stops early builds only the shells it reads.
     """
     torsion_ranges = [range(n) for n in sig.torsion_orders]
     for k in range(window.bound + 1):
@@ -947,8 +949,6 @@ def _element_from_obj(sig: GroupSignature, obj: dict) -> GroupElement:
     # "torsion" may be left out only where the signature has no torsion
     free = tuple(obj["free"])
     torsion = tuple(obj["torsion"] if sig.torsion_orders else obj.get("torsion", ()))
-    if not all(type(c) is int for c in free + torsion):
-        raise TypeError(f"element coordinates must be integers: {obj}")
     return sig.element(free, torsion)
 
 

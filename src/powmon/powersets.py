@@ -7,21 +7,21 @@ is plain tuple equality and every report is byte-stable.
 
 Over the ambient group Z a set is also an int bitmask, and the setwise
 product is a sumset (Fan and Tringali): one shift-OR per member of the
-smaller set.  Product, power, divides, quotients and reversion run on
-masks when the sets they read span at most 64 bits per member in total
-(the rule is stated in ``set_product``), so a sparse set such as
-{0, 10**12} never becomes a huge int.  Results are read off the mask a
-byte at a time through one bounded table of element tuples.  Every
-other set, and every set over another ambient group, takes the generic
-``GroupElement`` path.
+smaller set.  Product, quotients and reversion run on masks when the
+sets they read span at most 64 bits per member in total (the rule is
+stated in ``set_product``), so a sparse set such as {0, 10**12} never
+becomes a huge int.  Results are read off the mask a byte at a time
+through one bounded table of element tuples.  Every other set, and
+every set over another ambient group, takes the generic
+``GroupElement`` path.  Power and divides are built from the setwise
+product alone, so over Z they reach masks through ``set_product``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Iterable
 
 from .ambient import GroupElement
@@ -152,11 +152,6 @@ def _shift_or(x: FinSubset1, start: int, m: int) -> int:
     return out
 
 
-def _mask_product(a: int, b: int) -> int:
-    """The mask of A*B from the masks of A and B."""
-    return reduce(or_, (b << i for i, c in enumerate(reversed(format(a, "b"))) if c == "1"))
-
-
 # bounded: {0,a,3}^1000 next to every product of two subsets of {0..8}
 # takes under 800 entries, and 1024 entries of 8 elements hold 1.3 MB
 @lru_cache(maxsize=1024)
@@ -181,8 +176,7 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
     shift-OR of the larger mask per member of the smaller set.  In Z,
     |X*Y| >= |X| + |Y| - 1, so a mask then holds at most 64 bits per
     member of the result plus 63, and a sparse set such as {0, 10**12}
-    takes the generic path.  Power, divides, quotients and reversion use
-    the same rule.
+    takes the generic path.  Quotients and reversion use the same rule.
     """
     _check_same_monoid(x, y)
     if _masked(x, y):
@@ -197,26 +191,20 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
     return FinSubset1(x.monoid, tuple(sorted(out, key=GroupElement.key)))
 
 
-def _power(one, x, n: int, mul):
-    """x^n by repeated squaring under ``mul``, starting from ``one``."""
-    while n:
-        if n & 1:
-            one = mul(one, x)
-        n >>= 1
-        if n:
-            x = mul(x, x)
-    return one
-
-
 def set_power(x: FinSubset1, n: int) -> FinSubset1:
     """n-fold product by repeated squaring; the zeroth power is {identity}."""
+    if type(n) is not int:  # bool is refused too
+        raise ValueError(f"set powers need an integer exponent, not {n!r}")
     if n < 0:
         raise ValueError("set powers need n >= 0")
-    if _masked(x, x):
-        start = _start(x)
-        m = _power(1, _shift_or(x, start, 1), n, _mask_product)
-        return _from_mask(x.monoid, m, n * start)
-    return _power(FinSubset1(x.monoid, (x.monoid.identity(),)), x, n, set_product)
+    out = FinSubset1(x.monoid, (x.monoid.identity(),))
+    while n:
+        if n & 1:
+            out = set_product(out, x)
+        n >>= 1
+        if n:
+            x = set_product(x, x)
+    return out
 
 
 def divides(x: FinSubset1, y: FinSubset1) -> FinSubset1 | None:
@@ -225,19 +213,9 @@ def divides(x: FinSubset1, y: FinSubset1) -> FinSubset1 | None:
     Every witness Z lies inside Z* = {z in Y : X + z <= Y}, because the
     identity is in X and X*Z = Y.  So Y = X*Z <= X*Z* <= Y, and X divides
     Y exactly when X*Z* = Y.  Z* contains the identity exactly when
-    X <= Y, which every divisor satisfies.  On masks, Z* is
-    Y & (Y >> u) & ... over u in X.
+    X <= Y, which every divisor satisfies.
     """
     _check_same_monoid(x, y)
-    if _masked(x, y):
-        sx, sy = _start(x), _start(y)
-        my = z = _shift_or(y, sy, 1)
-        for u in x.ints():
-            z &= my >> u if u >= 0 else my << -u
-        # bit -8*sy of Z* is the identity; X*Z* starts at byte sx + sy
-        if z >> -8 * sy & 1 and _shift_or(x, sx, z) == my << -8 * sx:
-            return _from_mask(y.monoid, z, sy)
-        return None
     y_set = set(y.elements)
     if not set(x.elements) <= y_set:
         return None
@@ -272,7 +250,10 @@ class QuotientReport:
 
 
 def quotient_multiplicity(x: FinSubset1, a: GroupElement) -> int:
-    """Number of b in X with a + b in X (0 when a is no quotient)."""
+    """Number of b in X with a + b in X (0 when a is no quotient: the
+    identity and non-members of X's monoid never are)."""
+    if a.is_identity() or not x.monoid.contains(a):
+        return 0
     members = set(x.elements)
     return sum(1 for b in x.elements if (a + b) in members)
 

@@ -353,6 +353,16 @@ def test_signature_rejects_non_integers(free_rank, torsion):
         GroupSignature(free_rank, torsion)
 
 
+@pytest.mark.parametrize(
+    "sig, free, torsion",
+    [(Z2, (1, 2.5), ()), (Z2, (True, 2), ()), (Z1, False, ()), (Z1, ("1",), ()),
+     (Z_X_MOD3, (1,), (1.0,)), (Z_X_MOD3, (1,), (True,))],
+)
+def test_element_refuses_non_integer_coordinates(sig, free, torsion):
+    with pytest.raises(TypeError, match="must be integers"):
+        sig.element(free, torsion)
+
+
 def test_finite_order_is_minimal():
     sig = GroupSignature(0, (4, 6))
     for a in range(4):

@@ -324,12 +324,15 @@ def test_internal_error_exit_4(capsys, monkeypatch, error):
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1}, "generators": "1"}),
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1, "torsion_orders": [3]},
                      "generators": [{"free": [1], "torsion": [1.5]}, {"free": [-1], "torsion": [0]}]}),
+        ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1},
+                     "generators": [{"free": [True]}, {"free": [-1]}]}),
     ],
     ids=["free-rank-string", "top-level-list", "numerical-generators-int", "numerical-generator-bool",
          "free-generated-generators-int", "deeply-nested-expression",
          "free-rank-float", "free-rank-bool", "torsion-order-float",
          "element-without-torsion", "embedding-float", "label-list", "surd-coefficient-null",
-         "free-generated-generators-string", "torsion-coordinate-float"],
+         "free-generated-generators-string", "torsion-coordinate-float",
+         "free-coordinate-bool"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     # exit 1 is reserved for property failures: bad input is a parse error

@@ -654,6 +654,10 @@ def test_json_schema_validation():
     }
     with pytest.raises(ValueError, match="missing field 'torsion'"):
         spec_from_dict(no_torsion)
+    # a bool is no coordinate, though True == 1
+    bool_coordinate = {**no_torsion, "generators": [{"free": [True], "torsion": [0]}]}
+    with pytest.raises(ValueError, match="field of the wrong type"):
+        spec_from_dict(bool_coordinate)
     # rational slope rejected at load time
     bad = {
         "family": "IRRATIONAL_CONE",

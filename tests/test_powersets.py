@@ -50,6 +50,13 @@ def test_make_canonical(n0):
     assert FinSubset1.from_ints(n0, [2]).ints() == (0, 2)
 
 
+def test_from_ints_refuses_non_integers(n0):
+    # True == 1, but a bool is no coordinate: it would print and serialise as true
+    for values in ([True, 2], [0, 2.0]):
+        with pytest.raises(TypeError):
+            FinSubset1.from_ints(n0, values)
+
+
 def test_make_rejects_non_members(num23):
     with pytest.raises(MembershipError) as err:
         FinSubset1.from_ints(num23, [0, 1])
@@ -135,6 +142,12 @@ def test_power_examples(n0):
     for n in range(10):
         assert set_power(y, n) == expected
         expected = expected * y
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2"])
+def test_power_refuses_a_non_integer_exponent(n0, n):
+    with pytest.raises(ValueError, match="integer exponent"):
+        set_power(FinSubset1.from_ints(n0, [0, 1]), n)
 
 
 def test_power_cyclic_group():
@@ -231,11 +244,9 @@ def test_quotients_respect_monoid(num23):
 
 
 Z_MOD3 = GroupSignature(1, (3,))
-QUOTIENT_MONOIDS = (
-    full_n0(),
-    half_plane_lex(),
-    free_generated(Z_MOD3, (Z_MOD3.element((1,), (1,)), Z_MOD3.element((2,), (0,)))),
-)
+# Z + Z/3 generated by the graded pair (1;1), (2;0)
+FREE_Z_Z3 = free_generated(Z_MOD3, (Z_MOD3.element((1,), (1,)), Z_MOD3.element((2,), (0,))))
+QUOTIENT_MONOIDS = (full_n0(), half_plane_lex(), FREE_Z_Z3)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -256,8 +267,33 @@ def test_quotients_match_definition(case):
         assert quotient_multiplicity(x, a) == n
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((full_n0(), numerical([2, 3]), half_plane_lex())).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.sampled_from(elements_in_window(m, Window(3))),
+                                             max_size=5))))
+@example((full_n0(), [Z1.element(1), Z1.element(3)]))
+def test_quotient_multiplicity_agrees_with_quotients(case):
+    # over the whole window: members, non-members of the monoid and the
+    # identity, which is no quotient although a + b lies in X for every b
+    monoid, members = case
+    x = FinSubset1.make(monoid, members)
+    report = quotients(x)
+    for a in ambient_window(monoid.signature, Window(3)):
+        assert quotient_multiplicity(x, a) == report.multiplicity(a)
+
+
 Z_GROUP = free_generated(Z1, (Z1.element(1), Z1.element(-1)), "Z")
-KERNEL_CASES = ((Z_GROUP, range(-8, 25)), (full_n0(), range(25)), (numerical([2, 3]), range(25)))
+FREE_Z2 = free_generated(Z2, (Z2.element((1, 0)), Z2.element((1, 1)), Z2.element((1, 3))))
+KERNEL_CASES = tuple(
+    (monoid, tuple(u for u in pool if monoid.contains(u)))
+    for monoid, pool in (
+        (Z_GROUP, map(Z1.element, range(-8, 25))),
+        (full_n0(), map(Z1.element, range(25))),
+        (numerical([2, 3]), map(Z1.element, range(25))),
+        (FREE_Z_Z3, ambient_window(Z_MOD3, Window(4))),
+        (FREE_Z2, ambient_window(Z2, Window(4))),
+    )
+)
 
 
 def reference_product(xs, ys):
@@ -266,8 +302,7 @@ def reference_product(xs, ys):
 
 @st.composite
 def kernel_cases(draw):
-    monoid, values = draw(st.sampled_from(KERNEL_CASES))
-    members = [u for u in map(Z1.element, values) if monoid.contains(u)]
+    monoid, members = draw(st.sampled_from(KERNEL_CASES))
     x, y = (FinSubset1.make(monoid, draw(st.lists(st.sampled_from(members), max_size=8)))
             for _ in range(2))
     return x, y, draw(st.integers(0, 4)), draw(st.booleans())
@@ -275,8 +310,9 @@ def kernel_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kernel_cases())
-def test_mask_kernel_matches_componentwise_reference(case):
-    # sets over Z run on masks; the reference adds GroupElements
+def test_set_operations_match_componentwise_reference(case):
+    # every set operation, on masks or not, over Z, Z + Z/3 and Z^2,
+    # against a reference that adds GroupElements
     x, y, n, divisible = case
     monoid = x.monoid
     assert set_product(x, y).elements == reference_product(x.elements, y.elements)
