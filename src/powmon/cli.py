@@ -83,30 +83,26 @@ class _Token:
     pos: int
 
 
+#: An integer in ASCII digits: the rule of ``eval`` tokens and of
+#: ``_ascii_int``; ``int`` alone would also take '٢', '²' and '2_0'.
+_INT = r"-?[0-9]+"
+#: A token: an integer (group 1, kind "int"), or 'rev' or one punctuation
+#: character, each its own kind.
+_TOKEN = re.compile(rf"({_INT})|rev|[{{}}(),;*^]")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
             continue
-        if ch in "{}(),;*^":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9" or (ch == "-" and "0" <= text[i + 1 : i + 2] <= "9"):
-            j = i + 1
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("rev", i):
-            tokens.append(_Token("rev", "rev", i))
-            i += 3
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        tokens.append(_Token("int" if m[1] else m[0], m[0], i))
+        i = m.end()
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 
@@ -173,21 +169,21 @@ class _Parser:
             return inner
         raise ParseError(f"expected a set literal, found {tok.text or 'end of input'!r}", tok.pos)
 
-    def parse_setlit(self) -> FinSubset1:
-        self.expect("{")
-        elements = [self.parse_element()]
+    def parse_list(self, parse_item) -> list:
+        items = [parse_item()]
         while self.peek().kind == ",":
             self.next()
-            elements.append(self.parse_element())
+            items.append(parse_item())
+        return items
+
+    def parse_setlit(self) -> FinSubset1:
+        self.expect("{")
+        elements = self.parse_list(self.parse_element)
         self.expect("}")
         return FinSubset1.make(self.monoid, elements)
 
     def parse_ints(self) -> tuple[int, ...]:
-        ints = [int(self.expect("int").text)]
-        while self.peek().kind == ",":
-            self.next()
-            ints.append(int(self.expect("int").text))
-        return tuple(ints)
+        return tuple(self.parse_list(lambda: int(self.expect("int").text)))
 
     def parse_element(self) -> GroupElement:
         sig = self.monoid.signature
@@ -249,9 +245,8 @@ class _SchemaError(Exception):
 
 
 def _ascii_int(text: str) -> int:
-    """An integer in ASCII digits, the one reader of integer flags and
-    POWMON_SEED; ``int`` alone would also take '٢', '²' and '2_0'."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
+    """The one reader of integer flags and POWMON_SEED, by the ``_INT`` rule."""
+    if re.fullmatch(_INT, text) is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
     return int(text)
 

@@ -178,13 +178,6 @@ def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
     return None
 
 
-def _window_witness(spec: MonoidSpec, a: GroupElement, window: Window) -> GroupElement | None:
-    for b in elements_in_window(spec, window):
-        if not spec.contains(a - b) and not spec.contains(b - a):
-            return b
-    return None
-
-
 def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnitVerdict:
     """Is a comparable (in either direction) with every member of spec?
 
@@ -208,7 +201,8 @@ def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnit
     elif isinstance(spec, Composite):
         b = _composite_witness(spec, a)
     if b is None:
-        b = _window_witness(spec, a, window)
+        members = elements_in_window(spec, window)
+        b = next((w for w in members if _verified_witness(spec, a, w)), None)
     if b is not None:
         return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
     return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import eq
 from typing import Iterable, Sequence
 
 from .ambient import GroupElement, INFINITE, subgroups_equal
@@ -178,25 +177,22 @@ def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupEl
 
 
 def _image(f: TranslationIso, elements: tuple[GroupElement, ...]) -> tuple[GroupElement, ...]:
-    """a + X, sorted, for the sorted members ``elements`` of a domain set X.
-
-    Checked as ``FinSubset1.make`` checks a set literal: every translate
-    lies in the codomain, and nothing collapsed: the translates are
-    distinct and hold the identity.  The reference for ``pullback``.
-    """
+    """a + X, sorted, for the sorted members ``elements`` of a domain set X,
+    checked by ``checked_members`` as ``FinSubset1.make`` checks a set
+    literal.  As -a is in X, a + X holds the identity and has |X| members;
+    a collapse or a missing identity alone changes that count.  The
+    reference for ``pullback``."""
     a = _translation(f, elements)
-    codomain = f.codomain
-    image = sorted([a + u for u in elements], key=GroupElement.key)
-    for u in image:
-        # the identity belongs to every monoid
-        if not u.is_identity() and not codomain.contains(u):
-            raise TranslationCheckError(
-                f"translate {a!r} of {FinSubset1(f.domain, elements)!r} left "
-                f"the codomain at {u!r}; the applicability certificate is wrong"
-            )
-    if codomain.identity() not in image or any(map(eq, image, image[1:])):
+    try:
+        image = checked_members(f.codomain, [a + u for u in elements])
+    except MembershipError as exc:
+        raise TranslationCheckError(
+            f"translate {a!r} of {FinSubset1(f.domain, elements)!r} left "
+            f"the codomain at {exc.element!r}; the applicability certificate is wrong"
+        ) from None
+    if len(image) != len(elements):
         raise TranslationCheckError("translation collapsed elements; ambient arithmetic broken")
-    return tuple(image)
+    return image
 
 
 def _members(f: TranslationIso, x: FinSubset1) -> tuple[GroupElement, ...]:
@@ -229,9 +225,8 @@ def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
         raise MembershipError(f.domain, a)
     result, v_h, v_k = a, f.domain_valuation, f.codomain_valuation
     if v_h is not None and v_h.contains(a):
-        # V_K is asked in valuation_min's order on {0, a}, as _image asks it
-        first, second = (a, -a) if a.key() > f.domain.identity().key() else (-a, a)
-        result = first if v_k.contains(first) else second if v_k.contains(second) else None
+        # reversed_by_order's question; V_K holds neither under a lying certificate
+        result = -a if v_k.contains(-a) else a if v_k.contains(a) else None
     if result is None or not f.codomain.contains(result):
         _image(f, checked_members(f.domain, (a,)))
     f._pullback_cache[a] = result
@@ -316,6 +311,9 @@ def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:
     """The isomorphism h from (non-reversed part) | (reversed part)^-1
     onto the codomain: h = g on the former, h(u) = g(-u) on the latter,
     the parts read from the valuation parts by ``reversed_by_order``.
+    By the order rule g fixes every non-reversed member and negates every
+    reversed one, so h is the identity and the codomain is that union;
+    h still reads ``pullback``, whose checks catch a lying certificate.
     """
     if u.is_identity():
         return f.codomain.identity()

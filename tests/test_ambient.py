@@ -192,6 +192,31 @@ def test_hnf_positive_pivots_and_reduction():
 
 
 @st.composite
+def integer_matrices(draw):
+    """At most 5 rows of width 1-4, entries in [-9, 9]."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    return draw(st.lists(row, max_size=5)), width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_hnf_invariants(case):
+    rows, width = case
+    hnf = hnf_rows(rows, width)
+    assert hnf_rows(hnf, width) == hnf
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, (j, row) in enumerate(zip(pivots, hnf)):
+        assert row[j] > 0
+        assert all(0 <= above[j] < row[j] for above in hnf[:i])
+    # the output spans the input, and the input spans every output row
+    basis = residue_rows(hnf)
+    assert not any(any(lattice_residue(basis, row)) for row in rows)
+    assert all(hnf_rows(rows + [list(row)], width) == hnf for row in hnf)
+
+
+@st.composite
 def spanning_rows_and_vectors(draw):
     """Integer rows of width 1-4 (zero rows and torsion-style rows n*e_j
     among them, the empty list included) and a vector that is often, but

@@ -320,6 +320,46 @@ def test_complement_matches_brute_force(sig, base, gens, bound):
 
 
 @st.composite
+def graded_complements(draw):
+    """A complement in Z^3 or Z^2 + Z/3 that its first coordinate grades:
+    the base vectors have first coordinate 0, the generators 1 or 2."""
+    sig = draw(st.sampled_from((GroupSignature(3), GroupSignature(2, (3,)))))
+    d = sig.free_rank
+    rest = [st.integers(-2, 2)] * (d - 1) + [st.integers(0, n - 1) for n in sig.torsion_orders]
+
+    def vectors(first):
+        return st.tuples(first, *rest).map(lambda c: sig.element(c[:d], c[d:]))
+
+    base = draw(st.lists(vectors(st.just(0)), max_size=2))
+    gens = draw(st.lists(vectors(st.integers(1, 2)), min_size=1, max_size=3))
+    return sig, ComplementSpec(sig, base, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graded_complements())
+def test_random_complements_match_enumeration(case):
+    sig, comp = case
+    gens, bound = comp.positive_generators, 3
+    rows = subgroup_rows(sig, comp.base_subgroup)
+    # every c with sum(c_i * grade(m_i)) = grade(u) <= bound has c_i <= bound;
+    # product() runs in lexicographic order
+    graded = [
+        (c, sum(n * g.free[0] for n, g in zip(c, gens)),
+         sum((g.scale(n) for n, g in zip(c, gens)), sig.identity()))
+        for c in itertools.product(range(bound + 1), repeat=len(gens))
+        if any(c)
+    ]
+    for u in ambient_window(sig, Window(bound)):
+        least = next(
+            (c for c, grade, total in graded
+             if grade == u.free[0] and subgroup_contains(rows, u - total)),
+            None,
+        )
+        assert comp.member_combination(u) == least, u
+        assert comp.contains(u) == (least is not None), u
+
+
+@st.composite
 def complement_pairs(draw):
     """Two complements in Z^2 or Z^3, each with a positive grading, and
     whether the second rewrites the first: the base vectors have first

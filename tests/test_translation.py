@@ -321,6 +321,16 @@ def test_lying_certificates_raise_in_both_order_branches(halfplane, cone_sqrt2):
     assert not lie._pullback_cache
 
 
+def test_collapsed_translation_raises_translation_check_error(planar_iso, halfplane, monkeypatch):
+    # correct arithmetic cannot collapse a translate; a translation a with
+    # -a outside X leaves the identity out of a + X, which the check catches
+    monkeypatch.setattr("powmon.translation._translation", lambda f, elements: Z2.element((1, 0)))
+    x = FinSubset1.make(halfplane, [Z2.element((1, 0))])
+    with pytest.raises(TranslationCheckError) as info:
+        apply_iso(planar_iso, x)
+    assert str(info.value) == "translation collapsed elements; ambient arithmetic broken"
+
+
 def _pullback_by_sets(f, a):
     """g(a) read off the set route: the non-identity element of f({1, a})."""
     image = apply_iso(f, FinSubset1.make(f.domain, (f.domain.identity(), a)))
@@ -665,3 +675,30 @@ def test_decomposition_map_is_multiplicative(planar_iso, halfplane, cone_sqrt2):
         huv = decomposition_map(planar_iso, u + v)
         assert huv == hu + hv
         assert cone_sqrt2.contains(hu)
+
+
+def _check_decomposition_map_is_identity(h, k, bound):
+    """g fixes every non-reversed member and negates every reversed one, so
+    (non-reversed) | (reversed)^-1 is K and h is the identity on it.
+    Returns the member count and the reversed count."""
+    iso = build_translation_iso(h, k)
+    members = pool(h, bound)
+    reversed_ = {u for u in members if reversed_by_order(iso, u)}
+    parts = {-u if u in reversed_ else u for u in members}
+    # the window is symmetric, so it holds every -u
+    assert parts == set(pool(k, bound))
+    for v in parts:
+        assert decomposition_map(iso, v) == v, v
+    return len(parts), len(reversed_)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_decomposition_map_is_the_identity_planar(halfplane, cone_sqrt2, inverse):
+    h, k = (cone_sqrt2, halfplane) if inverse else (halfplane, cone_sqrt2)
+    assert _check_decomposition_map_is_identity(h, k, 8) == (145, 93)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_decomposition_map_is_the_identity_rank4(rank4_h, rank4_k, inverse):
+    h, k = (rank4_k, rank4_h) if inverse else (rank4_h, rank4_k)
+    assert _check_decomposition_map_is_identity(h, k, 4) == (1985, 25)
