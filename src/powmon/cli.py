@@ -7,8 +7,8 @@ Subcommands:
                        pseudo-unit decomposition of a monoid in a window;
 * ``iso``           -- build the translation isomorphism between two
                        monoid files and run the property suites;
-* ``suite``         -- run named suites (against the packaged planar
-                       pair unless monoid files are given);
+* ``suite``         -- run named suites against the packaged planar pair
+                       (``iso --suites`` runs them on monoid files);
 * ``example-rank4`` -- the packaged rank-4 scenario.
 
 Exit codes are a stable contract: 0 all checks passed, 1 property
@@ -25,6 +25,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .ambient import GroupElement
 from .monoids import (
@@ -158,16 +159,16 @@ class _Parser:
             return self.parse_setlit()
         if tok.kind == "rev":
             self.next()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            return reversion(inner)
+            return reversion(self.parse_parenthesized())
         if tok.kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.parse_parenthesized()
         raise ParseError(f"expected a set literal, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def parse_parenthesized(self) -> FinSubset1:
+        self.expect("(")
+        inner = self.parse_expr()
+        self.expect(")")
+        return inner
 
     def parse_list(self, parse_item) -> list:
         items = [parse_item()]
@@ -337,10 +338,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _report_exit(reports) -> int:
-    if any(r.verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE) for r in reports):
-        return EXIT_PROPERTY_FAILURE
-    return EXIT_OK
+def _run_suites(iso, cfg: SuiteConfig, names, fmt: str) -> int:
+    """Write the reports; exit 1, naming the first failed or inconclusive suite."""
+    reports = verify_iso(iso, cfg, names)
+    sys.stdout.write(format_reports(reports, fmt))
+    first = next((r for r in reports if r.verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE)), None)
+    if first is None:
+        return EXIT_OK
+    print(f"first failure: suite {first.suite}: {first.verdict}", file=sys.stderr)
+    return EXIT_PROPERTY_FAILURE
 
 
 def cmd_iso(args) -> int:
@@ -349,26 +355,12 @@ def cmd_iso(args) -> int:
     cfg = _suite_config(args)
     iso = build_translation_iso(h, k)
     names = args.suites.split(",") if args.suites else None
-    reports = verify_iso(iso, cfg, names)
-    sys.stdout.write(format_reports(reports, args.format))
-    code = _report_exit(reports)
-    if code != EXIT_OK:
-        first = next(r for r in reports if r.verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE))
-        print(f"first failure: suite {first.suite}: {first.verdict}", file=sys.stderr)
-    return code
+    return _run_suites(iso, cfg, names, args.format)
 
 
 def cmd_suite(args) -> int:
     cfg = _suite_config(args)
-    if args.domain or args.codomain:
-        if not (args.domain and args.codomain):
-            raise _UsageError("--domain and --codomain must be given together")
-        iso = build_translation_iso(_load_monoid(args.domain), _load_monoid(args.codomain))
-    else:
-        iso = planar_iso()
-    reports = verify_iso(iso, cfg, args.names)
-    sys.stdout.write(format_reports(reports, args.format))
-    return _report_exit(reports)
+    return _run_suites(planar_iso(), cfg, args.names, args.format)
 
 
 def cmd_example_rank4(args) -> int:
@@ -379,15 +371,17 @@ def cmd_example_rank4(args) -> int:
 
 
 #: Every flag a subcommand may take; each subcommand adds only those it reads.
+#: The integer flags take their defaults from the SuiteConfig fields they set.
 _FLAGS = {
-    "--window": dict(type=_ascii_int, default=8, help="window bound (default 8)"),
-    "--seed": dict(type=_ascii_int, default=SuiteConfig().seed, help="sampling seed"),
-    "--samples": dict(type=_ascii_int, default=1000, help="sample count (default 1000)"),
-    "--max-set-size": dict(
-        type=_ascii_int, default=6, help="largest sampled set size (default 6)"
-    ),
-    "--format": dict(choices=("human", "json"), default="human", help="output format"),
+    flag: dict(type=_ascii_int, default=getattr(SuiteConfig(), field), help=text)
+    for flag, field, text in (
+        ("--window", "window_bound", "window bound (default %(default)s)"),
+        ("--seed", "seed", "sampling seed"),
+        ("--samples", "sample_count", "sample count (default %(default)s)"),
+        ("--max-set-size", "max_set_size", "largest sampled set size (default %(default)s)"),
+    )
 }
+_FLAGS["--format"] = dict(choices=("human", "json"), default="human", help="output format")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -395,7 +389,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="powmon",
         description="Exact computation in reduced finitary power monoids.",
@@ -406,42 +402,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("expression")
     p_eval.add_argument("--monoid", help="monoid definition file (default: N0)")
     _add_flags(p_eval, "--format")
-    p_eval.set_defaults(fn=cmd_eval)
 
     p_analyze = sub.add_parser("analyze", help="analyze a monoid inside a window")
     p_analyze.add_argument("monoid_file")
     _add_flags(p_analyze, "--window", "--format")
-    p_analyze.set_defaults(fn=cmd_analyze)
 
     p_iso = sub.add_parser("iso", help="build a translation isomorphism and verify it")
     p_iso.add_argument("domain_file")
     p_iso.add_argument("codomain_file")
     p_iso.add_argument("--suites", help="comma-separated suite names (default: all)")
     _add_flags(p_iso, *_FLAGS)
-    p_iso.set_defaults(fn=cmd_iso)
 
     p_suite = sub.add_parser("suite", help="run named property suites")
     p_suite.add_argument("names", nargs="+", help="suite names")
-    p_suite.add_argument("--domain", help="domain monoid file (default: planar half-plane)")
-    p_suite.add_argument("--codomain", help="codomain monoid file (default: sqrt(2) cone)")
     _add_flags(p_suite, *_FLAGS)
-    p_suite.set_defaults(fn=cmd_suite)
 
     p_rank4 = sub.add_parser("example-rank4", help="run the packaged rank-4 scenario")
     _add_flags(p_rank4, *_FLAGS)
-    p_rank4.set_defaults(fn=cmd_example_rank4)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # looked up at each call, so a command replaced in the module is the one run
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except (ParseError, _SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

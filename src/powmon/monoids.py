@@ -214,8 +214,8 @@ class MonoidSpec:
         raise NotImplementedError
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        """Members inside the window, by a scan in ascending ``key()``
-        order; planar families and composites override it with walks."""
+        """Members inside the window in ascending ``key()`` order, by a scan;
+        planar families and composites override it with walks in that order."""
         return (u for u in ambient_window(self.signature, window) if self.contains(u))
 
     def _check_element(self, u: GroupElement) -> None:
@@ -227,8 +227,8 @@ class MonoidSpec:
 
 @lru_cache(maxsize=32)
 def elements_in_window(spec: MonoidSpec, window: Window) -> tuple[GroupElement, ...]:
-    """Sorted members of ``spec`` inside ``window`` (cached per pair)."""
-    return tuple(sorted(spec.iter_window_members(window), key=GroupElement.key))
+    """Members of ``spec`` inside ``window`` in ``key()`` order (cached per pair)."""
+    return tuple(spec.iter_window_members(window))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +393,13 @@ class _Planar(MonoidSpec):
         return (self.plane_element(1, 0), self.plane_element(0, 1))
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        b = window.bound
-        for x in range(-b, b + 1):
-            for y in range(-b, b + 1):
-                u = self.plane_element(x, y)
-                if self.contains(u):
-                    yield u
+        # ascending key(): the lower coordinate index varies slowest
+        span = range(-window.bound, window.bound + 1)
+        flip = self.embedding[0] > self.embedding[1]
+        for s, t in itertools.product(span, repeat=2):
+            u = self.plane_element(t, s) if flip else self.plane_element(s, t)
+            if self.contains(u):
+                yield u
 
 
 @dataclass(frozen=True, slots=True)

@@ -96,9 +96,11 @@ def _search_factorization(
 def is_irreducible(spec: MonoidSpec, u: GroupElement, window: Window) -> IrreducibilityVerdict:
     """Can u be written as a sum of two non-units of the monoid?
 
-    Analytic for the lexicographic half-plane and for composites (where
-    the positive grading of the complement confines any factorization);
-    a bounded search over a 4x-enlarged window elsewhere.
+    Analytic for the lexicographic half-plane and for the complement
+    members of composites (whose positive grading confines any
+    factorization).  A composite's valuation member takes its valuation
+    part's path.  Every other member, a cone's included, goes to a
+    bounded search over a 4x-enlarged window.
     """
     if not spec.contains(u):
         raise ValueError(f"{u!r} is not a member of {spec.label!r}")
@@ -184,9 +186,9 @@ def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnit
     Analytic exactly when a is the identity or lies in the analytic
     ``pseudo_unit_submonoid``.  Otherwise proper numerical monoids
     construct the witness a + F from the largest gap F, and complement
-    members of composites get a constructed witness (cross-checked by the
-    bounded search when construction fails).  Everything else is a
-    bounded search with an honest UNKNOWN.
+    members of composites try the multiples of each positive generator.
+    Where no such multiple is a witness, and for every other family, a
+    bounded window search decides, with an honest UNKNOWN.
     """
     if not spec.contains(a):
         raise ValueError(f"{a!r} is not a member of {spec.label!r}")

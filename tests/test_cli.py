@@ -200,20 +200,12 @@ def test_suite_unknown_name(capsys):
 
 
 def test_suite_inconclusive_exit_1(capsys, monoid_files):
-    code = main(
-        [
-            "suite",
-            "one_reversed",
-            "--domain",
-            monoid_files["num23"],
-            "--codomain",
-            monoid_files["num23"],
-            "--samples",
-            "30",
-        ]
-    )
+    num23 = monoid_files["num23"]
+    code = main(["iso", num23, num23, "--suites", "one_reversed", "--samples", "30"])
     assert code == 1
-    assert "INCONCLUSIVE" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "INCONCLUSIVE" in captured.out
+    assert captured.err == "first failure: suite one_reversed: INCONCLUSIVE\n"
 
 
 def test_example_rank4_small(capsys):
@@ -263,7 +255,29 @@ def test_env_seed_takes_ascii_digits_only(monkeypatch, capsys):
 
 
 def test_usage_error_exit_2(capsys):
+    # suites run on monoid files through iso --suites; suite takes no file flags
     assert main(["suite", "homomorphism", "--domain", "only-one.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "powmon: error: unrecognized arguments: --domain only-one.json"
+    ), err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+
+    main(["eval", "{0}"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["eval", "{0}"], ["eval", "{0,1}^2"], ["analyze"], ["suite", "bogus"]):
+        main(argv)
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -750,6 +750,43 @@ def test_composite_window_walk_matches_scan(spec):
         assert list(spec.iter_window_members(w)) == list(MonoidSpec.iter_window_members(spec, w))
 
 
+@st.composite
+def specs_of_every_family(draw):
+    """N0, a numerical monoid, a half-plane or cone on a drawn plane of a
+    drawn signature (torsion included), a free-generated monoid or a glued
+    composite."""
+    family = draw(st.sampled_from(("n0", "numerical", "planar", "free", "composite")))
+    if family == "n0":
+        return full_n0()
+    if family == "numerical":
+        return numerical(draw(st.lists(st.integers(1, 9), max_size=3)))
+    if family == "composite":
+        return draw(glued_composites())
+    if family == "free":
+        sig, gens = draw(st.sampled_from([
+            (Z2, [((1, -6), ()), ((-5, 31), ())]),
+            (GroupSignature(1, (7,)), [((1,), (1,)), ((-1,), (0,))]),
+            (GroupSignature(1, (3,)), [((1,), (1,)), ((2,), (0,))]),
+        ]))
+        return free_generated(sig, [sig.element(free, torsion) for free, torsion in gens])
+    sig = draw(st.sampled_from((Z2, GroupSignature(2, (3,)), GroupSignature(3, (2,)))))
+    plane = tuple(draw(st.permutations(range(sig.free_rank)))[:2])
+    if draw(st.booleans()):
+        return half_plane_lex(sig, plane)
+    return irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, plane)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(specs_of_every_family())
+@example(half_plane_lex(GroupSignature(2, (3,)), (1, 0)))
+@example(irrational_cone(QuadraticSurd(0, 1, 1, 2), GroupSignature(2), (1, 0)))
+def test_window_walks_are_in_key_order(spec):
+    # elements_in_window keeps each walk's order: it must be the scan's
+    for bound in (1, 2, 3):
+        w = Window(bound)
+        assert list(spec.iter_window_members(w)) == list(MonoidSpec.iter_window_members(spec, w))
+
+
 @pytest.mark.parametrize("name", ["rank4-H", "rank4-K"])
 def test_composite_window_walk_matches_scan_at_window_8(name, rank4_h, rank4_k):
     spec = rank4_h if name == "rank4-H" else rank4_k
