@@ -41,6 +41,7 @@ from .monoids import (
     monoid_from_json,
     monoid_to_json,
     numerical,
+    pseudo_unit_submonoid,
     units,
 )
 from .powersets import (
@@ -65,7 +66,6 @@ from .structure import (
     is_independent,
     is_irreducible,
     pseudo_unit,
-    pseudo_unit_submonoid,
 )
 from .suites import (
     DEFAULT_SEED,
@@ -83,7 +83,6 @@ from .suites import (
 from .translation import (
     ApplicabilityError,
     DichotomyViolationError,
-    ReversedClassification,
     ReversedStatus,
     TranslationCheckError,
     TranslationIso,
@@ -92,7 +91,6 @@ from .translation import (
     classify_reversed,
     decomposition_map,
     pullback,
-    translation_element,
     valuation_min,
 )
 

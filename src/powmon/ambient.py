@@ -30,7 +30,6 @@ __all__ = [
     "lattice_residue",
     "residue_rows",
     "subgroup_rows",
-    "subgroup_contains",
     "subgroups_equal",
 ]
 
@@ -287,9 +286,6 @@ class RelationLattice:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def contains(self, pair: tuple[int, int]) -> bool:
-        return lattice_contains(self.generators, pair)
-
 
 def _torsion_relations(sig: GroupSignature) -> list[list[int]]:
     """The rows n_j * e_(d+j): torsion coordinate j is defined modulo n_j."""
@@ -326,10 +322,6 @@ def solve_relations(a: GroupElement, b: GroupElement) -> RelationLattice:
 def subgroup_rows(sig: GroupSignature, gens: Iterable[GroupElement]) -> tuple[tuple[int, ...], ...]:
     rows = [list(g.coords) for g in gens] + _torsion_relations(sig)
     return hnf_rows(rows, len(sig.identity().coords))
-
-
-def subgroup_contains(rows: Sequence[Sequence[int]], u: GroupElement) -> bool:
-    return lattice_contains(rows, u.coords)
 
 
 def subgroups_equal(sig: GroupSignature, gens_a: Iterable[GroupElement], gens_b: Iterable[GroupElement]) -> bool:

@@ -190,7 +190,8 @@ class MonoidSpec:
     """Behavioural base for all monoid families.
 
     Concrete families are frozen dataclasses; a spec is validated once
-    at construction and immutable afterwards.
+    at construction and immutable afterwards.  A ``label`` names a spec
+    and is not part of it: equality and hashing ignore it.
     """
 
     __slots__ = ()
@@ -241,7 +242,7 @@ _Z1 = GroupSignature(1)
 @dataclass(frozen=True, slots=True)
 class FullN0(MonoidSpec):
     signature: GroupSignature
-    label: str = "N0"
+    label: str = field(default="N0", compare=False)
 
     family: ClassVar[str] = "FULL_N0"
 
@@ -293,7 +294,7 @@ class Numerical(MonoidSpec):
 
     signature: GroupSignature
     generators: tuple[int, ...]
-    label: str = ""
+    label: str = field(default="", compare=False)
     _gcd: int = field(init=False, repr=False, compare=False, default=0)
     #: the trivial monoid {0} of a proper numerical monoid, else None
     _pseudo_units: Numerical | None = field(init=False, repr=False, compare=False, default=None)
@@ -408,7 +409,7 @@ class HalfPlaneLex(_Planar):
 
     signature: GroupSignature
     embedding: tuple[int, int]
-    label: str = ""
+    label: str = field(default="", compare=False)
     _off_plane: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     family: ClassVar[str] = "HALF_PLANE_LEX"
@@ -440,7 +441,7 @@ class IrrationalCone(_Planar):
     signature: GroupSignature
     embedding: tuple[int, int]
     alpha: QuadraticSurd
-    label: str = ""
+    label: str = field(default="", compare=False)
     _off_plane: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     family: ClassVar[str] = "IRRATIONAL_CONE"
@@ -536,7 +537,7 @@ class FreeGenerated(MonoidSpec):
 
     signature: GroupSignature
     generators: tuple[GroupElement, ...]
-    label: str = ""
+    label: str = field(default="", compare=False)
     _complement: ComplementSpec | None = field(init=False, repr=False, compare=False, default=None)
     _group_rows: tuple[ResidueRow, ...] | None = field(
         init=False, repr=False, compare=False, default=None
@@ -572,9 +573,6 @@ class FreeGenerated(MonoidSpec):
     @property
     def grading(self) -> tuple[int, ...] | None:
         return None if self._complement is None else self._complement._grading
-
-    def is_group(self) -> bool:
-        return self._group_rows is not None
 
     def contains(self, u: GroupElement) -> bool:
         self._check_element(u)
@@ -764,7 +762,7 @@ class Composite(MonoidSpec):
     signature: GroupSignature
     valuation_part: MonoidSpec
     complement_part: ComplementSpec
-    label: str = ""
+    label: str = field(default="", compare=False)
     borrowed_nonunit: GroupElement | None = field(init=False, repr=False, compare=False)
 
     family: ClassVar[str] = "COMPOSITE"
@@ -800,9 +798,6 @@ class Composite(MonoidSpec):
     def contains(self, u: GroupElement) -> bool:
         # each part checks u's signature against this same signature
         return self.valuation_part.contains(u) or self.complement_part.contains(u)
-
-    def in_complement(self, u: GroupElement) -> bool:
-        return self.complement_part.contains(u)
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
         sig, comp, b = self.signature, self.complement_part, window.bound

@@ -242,9 +242,6 @@ class QuotientReport:
                 return count
         return 0
 
-    def quotient_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(elem for elem, _ in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -23,7 +23,6 @@ from .monoids import (
     MonoidSpec,
     Numerical,
     Window,
-    element_to_dict,
     elements_in_window,
     is_unit,
     pseudo_unit_submonoid,
@@ -39,7 +38,6 @@ __all__ = [
     "is_irreducible",
     "pseudo_unit",
     "decompose",
-    "pseudo_unit_submonoid",
     "IRREDUCIBILITY_WINDOW_FACTOR",
 ]
 
@@ -109,7 +107,7 @@ def is_irreducible(spec: MonoidSpec, u: GroupElement, window: Window) -> Irreduc
     if isinstance(spec, HalfPlaneLex):
         return _half_plane_irreducible(spec, u)
     if isinstance(spec, Composite):
-        if spec.in_complement(u):
+        if spec.complement_part.contains(u):
             return _complement_irreducible(spec, u)
         # valuation members only factor inside the valuation part: any
         # complement factor would contribute positive grading that the
@@ -133,7 +131,7 @@ def _complement_irreducible(spec: Composite, u: GroupElement) -> IrreducibilityV
         return IrreducibilityVerdict(IrreducibleStatus.IRREDUCIBLE_ANALYTIC)
     w = u - v
     # v is a member by construction (Composite.__post_init__)
-    if not spec.in_complement(w):
+    if not comp.contains(w):
         raise AssertionError("constructed composite factorization failed")
     return _reducible(v, w)
 
@@ -161,8 +159,8 @@ def _verified_witness(spec: MonoidSpec, a: GroupElement, b: GroupElement) -> boo
 
 
 def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
-    """Witness for a complement member: some multiple of a positive
-    generator is incomparable with a.
+    """Witness for a complement member among the multiples of the positive
+    generators, or None: with torsion, every multiple may be comparable.
 
     With c = ``member_combination(a)``, generator i starts at k = c_i, or
     at c_i + 1 when another c_j is positive (c != 0, so k >= 1): for a
@@ -225,23 +223,6 @@ class DecompositionReport:
     complement: tuple[GroupElement, ...]
     unknown: tuple[GroupElement, ...]
     verdicts: tuple[PseudoUnitVerdict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "monoid": self.monoid.label,
-            "window": self.window.bound,
-            "pseudo_units": [element_to_dict(u) for u in self.pseudo_units],
-            "complement": [element_to_dict(u) for u in self.complement],
-            "unknown": [element_to_dict(u) for u in self.unknown],
-            "verdicts": [
-                {
-                    "element": element_to_dict(v.element),
-                    "status": v.status.value,
-                    **({"witness": element_to_dict(v.witness)} if v.witness is not None else {}),
-                }
-                for v in self.verdicts
-            ],
-        }
 
 
 def decompose(spec: MonoidSpec, window: Window) -> DecompositionReport:

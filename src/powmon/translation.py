@@ -42,7 +42,6 @@ __all__ = [
     "TranslationCheckError",
     "DichotomyViolationError",
     "ReversedStatus",
-    "ReversedClassification",
     "TranslationIso",
     "valuation_min",
     "build_translation_iso",
@@ -52,7 +51,6 @@ __all__ = [
     "is_reversed",
     "reversed_by_order",
     "decomposition_map",
-    "translation_element",
 ]
 
 
@@ -195,20 +193,11 @@ def _image(f: TranslationIso, elements: tuple[GroupElement, ...]) -> tuple[Group
     return image
 
 
-def _members(f: TranslationIso, x: FinSubset1) -> tuple[GroupElement, ...]:
-    if x.monoid != f.domain:
-        raise ValueError("set does not live over the isomorphism's domain")
-    return x.elements
-
-
-def translation_element(f: TranslationIso, x: FinSubset1) -> GroupElement:
-    """The unique a with a + X inside the codomain power monoid."""
-    return _translation(f, _members(f, x))
-
-
 def apply_iso(f: TranslationIso, x: FinSubset1) -> FinSubset1:
     """Map X to a + X and verify the image lands in the codomain."""
-    return FinSubset1(f.codomain, _image(f, _members(f, x)))
+    if x.monoid != f.domain:
+        raise ValueError("set does not live over the isomorphism's domain")
+    return FinSubset1(f.codomain, _image(f, x.elements))
 
 
 def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
@@ -238,13 +227,7 @@ class ReversedStatus(str, Enum):
     NOT_REVERSED = "NOT_REVERSED"
 
 
-@dataclass(frozen=True, slots=True)
-class ReversedClassification:
-    element: GroupElement
-    status: ReversedStatus
-
-
-def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassification:
+def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedStatus:
     """Does f act on the powers of a as the identity or as the
     reflection about the maximum?
 
@@ -267,9 +250,9 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedClassificat
     x = pullback(f, a)
     identity, x3 = f.codomain.identity(), x.scale(3)
     if image == {identity, x, x3}:
-        return ReversedClassification(a, ReversedStatus.NOT_REVERSED)
+        return ReversedStatus.NOT_REVERSED
     if image == {identity, x.scale(2), x3}:
-        return ReversedClassification(a, ReversedStatus.REVERSED)
+        return ReversedStatus.REVERSED
     raise DichotomyViolationError(
         f"image of the power chain of {a!r} is {sorted(image, key=GroupElement.key)!r}, "
         "matching neither admissible pattern"
@@ -283,7 +266,7 @@ def is_reversed(f: TranslationIso, a: GroupElement) -> bool:
     if a.order() is not INFINITE:
         # finite-order members multiply through the pullback unchanged
         return False
-    return classify_reversed(f, a).status is ReversedStatus.REVERSED
+    return classify_reversed(f, a) is ReversedStatus.REVERSED
 
 
 def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
@@ -292,7 +275,7 @@ def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
     u lies in V_H and -u in V_K.
 
     Proof.  For u in V_H, the chain X = {0, u, 3u} lies in V_H, so
-    ``translation_element`` maps it by -min_K(X).  V_K totally orders the
+    ``_translation`` maps it by -min_K(X).  V_K totally orders the
     quotient group, which V_H shares, so exactly one of u and -u lies in
     V_K when u is not the identity.  If u is in V_K, min_K(X) = 0 and f
     fixes X and {0, u}: g(u) = u and f(X) = {0, g(u), 3g(u)}, not

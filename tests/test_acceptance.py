@@ -173,8 +173,8 @@ def test_criterion_5_reversed_dichotomy(halfplane):
             if not is_independent(a, b):
                 continue
             checked += 1
-            ra = classify_reversed(iso, a).status
-            rb = classify_reversed(iso, b).status
+            ra = classify_reversed(iso, a)
+            rb = classify_reversed(iso, b)
             seen[ra] += 1
             seen[rb] += 1
             ga, gb, gab = pullback(iso, a), pullback(iso, b), pullback(iso, a + b)

@@ -180,6 +180,16 @@ def test_iso_planar_pair_exit_0(capsys, monoid_files):
     assert "homomorphism" in out and "PASS" in out
 
 
+def test_iso_one_monoid_under_two_labels_exit_0(tmp_path, capsys):
+    # the identical-pair template compares specs, not their labels
+    paths = []
+    for name, spec in (("a", numerical([2, 3], "a")), ("b", numerical([3, 2], "b"))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(monoid_to_json(spec), encoding="utf-8")
+    argv = ["iso", *map(str, paths), "--suites", "two_sets,cardinality", "--samples", "20"]
+    assert main([*argv, "--window", "3"]) == 0, capsys.readouterr().err
+
+
 def test_iso_negative_control_exit_2(capsys, monoid_files):
     code = main(["iso", monoid_files["num23"], monoid_files["n0"]])
     assert code == 2

@@ -1,0 +1,86 @@
+"""The package's public surface: what each module exports, and the README
+quick tour run as written."""
+
+import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import powmon
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "powmon"
+
+#: Names deleted in favour of the code behind them, as (home module, dotted
+#: path), each with what its callers call instead.
+DELETED = [
+    ("ambient", "subgroup_contains"),  # lattice_contains(rows, u.coords)
+    ("ambient", "RelationLattice.contains"),  # lattice_contains(lat.generators, p)
+    ("monoids", "FreeGenerated.is_group"),  # m.grading is None
+    ("monoids", "Composite.in_complement"),  # h.complement_part.contains(u)
+    ("powersets", "QuotientReport.quotient_elements"),  # a read of entries
+    ("suites", "SuiteReport.to_json"),  # to_json_dict()
+    ("translation", "translation_element"),  # _translation(f, x.elements)
+    ("translation", "_members"),  # apply_iso checks the domain itself
+    ("translation", "ReversedClassification"),  # classify_reversed gives the status
+    ("structure", "DecompositionReport.to_json_dict"),  # analyze writes its own
+]
+
+
+def _defined(module: str) -> set[str]:
+    """The names that the module's source binds at top level by def, class
+    or assignment; imported names are not among them."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return defined
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_lists_only_names_the_module_defines(module):
+    mod = importlib.import_module(f"powmon.{module}")
+    exported = getattr(mod, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if name not in _defined(module)] == []
+    assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+def _resolves(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+@pytest.mark.parametrize("module, dotted", DELETED, ids=[d for _, d in DELETED])
+def test_deleted_names_do_not_resolve(module, dotted):
+    assert not _resolves(importlib.import_module(f"powmon.{module}"), dotted)
+    assert not _resolves(powmon, dotted)
+
+
+def test_readme_quick_tour_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```python\n(.*?)^```", readme, re.M | re.S)[1]
+    # every print line ends with "# <what it prints>"
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, check=True
+    )
+    assert expected and done.stdout.splitlines() == expected

@@ -128,6 +128,16 @@ def test_product_monoid_mismatch(n0, num23):
         set_product(FinSubset1.from_ints(n0, [0]), FinSubset1.from_ints(num23, [0]))
 
 
+def test_sets_over_a_relabeled_copy_multiply(n0, num23):
+    # a label names a spec, it is not part of it
+    copy = numerical([3, 2], "copy")
+    x, y = FinSubset1.from_ints(num23, [0, 2]), FinSubset1.from_ints(copy, [0, 3])
+    assert set_product(x, y).ints() == set_product(y, x).ints() == (0, 2, 3, 5)
+    # another family is another monoid, whatever the labels
+    with pytest.raises(MonoidMismatchError):
+        set_product(FinSubset1.from_ints(full_n0("<2,3>"), [0, 2]), x)
+
+
 def test_power_examples(n0):
     x = FinSubset1.from_ints(n0, [0, 1])
     # oracle: direct expansion {0,1}+{0,1}+{0,1}
@@ -239,7 +249,7 @@ def test_quotients_respect_monoid(num23):
     # over <2,3>, the difference 1 = 3 - 2 is outside the monoid: no entry
     x = FinSubset1.from_ints(num23, [0, 2, 3])
     report = quotients(x)
-    assert Z1.element(1) not in report.quotient_elements()
+    assert Z1.element(1) not in [a for a, _ in report.entries]
     assert report.multiplicity(Z1.element(2)) == 1
 
 

@@ -5,7 +5,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
@@ -20,6 +20,7 @@ from powmon.monoids import (
     irrational_cone,
     is_unit,
     numerical,
+    pseudo_unit_submonoid,
 )
 from powmon.structure import (
     IrreducibleStatus,
@@ -28,7 +29,6 @@ from powmon.structure import (
     is_independent,
     is_irreducible,
     pseudo_unit,
-    pseudo_unit_submonoid,
 )
 
 from conftest import glued_composites
@@ -167,7 +167,7 @@ def test_composite_borrows_a_nonunit_of_its_valuation_part(name, rank4_complemen
     borrow = glued.borrowed_nonunit
     assert borrow == Z4.element(expected)
     assert valuation.contains(borrow) and not is_unit(valuation, borrow)
-    members = [u for u in elements_in_window(glued, Window(2)) if glued.in_complement(u)]
+    members = [u for u in elements_in_window(glued, Window(2)) if glued.complement_part.contains(u)]
     assert members
     for u in members:
         for bound in (1, 3):
@@ -303,13 +303,22 @@ def _half_plane_glued_non_basis():
     return composite(half_plane_lex(Z4, (0, 1)), comp, label="half-plane-glued-non-basis")
 
 
+def _cone_glued_torsion_generators():
+    # every multiple of (0,1,0;0) and of (0,1,0;1) is comparable with
+    # (-2,2,-2;0), a member of G.M; (-2,2,-2;1) is not
+    sig = GroupSignature(3, (2,))
+    gens = (sig.element((0, 1, 0), (0,)), sig.element((0, 1, 0), (1,)))
+    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(2)), gens)
+    return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 2), "v"), comp, "drawn")
+
+
 @pytest.mark.parametrize("which", ["rank4-H", "non-basis"])
 def test_composite_witness_matches_full_loop(rank4_h, which):
     spec = rank4_h if which == "rank4-H" else _half_plane_glued_non_basis()
     window = Window(3)
     checked = 0
     for a in elements_in_window(spec, window):
-        if not spec.in_complement(a):
+        if not spec.complement_part.contains(a):
             continue
         expected = _full_loop_witness(spec, a)
         assert expected is not None
@@ -321,15 +330,24 @@ def test_composite_witness_matches_full_loop(rank4_h, which):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(glued_composites())
+@example(_cone_glued_torsion_generators())
 def test_composite_witness_matches_full_loop_on_drawn_composites(spec):
     # with G larger than V's quotient group, a - c_i*g_i may lie in G
-    # outside V and -V: then k = c_i is the witness and must not be skipped
+    # outside V and -V: then k = c_i is the witness and must not be skipped.
+    # A torsion generator can leave every multiple comparable with a; the
+    # window search then names the first incomparable member.
     window = Window(2)
-    for a in elements_in_window(spec, window):
-        if spec.in_complement(a):
+    members = elements_in_window(spec, window)
+    for a in members:
+        if spec.complement_part.contains(a):
             verdict = pseudo_unit(spec, a, window)
             assert verdict.status is PseudoUnitStatus.NOT_PSEUDO_UNIT
-            assert verdict.witness == _full_loop_witness(spec, a), a
+            expected = _full_loop_witness(spec, a)
+            if expected is None:
+                expected = next(
+                    b for b in members if not spec.contains(a - b) and not spec.contains(b - a)
+                )
+            assert verdict.witness == expected, a
 
 
 def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
@@ -403,13 +421,12 @@ def test_decompose_checks_survive_python_O():
     )
     assert done.stdout.startswith("1 raised: identity of '<2,3>'"), done.stdout
 
-def test_decompose_report_json(num23):
+def test_decompose_report_fields(num23):
     report = decompose(num23, Window(6))
-    doc = report.to_json_dict()
-    assert doc["monoid"] == num23.label
-    assert doc["pseudo_units"] == [{"free": [0], "torsion": []}]
-    statuses = {tuple(v["element"]["free"]): v["status"] for v in doc["verdicts"]}
-    assert statuses[(2,)] == "NOT_PSEUDO_UNIT"
+    assert report.monoid is num23 and report.window == Window(6)
+    assert report.pseudo_units == (Z1.identity(),)
+    statuses = {v.element: v.status for v in report.verdicts}
+    assert statuses[Z1.element(2)] is PseudoUnitStatus.NOT_PSEUDO_UNIT
 
 
 def test_pseudo_unit_submonoid(n0, num23, halfplane, cone_sqrt2, rank4_h):
@@ -446,7 +463,7 @@ def test_pseudo_complement_closure_on_rank4(rank4_h):
     rng = random.Random(5)
     window = Window(4)
     members = elements_in_window(rank4_h, window)
-    comp = [u for u in members if rank4_h.in_complement(u)]
+    comp = [u for u in members if rank4_h.complement_part.contains(u)]
     val = [u for u in members if rank4_h.valuation_part.contains(u)]
     qval = [
         u
@@ -458,8 +475,8 @@ def test_pseudo_complement_closure_on_rank4(rank4_h):
     ]
     for _ in range(2000):
         a, b = rng.choice(comp), rng.choice(comp)
-        assert rank4_h.in_complement(a + b)
+        assert rank4_h.complement_part.contains(a + b)
         a, q = rng.choice(comp), rng.choice(qval)
-        assert rank4_h.in_complement(a + q)
+        assert rank4_h.complement_part.contains(a + q)
         a, b = rng.choice(val), rng.choice(val)
         assert rank4_h.valuation_part.contains(a - b) or rank4_h.valuation_part.contains(b - a)

@@ -35,8 +35,8 @@ from powmon.translation import (
     classify_reversed,
     decomposition_map,
     pullback,
+    _translation,
     reversed_by_order,
-    translation_element,
     valuation_min,
 )
 
@@ -93,6 +93,23 @@ def test_build_iso_identical_numerical(num23):
     assert iso.certificate == "identical-pair"
     x = FinSubset1.from_ints(num23, [0, 2, 5])
     assert apply_iso(iso, x) == x
+
+
+@pytest.mark.parametrize(
+    "h, k",
+    [
+        (numerical([2, 3], "a"), numerical([2, 3], "b")),
+        # generators are sorted at construction; the default label is not
+        (numerical([3, 2]), numerical([2, 3])),
+    ],
+    ids=["two-labels", "generator-order"],
+)
+def test_build_iso_identical_pair_ignores_labels(h, k):
+    assert h.label != k.label
+    iso = build_translation_iso(h, k)
+    assert iso.certificate == "identical-pair"
+    x = FinSubset1.from_ints(h, [0, 2, 5])
+    assert apply_iso(iso, x).elements == x.elements
 
 
 def test_build_iso_rejects_numerical_vs_n0(num23, n0):
@@ -212,7 +229,7 @@ def test_build_iso_rank4(rank4_iso):
 
 def test_apply_iso_examples(planar_iso, halfplane):
     x = FinSubset1.make(halfplane, [Z2.element(c) for c in ((0, 0), (1, 1), (2, 3))])
-    assert translation_element(planar_iso, x) == Z2.element((-2, -3))
+    assert _translation(planar_iso, x.elements) == Z2.element((-2, -3))
     image = apply_iso(planar_iso, x)
     assert [u.free for u in image.elements] == [(-2, -3), (-1, -2), (0, 0)]
 
@@ -220,7 +237,7 @@ def test_apply_iso_examples(planar_iso, halfplane):
     assert apply_iso(planar_iso, singleton).elements == (Z2.identity(),)
 
     y = FinSubset1.make(halfplane, [Z2.element(c) for c in ((0, 0), (-1, 1), (-3, 3))])
-    assert translation_element(planar_iso, y) == Z2.element((3, -3))
+    assert _translation(planar_iso, y.elements) == Z2.element((3, -3))
     image_y = apply_iso(planar_iso, y)
     assert sorted(u.free for u in image_y.elements) == [(0, 0), (2, -2), (3, -3)]
 
@@ -345,7 +362,7 @@ def _check_set_free_path(h, k, members):
             continue
         assert a not in iso._pullback_cache
         assert pullback(iso, a) == _pullback_by_sets(iso, a), a
-        reversed_ = classify_reversed(iso, a).status is ReversedStatus.REVERSED
+        reversed_ = classify_reversed(iso, a) is ReversedStatus.REVERSED
         assert reversed_ == reversed_by_order(iso, a), a
 
 
@@ -380,17 +397,17 @@ def test_set_free_path_matches_sets_rank4_inverse(rank4_h, rank4_k):
 
 def test_classify_reversed_examples(planar_iso):
     assert (
-        classify_reversed(planar_iso, Z2.element((-1, 1))).status is ReversedStatus.REVERSED
+        classify_reversed(planar_iso, Z2.element((-1, 1))) is ReversedStatus.REVERSED
     )
     assert (
-        classify_reversed(planar_iso, Z2.element((1, 1))).status is ReversedStatus.NOT_REVERSED
+        classify_reversed(planar_iso, Z2.element((1, 1))) is ReversedStatus.NOT_REVERSED
     )
 
 
 def test_classify_reversed_identity_iso(num23):
     iso = build_translation_iso(num23, num23)
     for v in (2, 3, 5, 9):
-        assert classify_reversed(iso, Z1.element(v)).status is ReversedStatus.NOT_REVERSED
+        assert classify_reversed(iso, Z1.element(v)) is ReversedStatus.NOT_REVERSED
 
 
 def test_classify_reversed_rejects_identity_and_finite_order(planar_iso):
@@ -408,7 +425,7 @@ def test_reversed_iff_outside_codomain(planar_iso, halfplane, cone_sqrt2):
         expected = (
             ReversedStatus.NOT_REVERSED if cone_sqrt2.contains(u) else ReversedStatus.REVERSED
         )
-        assert classify_reversed(planar_iso, u).status is expected
+        assert classify_reversed(planar_iso, u) is expected
 
 
 @pytest.mark.parametrize(
@@ -426,7 +443,7 @@ def test_reversed_by_order_matches_chain_images(
     iso = build_translation_iso(h, k)
     nonid = [u for u in pool(h, bound) if not u.is_identity()]
     by_order = [reversed_by_order(iso, u) for u in nonid]
-    by_chain = [classify_reversed(iso, u).status is ReversedStatus.REVERSED for u in nonid]
+    by_chain = [classify_reversed(iso, u) is ReversedStatus.REVERSED for u in nonid]
     assert by_order == by_chain
     assert (len(nonid), sum(by_order)) == (members, reversed_count)
     assert not reversed_by_order(iso, h.identity())
@@ -449,7 +466,7 @@ def test_valuation_pairs_match_chain_images_and_brute_force(p, q, r, n, cone_fir
     assert iso.certificate == "valuation-pair"
     nonid = [u for u in pool(h, 3) if not u.is_identity()]
     for u in nonid:
-        chain = classify_reversed(iso, u).status is ReversedStatus.REVERSED
+        chain = classify_reversed(iso, u) is ReversedStatus.REVERSED
         assert reversed_by_order(iso, u) == chain, u
         assert pullback(iso, u) == _pullback_by_sets(iso, u), u
     for spec in (h, k):
@@ -465,7 +482,7 @@ def test_reversed_by_order_without_valuation_part():
     for u in pool(h, 3):
         if u.is_identity():
             continue
-        assert classify_reversed(iso, u).status is ReversedStatus.NOT_REVERSED
+        assert classify_reversed(iso, u) is ReversedStatus.NOT_REVERSED
         assert not reversed_by_order(iso, u)
 
 
@@ -519,7 +536,7 @@ def test_translation_uniqueness_scan(planar_iso, halfplane, cone_sqrt2):
             if all(cone_sqrt2.contains(a + u) for u in x.elements):
                 valid.append(a)
         assert len(valid) == 1
-        assert valid[0] == translation_element(planar_iso, x)
+        assert valid[0] == _translation(planar_iso, x.elements)
 
 
 def test_cardinality_and_two_sets(planar_iso, halfplane):
@@ -571,8 +588,8 @@ def test_reversed_dichotomy_for_products(planar_iso, halfplane):
         if not is_independent(a, b):
             continue
         checked += 1
-        ra = classify_reversed(planar_iso, a).status
-        rb = classify_reversed(planar_iso, b).status
+        ra = classify_reversed(planar_iso, a)
+        rb = classify_reversed(planar_iso, b)
         seen[ra] += 1
         seen[rb] += 1
         ga, gb = pullback(planar_iso, a), pullback(planar_iso, b)
@@ -609,20 +626,20 @@ def test_reversed_parts_are_closed(planar_iso, halfplane):
         u
         for u in pool(halfplane, 5)
         if not u.is_identity()
-        and classify_reversed(planar_iso, u).status is ReversedStatus.REVERSED
+        and classify_reversed(planar_iso, u) is ReversedStatus.REVERSED
     ]
     normal_pool = [
         u
         for u in pool(halfplane, 5)
         if not u.is_identity()
-        and classify_reversed(planar_iso, u).status is ReversedStatus.NOT_REVERSED
+        and classify_reversed(planar_iso, u) is ReversedStatus.NOT_REVERSED
     ]
     assert reversed_pool and normal_pool
     for _ in range(200):
         a, b = rng.choice(reversed_pool), rng.choice(reversed_pool)
-        assert classify_reversed(planar_iso, a + b).status is ReversedStatus.REVERSED
+        assert classify_reversed(planar_iso, a + b) is ReversedStatus.REVERSED
         a, b = rng.choice(normal_pool), rng.choice(normal_pool)
-        assert classify_reversed(planar_iso, a + b).status is ReversedStatus.NOT_REVERSED
+        assert classify_reversed(planar_iso, a + b) is ReversedStatus.NOT_REVERSED
     # reversed members are always pseudo-units
     for u in reversed_pool:
         verdict = pseudo_unit(halfplane, u, Window(8))
@@ -636,7 +653,7 @@ def _check_decomposition_map(iso, members):
     for u in members:
         if u.is_identity():
             continue
-        status = classify_reversed(iso, u).status
+        status = classify_reversed(iso, u)
         seen[status] += 1
         if status is ReversedStatus.NOT_REVERSED:
             assert decomposition_map(iso, u) == pullback(iso, u), u
@@ -664,7 +681,7 @@ def test_decomposition_map_is_multiplicative(planar_iso, halfplane, cone_sqrt2):
     for u in pool(halfplane, 5):
         if u.is_identity():
             domain_pool.append(u)
-        elif classify_reversed(planar_iso, u).status is ReversedStatus.NOT_REVERSED:
+        elif classify_reversed(planar_iso, u) is ReversedStatus.NOT_REVERSED:
             domain_pool.append(u)
         else:
             domain_pool.append(-u)
