@@ -70,13 +70,23 @@ class GroupSignature:
         identity = GroupElement(self, (0,) * (self.free_rank + len(self.torsion_orders)))
         object.__setattr__(self, "_identity", identity)
 
-    def _canonical(self, coords: tuple[int, ...]) -> GroupElement:
-        """The element with these coordinates, torsion residues reduced
-        into [0, n): the one place an element's torsion is reduced."""
+    def _reduced(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """These coordinates with their torsion residues reduced into
+        [0, n): the one place torsion is reduced, for elements and for
+        the coordinate tuples that library paths compute on."""
         if not self.torsion_orders:
-            return GroupElement(self, coords)
+            return coords
         d = self.free_rank
-        return GroupElement(self, coords[:d] + tuple(map(mod, coords[d:], self.torsion_orders)))
+        return coords[:d] + tuple(map(mod, coords[d:], self.torsion_orders))
+
+    def _minus(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical coordinates of a - b, from those of a and b."""
+        return self._reduced(tuple(map(sub, a, b)))
+
+    def _canonical(self, coords: tuple[int, ...]) -> GroupElement:
+        """The element with these coordinates, torsion reduced; most
+        elements are torsion-free, and skip the call."""
+        return GroupElement(self, self._reduced(coords) if self.torsion_orders else coords)
 
     def element(self, free: int | Iterable[int] = (), torsion: Iterable[int] = ()) -> GroupElement:
         if isinstance(free, int):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import ClassVar, Iterable, Iterator
 
 from .ambient import (
@@ -167,11 +168,23 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
     """
     torsion_ranges = [range(n) for n in sig.torsion_orders]
     for k in range(window.bound + 1):
-        for free in itertools.product(range(k, -k - 1, -1), repeat=sig.free_rank):
-            if max(map(abs, free), default=0) != k:
-                continue
+        for free in _shell(sig.free_rank, k):
             for torsion in itertools.product(*torsion_ranges):
                 yield GroupElement(sig, free + torsion)
+
+
+def _shell(d: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The free parts of ``norm_inf`` k in Z^d, descending.  A part leads
+    with +-k and goes on anywhere in the cube, or leads with a smaller
+    entry and goes on in the shell of Z^(d-1): only the faces are built."""
+    if d == 0:
+        if k == 0:
+            yield ()
+        return
+    side = range(k, -k - 1, -1)
+    for x in side:
+        tails = itertools.product(side, repeat=d - 1) if abs(x) == k else _shell(d - 1, k)
+        yield from map((x,).__add__, tails)
 
 
 class ValuationStatus(str, Enum):
@@ -201,6 +214,17 @@ class MonoidSpec:
     family: ClassVar[str]
 
     def contains(self, u: GroupElement) -> bool:
+        """Is u a member?  Its signature is checked, once, and the family's
+        rule is asked on its coordinates.  Each family binds this function
+        in its own class body, where ``perfbench/tracing.py`` reads it."""
+        self._check_element(u)
+        return self._contains_coords(u.coords)
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        """The family's membership rule, on the coordinates of an element
+        of this signature with its torsion canonical in [0, n) (see
+        ``GroupSignature._reduced``).  Nothing is checked: library paths
+        that hold such tuples ask here; every other caller asks ``contains``."""
         raise NotImplementedError
 
     def identity(self) -> GroupElement:
@@ -217,7 +241,8 @@ class MonoidSpec:
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
         """Members inside the window in ascending ``key()`` order, by a scan;
         planar families and composites override it with walks in that order."""
-        return (u for u in ambient_window(self.signature, window) if self.contains(u))
+        members = ambient_window(self.signature, window)
+        return (u for u in members if self._contains_coords(u.coords))
 
     def _check_element(self, u: GroupElement) -> None:
         if u.signature is not self.signature and u.signature != self.signature:
@@ -250,9 +275,10 @@ class FullN0(MonoidSpec):
         if self.signature != _Z1:
             raise ValueError("FULL_N0 lives in the ambient group Z")
 
-    def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
-        return u.coords[0] >= 0
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        return coords[0] >= 0
 
     def is_reduced(self) -> bool:
         return True
@@ -339,9 +365,10 @@ class Numerical(MonoidSpec):
         xn = x // self._gcd
         return xn >= self._apery[xn % len(self._apery)]
 
-    def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
-        return self.contains_int(u.coords[0])
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        return self.contains_int(coords[0])
 
     def is_reduced(self) -> bool:
         return True
@@ -377,7 +404,9 @@ class _Planar(MonoidSpec):
 
     def plane_coords(self, u: GroupElement) -> tuple[int, int] | None:
         """(x, y) on the embedding plane, or None if u leaves the plane."""
-        coords = u.coords
+        return self._plane_xy(u.coords)
+
+    def _plane_xy(self, coords: tuple[int, ...]) -> tuple[int, int] | None:
         for k in self._off_plane:
             if coords[k]:
                 return None
@@ -399,7 +428,7 @@ class _Planar(MonoidSpec):
         flip = self.embedding[0] > self.embedding[1]
         for s, t in itertools.product(span, repeat=2):
             u = self.plane_element(t, s) if flip else self.plane_element(s, t)
-            if self.contains(u):
+            if self._contains_coords(u.coords):
                 yield u
 
 
@@ -414,9 +443,10 @@ class HalfPlaneLex(_Planar):
 
     family: ClassVar[str] = "HALF_PLANE_LEX"
 
-    def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
-        xy = self.plane_coords(u)
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        xy = self._plane_xy(coords)
         if xy is None:
             return False
         x, y = xy
@@ -446,9 +476,10 @@ class IrrationalCone(_Planar):
 
     family: ClassVar[str] = "IRRATIONAL_CONE"
 
-    def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
-        xy = self.plane_coords(u)
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        xy = self._plane_xy(coords)
         if xy is None:
             return False
         x, y = xy
@@ -574,13 +605,12 @@ class FreeGenerated(MonoidSpec):
     def grading(self) -> tuple[int, ...] | None:
         return None if self._complement is None else self._complement._grading
 
-    def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
-        if u.is_identity():
-            return True
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
         if self._complement is not None:
-            return self._complement.contains(u)
-        return not any(lattice_residue(self._group_rows, u.coords))
+            return not any(coords) or self._complement._contains_coords(coords)
+        return not any(lattice_residue(self._group_rows, coords))
 
     def is_reduced(self) -> bool:
         if self._complement is not None:
@@ -624,8 +654,9 @@ class ComplementSpec:
     _cache: dict = field(
         init=False, repr=False, compare=False, default_factory=lambda: {"member": {}}
     )
-    # the monoid families' signature check, with the same message
+    # the monoid families' signature check and membership question
     _check_element = MonoidSpec._check_element
+    contains = MonoidSpec.contains
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_subgroup", tuple(self.base_subgroup))
@@ -652,8 +683,11 @@ class ComplementSpec:
 
     def grade(self, u: GroupElement) -> int:
         """The grading functional at u; it vanishes on G."""
-        # the grading has one entry per free coordinate, so zip stops there
-        return sum(l * c for l, c in zip(self._grading, u.coords))
+        return self._grade(u.coords)
+
+    def _grade(self, coords: tuple[int, ...]) -> int:
+        # the grading has one entry per free coordinate, so map stops there
+        return sum(map(mul, self._grading, coords))
 
     def member_combination(self, u: GroupElement) -> tuple[int, ...] | None:
         """The lexicographically least c in N0^k, c != 0, with
@@ -664,13 +698,17 @@ class ComplementSpec:
         Every state (generator index, residue) is memoized, so repeated
         queries across a window collapse to a few searches.
         """
+        return self._combination(u.coords)
+
+    def _combination(self, coords: tuple[int, ...]) -> tuple[int, ...] | None:
+        """``member_combination`` on the canonical coordinates of u."""
         rows = self._residue_rows
-        residue = lattice_residue(rows, u.coords)
+        residue = lattice_residue(rows, coords)
         memo = self._cache["member"]
         found = memo.get((0, residue), _UNSEEN)
         if found is not _UNSEEN:
             return found
-        budget = self.grade(u)
+        budget = self._grade(coords)
         if budget < 1:
             memo[0, residue] = None
             return None
@@ -702,9 +740,8 @@ class ComplementSpec:
 
         return search(0, residue, budget)
 
-    def contains(self, u: GroupElement) -> bool:
-        self._check_element(u)
-        return self.member_combination(u) is not None
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        return self._combination(coords) is not None
 
     def contains_with_base(self, u: GroupElement) -> bool:
         """Membership in G.(M | {identity}) = G.M union G."""
@@ -795,9 +832,12 @@ class Composite(MonoidSpec):
         borrow = next((v for v in signed if val.contains(v) and not is_unit(val, v)), None)
         object.__setattr__(self, "borrowed_nonunit", borrow)
 
-    def contains(self, u: GroupElement) -> bool:
-        # each part checks u's signature against this same signature
-        return self.valuation_part.contains(u) or self.complement_part.contains(u)
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        # both parts are over this signature (__post_init__)
+        val, comp = self.valuation_part, self.complement_part
+        return val._contains_coords(coords) or comp._contains_coords(coords)
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
         sig, comp, b = self.signature, self.complement_part, window.bound
@@ -806,7 +846,7 @@ class Composite(MonoidSpec):
         absorbed = [(j, 1, ()) in comp._residue_rows for j in range(len(spans))]
         found = [u.coords for u in self.valuation_part.iter_window_members(window)]
         for rep in itertools.product(*(range(1) if a else r for a, r in zip(absorbed, spans))):
-            if comp.contains(GroupElement(sig, rep)):
+            if comp._contains_coords(rep):
                 coset = (r if a else (x,) for a, x, r in zip(absorbed, rep, spans))
                 found += itertools.product(*coset)
         # sorted as tuples, so the elements are built in the scan's order

@@ -107,7 +107,7 @@ def is_irreducible(spec: MonoidSpec, u: GroupElement, window: Window) -> Irreduc
     if isinstance(spec, HalfPlaneLex):
         return _half_plane_irreducible(spec, u)
     if isinstance(spec, Composite):
-        if spec.complement_part.contains(u):
+        if spec.complement_part._contains_coords(u.coords):
             return _complement_irreducible(spec, u)
         # valuation members only factor inside the valuation part: any
         # complement factor would contribute positive grading that the
@@ -122,18 +122,19 @@ def _complement_irreducible(spec: Composite, u: GroupElement) -> IrreducibilityV
     V trivial (``borrowed_nonunit`` None), u = v + w needs v, w in G.M,
     and then u - g = w + (v - g) is in G.M for a generator g with a
     positive coefficient in v, so trying each generator decides exactly."""
-    comp = spec.complement_part
+    sig, comp = spec.signature, spec.complement_part
     v = spec.borrowed_nonunit
     if v is None:
         for g in comp.positive_generators:
-            if comp.contains(u - g):
-                return _reducible(g, u - g)
+            w = sig._minus(u.coords, g.coords)
+            if comp._contains_coords(w):
+                return _reducible(g, GroupElement(sig, w))
         return IrreducibilityVerdict(IrreducibleStatus.IRREDUCIBLE_ANALYTIC)
-    w = u - v
+    w = sig._minus(u.coords, v.coords)
     # v is a member by construction (Composite.__post_init__)
-    if not comp.contains(w):
+    if not comp._contains_coords(w):
         raise AssertionError("constructed composite factorization failed")
-    return _reducible(v, w)
+    return _reducible(v, GroupElement(sig, w))
 
 
 class PseudoUnitStatus(str, Enum):
@@ -153,9 +154,12 @@ class PseudoUnitVerdict:
             raise ValueError("NOT_PSEUDO_UNIT carries a witness, other statuses do not")
 
 
-def _verified_witness(spec: MonoidSpec, a: GroupElement, b: GroupElement) -> bool:
-    # a pure conjunction: the membership of b, the same for every a, goes last
-    return not spec.contains(a - b) and not spec.contains(b - a) and spec.contains(b)
+def _verified_witness(spec: MonoidSpec, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Is b a member incomparable with a?  Both are canonical coordinates
+    over the signature of spec.  A pure conjunction: the membership of b,
+    the same for every a, goes last."""
+    sig, member = spec.signature, spec._contains_coords
+    return not member(sig._minus(a, b)) and not member(sig._minus(b, a)) and member(b)
 
 
 def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
@@ -167,14 +171,14 @@ def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
     smaller k, a - k*g_i is a G-part plus a non-zero combination of the
     generators, so it lies in G.M and k*g_i divides a.  The first verified
     witness is therefore the one the full loop finds."""
-    comp = spec.complement_part
+    sig, comp = spec.signature, spec.complement_part
     budget = comp.grade(a) + 1
     c = comp.member_combination(a)
     for g, c_i in zip(comp.positive_generators, c):
         for k in range(c_i + (sum(c) > c_i), budget + 1):
-            b = g.scale(k)
-            if _verified_witness(spec, a, b):
-                return b
+            b = sig._reduced(tuple(k * x for x in g.coords))
+            if _verified_witness(spec, a.coords, b):
+                return GroupElement(sig, b)
     return None
 
 
@@ -191,18 +195,19 @@ def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnit
     if not spec.contains(a):
         raise ValueError(f"{a!r} is not a member of {spec.label!r}")
     pseudo = pseudo_unit_submonoid(spec)
-    if a.is_identity() or (pseudo is not None and pseudo.contains(a)):
+    # a pseudo-unit submonoid is over the signature of its spec
+    if a.is_identity() or (pseudo is not None and pseudo._contains_coords(a.coords)):
         return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
     b = None
     if isinstance(spec, Numerical):
         b = a + spec.signature.element(spec.frobenius_gap())
-        if not _verified_witness(spec, a, b):
+        if not _verified_witness(spec, a.coords, b.coords):
             raise AssertionError(f"gap witness construction failed for {a!r}")
     elif isinstance(spec, Composite):
         b = _composite_witness(spec, a)
     if b is None:
         members = elements_in_window(spec, window)
-        b = next((w for w in members if _verified_witness(spec, a, w)), None)
+        b = next((w for w in members if _verified_witness(spec, a.coords, w.coords)), None)
     if b is not None:
         return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
     return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)

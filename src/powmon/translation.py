@@ -83,11 +83,14 @@ def valuation_min(k: MonoidSpec, s: Iterable[GroupElement]) -> GroupElement:
     elems = list(s)
     if not elems:
         raise ValueError("valuation_min needs a nonempty set")
-    m = elems[0]
+    m, sig, member = elems[0], k.signature, k._contains_coords
     for cand in elems[1:]:
-        if k.contains(cand - m):
+        # the checks of cand - m and of K's question about it, in that order
+        cand._check(m)
+        k._check_element(cand)
+        if member(sig._minus(cand.coords, m.coords)):
             continue
-        if not k.contains(m - cand):
+        if not member(sig._minus(m.coords, cand.coords)):
             raise ValueError(
                 f"{k.label!r} does not totally order the given set: "
                 f"{cand!r} and {m!r} are incomparable"
@@ -170,7 +173,8 @@ def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupEl
     # only an identical pair lacks a pseudo-unit part, and then a = 0
     if v_h is None:
         return identity
-    s = [u for u in elements if u is identity or v_h.contains(u)]
+    # domain members, checked over the signature that V_H shares
+    s = [u for u in elements if u is identity or v_h._contains_coords(u.coords)]
     return -valuation_min(f.codomain_valuation, s)
 
 
@@ -212,11 +216,13 @@ def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
         return cached
     if not f.domain.contains(a):
         raise MembershipError(f.domain, a)
+    # a is checked: the other three specs are over its signature
     result, v_h, v_k = a, f.domain_valuation, f.codomain_valuation
-    if v_h is not None and v_h.contains(a):
+    if v_h is not None and v_h._contains_coords(a.coords):
         # reversed_by_order's question; V_K holds neither under a lying certificate
-        result = -a if v_k.contains(-a) else a if v_k.contains(a) else None
-    if result is None or not f.codomain.contains(result):
+        neg_a, in_v_k = -a, v_k._contains_coords
+        result = neg_a if in_v_k(neg_a.coords) else a if in_v_k(a.coords) else None
+    if result is None or not f.codomain._contains_coords(result.coords):
         _image(f, checked_members(f.domain, (a,)))
     f._pullback_cache[a] = result
     return result

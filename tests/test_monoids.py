@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +17,7 @@ from powmon.ambient import (
 )
 from powmon.monoids import (
     ComplementSpec,
+    Composite,
     FreeGenerated,
     MonoidSpec,
     QuadraticSurd,
@@ -38,6 +40,7 @@ from powmon.monoids import (
     spec_to_dict,
     units,
     witness_search_order,
+    _shell,
 )
 
 from conftest import glued_composites
@@ -819,15 +822,15 @@ def test_composite_window_tests_each_complement_representative_once(rank4_h, mon
     # G = <e0, e1> absorbs two coordinates, so 17^2 representatives are
     # tested for the 17^4 points of window 8
     calls = []
-    contains = ComplementSpec.contains
+    contains = ComplementSpec._contains_coords
 
-    def counted(comp, u):
-        calls.append(u)
-        return contains(comp, u)
+    def counted(comp, coords):
+        calls.append(coords)
+        return contains(comp, coords)
 
-    monkeypatch.setattr(ComplementSpec, "contains", counted)
+    monkeypatch.setattr(ComplementSpec, "_contains_coords", counted)
     assert len(list(rank4_h.iter_window_members(Window(8)))) == 23265
-    assert len(calls) <= 17**2
+    assert len(calls) == 17**2
 
 
 @pytest.mark.parametrize(
@@ -853,3 +856,80 @@ def test_witness_search_order_matches_sorted_window(sig, bound):
     order = witness_search_order(sig, w)
     assert iter(order) is order
     assert list(order) == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_witness_search_shells_build_only_their_faces(d, k):
+    # the cube of radius k less its interior of radius k - 1
+    shell = list(_shell(d, k))
+    assert len(shell) == (2 * k + 1) ** d - max(2 * k - 1, 0) ** d
+    assert all(max(map(abs, free)) == k for free in shell)
+
+
+@st.composite
+def membership_questions(draw):
+    """A spec of one of the seven classes with ``contains`` (a composite's
+    complement part among them), two elements of its signature with
+    canonical torsion, and a multiplier k, so that k*t may reach n."""
+    spec = draw(specs_of_every_family())
+    if isinstance(spec, Composite) and draw(st.booleans()):
+        spec = spec.complement_part
+    sig = spec.signature
+    element = st.builds(
+        sig.element,
+        st.tuples(*[st.integers(-4, 4)] * sig.free_rank),
+        st.tuples(*[st.integers(0, n - 1) for n in sig.torsion_orders]),
+    )
+    return spec, draw(element), draw(element), draw(st.integers(1, 5))
+
+
+_Z1_T3 = GroupSignature(1, (3,))
+_Z1_T7 = GroupSignature(1, (7,))
+_Z2_T3 = GroupSignature(2, (3,))
+_Z3_T2 = GroupSignature(3, (2,))
+_TORSION_COMPOSITE = composite(
+    irrational_cone(QuadraticSurd(0, 1, 1, 2), _Z3_T2, (0, 2), "v"),
+    ComplementSpec(
+        _Z3_T2,
+        (_Z3_T2.basis_element(0), _Z3_T2.basis_element(2)),
+        (_Z3_T2.element((0, 1, 0), (0,)), _Z3_T2.element((0, 1, 0), (1,))),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(membership_questions())
+@example((full_n0(), Z1.element(3), Z1.element(4), 2))
+@example((numerical([3, 5, 7]), Z1.element(4), Z1.element(-3), 2))
+@example((
+    half_plane_lex(_Z3_T2, (2, 0)), _Z3_T2.element((1, 3, 0), (1,)),
+    _Z3_T2.element((0, 3, 1), (1,)), 2,
+))
+@example((
+    irrational_cone(QuadraticSurd(0, 1, 1, 2), _Z2_T3, (1, 0)),
+    _Z2_T3.element((2, 1), (2,)), _Z2_T3.element((0, 0), (2,)), 3,
+))
+@example((
+    free_generated(_Z1_T3, [_Z1_T3.element(1, (1,)), _Z1_T3.element(2, (0,))]),
+    _Z1_T3.element(2, (2,)), _Z1_T3.element(1, (2,)), 3,
+))
+@example((
+    free_generated(_Z1_T7, [_Z1_T7.element(1, (1,)), _Z1_T7.element(-1, (0,))]),
+    _Z1_T7.element(2, (5,)), _Z1_T7.element(-3, (6,)), 4,
+))
+@example((_TORSION_COMPOSITE, _Z3_T2.element((-2, 2, -2), (1,)), _Z3_T2.element((0, 1, 0), (1,)), 2))
+@example((
+    _TORSION_COMPOSITE.complement_part, _Z3_T2.element((-2, 2, -2), (1,)),
+    _Z3_T2.element((0, 1, 0), (1,)), 2,
+))
+def test_contains_coords_matches_contains(case):
+    """Each family's coordinate rule agrees with ``contains`` on an element,
+    and on the tuples that library paths form: k*u and u - v, their raw
+    torsion reduced into [0, n), as ``scale`` and ``-`` reduce it."""
+    spec, u, v, k = case
+    reduced = spec.signature._reduced
+    scaled = reduced(tuple(k * x for x in u.coords))
+    assert spec._contains_coords(u.coords) == spec.contains(u)
+    assert spec._contains_coords(scaled) == spec.contains(u.scale(k))
+    assert spec._contains_coords(reduced(tuple(map(sub, u.coords, v.coords)))) == spec.contains(u - v)

@@ -23,8 +23,12 @@ from powmon.monoids import (
     pseudo_unit_submonoid,
 )
 from powmon.structure import (
+    IrreducibilityVerdict,
     IrreducibleStatus,
     PseudoUnitStatus,
+    PseudoUnitVerdict,
+    _complement_irreducible,
+    _composite_witness,
     decompose,
     is_independent,
     is_irreducible,
@@ -350,6 +354,68 @@ def test_composite_witness_matches_full_loop_on_drawn_composites(spec):
             assert verdict.witness == expected, a
 
 
+def _incomparable(spec, a, b):
+    return not spec.contains(a - b) and not spec.contains(b - a) and spec.contains(b)
+
+
+def _element_path_witness(spec, a):
+    """``_composite_witness`` on elements: k*g and both differences are
+    ``GroupElement``s, and every question goes through ``contains``."""
+    comp = spec.complement_part
+    c = comp.member_combination(a)
+    for g, c_i in zip(comp.positive_generators, c):
+        for k in range(c_i + (sum(c) > c_i), comp.grade(a) + 2):
+            if _incomparable(spec, a, g.scale(k)):
+                return g.scale(k)
+    return None
+
+
+def _element_path_pseudo_unit(spec, a, window):
+    """``pseudo_unit`` of a composite member on elements."""
+    if a.is_identity() or spec.valuation_part.contains(a):
+        return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
+    b = _element_path_witness(spec, a)
+    if b is None:
+        b = next((w for w in elements_in_window(spec, window) if _incomparable(spec, a, w)), None)
+    if b is None:
+        return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)
+    return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
+
+
+def _element_path_complement_irreducible(spec, u):
+    """``_complement_irreducible`` on elements."""
+    comp, v = spec.complement_part, spec.borrowed_nonunit
+    if v is not None:
+        return IrreducibilityVerdict(IrreducibleStatus.REDUCIBLE, (v, u - v))
+    g = next((g for g in comp.positive_generators if comp.contains(u - g)), None)
+    if g is None:
+        return IrreducibilityVerdict(IrreducibleStatus.IRREDUCIBLE_ANALYTIC)
+    return IrreducibilityVerdict(IrreducibleStatus.REDUCIBLE, (g, u - g))
+
+
+def _cone_glued_torsion_twins():
+    # the witness of (0,0,0,1;0) is 2*(0,0,0,1;1), whose raw torsion 2 is 0 mod 2
+    sig = GroupSignature(4, (2,))
+    gens = (sig.element((0, 0, 0, 1), (1,)), sig.element((0, 0, 0, 1), (0,)))
+    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(1)), gens)
+    return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 1), "v"), comp, "twins")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(glued_composites())
+@example(_cone_glued_torsion_generators())
+@example(_cone_glued_torsion_twins())
+def test_coordinate_witnesses_match_the_element_path(spec):
+    # the coordinate paths form k*g and the differences as tuples, reducing
+    # their torsion; every verdict and witness must be the element path's
+    window = Window(2)
+    for a in elements_in_window(spec, window):
+        assert pseudo_unit(spec, a, window) == _element_path_pseudo_unit(spec, a, window), a
+        if spec.complement_part.contains(a):
+            assert _composite_witness(spec, a) == _element_path_witness(spec, a), a
+            assert _complement_irreducible(spec, a) == _element_path_complement_irreducible(spec, a), a
+
+
 def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
     # each check is not a|b, not b|a, b in H: the membership of the
     # candidate b is asked only by checks that find a witness
@@ -358,7 +424,7 @@ def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
     checks, asked = [], []
     current = []
     verified = structure._verified_witness
-    contains = type(rank4_h).contains
+    contains = type(rank4_h)._contains_coords
 
     def counted_check(spec, a, b):
         current.append(b)
@@ -375,7 +441,7 @@ def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
         return contains(spec, u)
 
     monkeypatch.setattr(structure, "_verified_witness", counted_check)
-    monkeypatch.setattr(type(rank4_h), "contains", counted_contains)
+    monkeypatch.setattr(type(rank4_h), "_contains_coords", counted_contains)
     report = decompose(rank4_h, Window(3))
     # one successful check per complement member a = (x, y, p, q); the
     # 147 members with q = 0 first fail twice, on p*e2 and (p+1)*e2
