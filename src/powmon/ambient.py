@@ -169,9 +169,6 @@ class GroupElement:
         free part, then the torsion."""
         return self.coords
 
-    def norm_inf(self) -> int:
-        return max((abs(a) for a in self.free), default=0)
-
     def __repr__(self) -> str:
         if self.torsion:
             return f"({','.join(map(str, self.free))};{','.join(map(str, self.torsion))})"

@@ -354,7 +354,7 @@ def cmd_iso(args) -> int:
     k = _load_monoid(args.codomain_file)
     cfg = _suite_config(args)
     iso = build_translation_iso(h, k)
-    names = args.suites.split(",") if args.suites else None
+    names = args.suites.split(",") if args.suites is not None else None
     return _run_suites(iso, cfg, names, args.format)
 
 

@@ -145,20 +145,23 @@ class Window:
         if self.bound < 1:
             raise ValueError("window bound must be >= 1")
 
+    def spans(self, sig: GroupSignature) -> list[range]:
+        """The range of each coordinate over sig: free ones in
+        [-bound, bound], torsion residues in [0, n)."""
+        b = self.bound
+        return [range(-b, b + 1)] * sig.free_rank + [range(n) for n in sig.torsion_orders]
+
 
 def ambient_window(sig: GroupSignature, window: Window) -> Iterator[GroupElement]:
     """All ambient elements in the window, in canonical ascending order."""
-    b = window.bound
-    free_ranges = [range(-b, b + 1)] * sig.free_rank
-    torsion_ranges = [range(n) for n in sig.torsion_orders]
-    for coords in itertools.product(*free_ranges, *torsion_ranges):
+    for coords in itertools.product(*window.spans(sig)):
         yield GroupElement(sig, coords)
 
 
 def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupElement]:
-    """Window elements small-first: shell by shell in ``norm_inf``
-    (0, 1, ..., bound), each shell with its free coordinates descending,
-    then its torsion ascending.
+    """Window elements small-first: shell by shell in the largest |free
+    coordinate| (0, 1, ..., bound), each shell with its free coordinates
+    descending, then its torsion ascending.
 
     Used by ``is_valuation``'s witness search so that its witnesses are
     deterministic and as readable as possible; the window searches of
@@ -166,7 +169,7 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
     key order instead.  The order is generated lazily, so a search that
     stops early builds only the shells it reads.
     """
-    torsion_ranges = [range(n) for n in sig.torsion_orders]
+    torsion_ranges = window.spans(sig)[sig.free_rank :]
     for k in range(window.bound + 1):
         for free in _shell(sig.free_rank, k):
             for torsion in itertools.product(*torsion_ranges):
@@ -174,7 +177,7 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
 
 
 def _shell(d: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The free parts of ``norm_inf`` k in Z^d, descending.  A part leads
+    """The free parts of largest |entry| k in Z^d, descending.  A part leads
     with +-k and goes on anywhere in the cube, or leads with a smaller
     entry and goes on in the shell of Z^(d-1): only the faces are built."""
     if d == 0:
@@ -348,27 +351,22 @@ class Numerical(MonoidSpec):
         """True when the monoid is g*N0, i.e. a full copy of N0."""
         return self._apery == (0,)
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def frobenius_gap(self) -> int | None:
         """Largest element of gcd*N0 missing from the monoid, None if none."""
-        if self.is_trivial() or self.is_all_of_scaled_n0():
+        if not self.generators or self.is_all_of_scaled_n0():
             return None
         return self._gcd * (max(self._apery) - len(self._apery))
 
-    def contains_int(self, x: int) -> bool:
+    contains = MonoidSpec.contains
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        x = coords[0]
         if not self.generators:
             return x == 0
         if x < 0 or x % self._gcd:
             return False
         xn = x // self._gcd
         return xn >= self._apery[xn % len(self._apery)]
-
-    contains = MonoidSpec.contains
-
-    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
-        return self.contains_int(coords[0])
 
     def is_reduced(self) -> bool:
         return True
@@ -402,11 +400,8 @@ class _Planar(MonoidSpec):
         width = d + len(self.signature.torsion_orders)
         object.__setattr__(self, "_off_plane", tuple(k for k in range(width) if k not in (i, j)))
 
-    def plane_coords(self, u: GroupElement) -> tuple[int, int] | None:
-        """(x, y) on the embedding plane, or None if u leaves the plane."""
-        return self._plane_xy(u.coords)
-
     def _plane_xy(self, coords: tuple[int, ...]) -> tuple[int, int] | None:
+        """(x, y) on the embedding plane, or None if coords leave the plane."""
         for k in self._off_plane:
             if coords[k]:
                 return None
@@ -681,39 +676,33 @@ class ComplementSpec:
             )
         object.__setattr__(self, "_grading", grading)
 
-    def grade(self, u: GroupElement) -> int:
-        """The grading functional at u; it vanishes on G."""
-        return self._grade(u.coords)
-
-    def _grade(self, coords: tuple[int, ...]) -> int:
+    def grade(self, coords: tuple[int, ...]) -> int:
+        """The grading functional at these coordinates; it vanishes on G."""
         # the grading has one entry per free coordinate, so map stops there
         return sum(map(mul, self._grading, coords))
 
-    def member_combination(self, u: GroupElement) -> tuple[int, ...] | None:
-        """The lexicographically least c in N0^k, c != 0, with
-        u - sum(c_i * m_i) in G, or None if u is not in G.M.
+    def member_combination(self, coords: tuple[int, ...]) -> tuple[int, ...] | None:
+        """For u given by its canonical coordinates, the lexicographically
+        least c in N0^k, c != 0, with u - sum(c_i * m_i) in G, or None if u
+        is not in G.M.
 
         Depth-first over the generators on coordinate vectors reduced
         modulo G; the grade left fixes the count of the last generator.
         Every state (generator index, residue) is memoized, so repeated
         queries across a window collapse to a few searches.
         """
-        return self._combination(u.coords)
-
-    def _combination(self, coords: tuple[int, ...]) -> tuple[int, ...] | None:
-        """``member_combination`` on the canonical coordinates of u."""
         rows = self._residue_rows
         residue = lattice_residue(rows, coords)
         memo = self._cache["member"]
         found = memo.get((0, residue), _UNSEEN)
         if found is not _UNSEEN:
             return found
-        budget = self._grade(coords)
+        budget = self.grade(coords)
         if budget < 1:
             memo[0, residue] = None
             return None
         gens = [g.coords for g in self.positive_generators]
-        weights = [self.grade(g) for g in self.positive_generators]
+        weights = [self.grade(g.coords) for g in self.positive_generators]
         last = len(gens) - 1
 
         def search(i: int, r: tuple[int, ...], left: int) -> tuple[int, ...] | None:
@@ -741,11 +730,7 @@ class ComplementSpec:
         return search(0, residue, budget)
 
     def _contains_coords(self, coords: tuple[int, ...]) -> bool:
-        return self._combination(coords) is not None
-
-    def contains_with_base(self, u: GroupElement) -> bool:
-        """Membership in G.(M | {identity}) = G.M union G."""
-        return not any(lattice_residue(self._residue_rows, u.coords)) or self.contains(u)
+        return self.member_combination(coords) is not None
 
     def difference_witness(self, other: ComplementSpec) -> GroupElement | None:
         """An element of exactly one of the two complement sets, or None
@@ -766,9 +751,14 @@ class ComplementSpec:
         return next(itertools.chain(generators, translates), None)
 
     def has_incomparable_pair(self) -> bool:
-        """Some pair of positive generators divides in neither direction."""
+        """Some pair of positive generators divides in neither direction:
+        neither difference lies in G or in G.M."""
+        sig, rows = self.signature, self._residue_rows
         for a, b in itertools.combinations(self.positive_generators, 2):
-            if not self.contains_with_base(a - b) and not self.contains_with_base(b - a):
+            for d in (sig._minus(a.coords, b.coords), sig._minus(b.coords, a.coords)):
+                if not any(lattice_residue(rows, d)) or self._contains_coords(d):
+                    break
+            else:
                 return True
         return False
 
@@ -840,8 +830,7 @@ class Composite(MonoidSpec):
         return val._contains_coords(coords) or comp._contains_coords(coords)
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        sig, comp, b = self.signature, self.complement_part, window.bound
-        spans = [range(-b, b + 1)] * sig.free_rank + [range(n) for n in sig.torsion_orders]
+        sig, comp, spans = self.signature, self.complement_part, window.spans(self.signature)
         # G absorbs coordinate j when its HNF holds the unit row e_j
         absorbed = [(j, 1, ()) in comp._residue_rows for j in range(len(spans))]
         found = [u.coords for u in self.valuation_part.iter_window_members(window)]

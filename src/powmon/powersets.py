@@ -236,12 +236,6 @@ class QuotientReport:
 
     entries: tuple[tuple[GroupElement, int], ...]
 
-    def multiplicity(self, a: GroupElement) -> int:
-        for elem, count in self.entries:
-            if elem == a:
-                return count
-        return 0
-
     def __len__(self) -> int:
         return len(self.entries)
 

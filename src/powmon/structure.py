@@ -68,7 +68,7 @@ def _reducible(v: GroupElement, w: GroupElement) -> IrreducibilityVerdict:
 
 
 def _half_plane_irreducible(spec: HalfPlaneLex, u: GroupElement) -> IrreducibilityVerdict:
-    x, y = spec.plane_coords(u)
+    x, y = spec._plane_xy(u.coords)
     if y == 0:
         if x == 1:
             return IrreducibilityVerdict(IrreducibleStatus.IRREDUCIBLE_ANALYTIC)
@@ -166,14 +166,14 @@ def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
     """Witness for a complement member among the multiples of the positive
     generators, or None: with torsion, every multiple may be comparable.
 
-    With c = ``member_combination(a)``, generator i starts at k = c_i, or
+    With c = ``member_combination(a.coords)``, generator i starts at k = c_i, or
     at c_i + 1 when another c_j is positive (c != 0, so k >= 1): for a
     smaller k, a - k*g_i is a G-part plus a non-zero combination of the
     generators, so it lies in G.M and k*g_i divides a.  The first verified
     witness is therefore the one the full loop finds."""
     sig, comp = spec.signature, spec.complement_part
-    budget = comp.grade(a) + 1
-    c = comp.member_combination(a)
+    budget = comp.grade(a.coords) + 1
+    c = comp.member_combination(a.coords)
     for g, c_i in zip(comp.positive_generators, c):
         for k in range(c_i + (sum(c) > c_i), budget + 1):
             b = sig._reduced(tuple(k * x for x in g.coords))

@@ -205,8 +205,13 @@ def test_suite_default_target(capsys):
     assert "two_sets" in out and "cardinality" in out
 
 
-def test_suite_unknown_name(capsys):
+def test_suite_unknown_name(capsys, monoid_files):
     assert main(["suite", "bogus"]) == 2
+    # an empty --suites names one suite, '', which does not exist
+    capsys.readouterr()
+    assert main(["iso", monoid_files["halfplane"], monoid_files["cone"], "--suites", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown suite ''" in captured.err
 
 
 def test_suite_inconclusive_exit_1(capsys, monoid_files):

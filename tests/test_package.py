@@ -29,6 +29,14 @@ DELETED = [
     ("translation", "_members"),  # apply_iso checks the domain itself
     ("translation", "ReversedClassification"),  # classify_reversed gives the status
     ("structure", "DecompositionReport.to_json_dict"),  # analyze writes its own
+    ("monoids", "ComplementSpec._grade"),  # grade(u.coords)
+    ("monoids", "ComplementSpec._combination"),  # member_combination(u.coords)
+    ("monoids", "ComplementSpec.contains_with_base"),  # G by lattice_residue, G.M by contains
+    ("monoids", "Numerical.contains_int"),  # contains(Z1.element(x))
+    ("monoids", "Numerical.is_trivial"),  # not m.generators
+    ("monoids", "HalfPlaneLex.plane_coords"),  # _plane_xy(u.coords)
+    ("ambient", "GroupElement.norm_inf"),  # max(map(abs, u.free), default=0)
+    ("powersets", "QuotientReport.multiplicity"),  # dict(report.entries).get(a, 0)
 ]
 
 

@@ -250,7 +250,7 @@ def test_quotients_respect_monoid(num23):
     x = FinSubset1.from_ints(num23, [0, 2, 3])
     report = quotients(x)
     assert Z1.element(1) not in [a for a, _ in report.entries]
-    assert report.multiplicity(Z1.element(2)) == 1
+    assert dict(report.entries)[Z1.element(2)] == 1
 
 
 Z_MOD3 = GroupSignature(1, (3,))
@@ -287,9 +287,9 @@ def test_quotient_multiplicity_agrees_with_quotients(case):
     # identity, which is no quotient although a + b lies in X for every b
     monoid, members = case
     x = FinSubset1.make(monoid, members)
-    report = quotients(x)
+    counts = dict(quotients(x).entries)
     for a in ambient_window(monoid.signature, Window(3)):
-        assert quotient_multiplicity(x, a) == report.multiplicity(a)
+        assert quotient_multiplicity(x, a) == counts.get(a, 0)
 
 
 Z_GROUP = free_generated(Z1, (Z1.element(1), Z1.element(-1)), "Z")
