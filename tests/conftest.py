@@ -7,6 +7,7 @@ from powmon.monoids import (
     ComplementSpec,
     QuadraticSurd,
     composite,
+    elements_in_window,
     full_n0,
     half_plane_lex,
     irrational_cone,
@@ -15,6 +16,13 @@ from powmon.monoids import (
 
 Z1 = GroupSignature(1)
 Z4 = GroupSignature(4)
+
+
+def splits_window(report):
+    """Do a decomposition's two buckets partition the window members?"""
+    members = elements_in_window(report.monoid, report.window)
+    parts = report.pseudo_units + report.complement
+    return len(parts) == len(members) and set(parts) == set(members)
 
 
 @st.composite

@@ -205,6 +205,16 @@ def test_suite_default_target(capsys):
     assert "two_sets" in out and "cardinality" in out
 
 
+def test_duplicate_suite_names_run_once(capsys, monoid_files):
+    for argv in (
+        ["iso", monoid_files["halfplane"], monoid_files["cone"], "--suites", "two_sets,two_sets"],
+        ["suite", "two_sets", "two_sets"],
+    ):
+        assert main(argv + ["--samples", "20", "--window", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("two_sets") == 1, out
+
+
 def test_suite_unknown_name(capsys, monoid_files):
     assert main(["suite", "bogus"]) == 2
     # an empty --suites names one suite, '', which does not exist

@@ -22,6 +22,7 @@ from powmon.monoids import (
     MonoidSpec,
     QuadraticSurd,
     ValuationStatus,
+    ValuationVerdict,
     Window,
     ambient_window,
     composite,
@@ -457,6 +458,23 @@ def test_is_valuation_analytic(halfplane, cone_sqrt2, n0):
     for spec in (halfplane, cone_sqrt2, n0):
         assert is_valuation(spec, w).status is ValuationStatus.TRUE_ANALYTIC
     assert is_valuation(numerical([1]), w).status is ValuationStatus.TRUE_ANALYTIC
+
+
+def test_is_valuation_reads_the_totally_ordered_free_generated():
+    # a copy of -N0, a group, and multiples of one element are valuation
+    # monoids by construction; free N0^2 has the incomparable pair e0, e1
+    e0, e1 = Z2.basis_element(0), Z2.basis_element(1)
+    chains = (
+        free_generated(Z1, [Z1.element(-1)]),
+        free_generated(Z1, [Z1.element(2), Z1.element(-3)]),
+        free_generated(Z2, [e0 + e1.scale(2), e0.scale(2) + e1.scale(4)]),
+    )
+    for spec in chains:
+        assert spec.totally_ordered
+        assert is_valuation(spec, Window(2)).status is ValuationStatus.TRUE_ANALYTIC
+    free = free_generated(Z2, [e0, e1])
+    assert not free.totally_ordered
+    assert is_valuation(free, Window(2)) == ValuationVerdict(ValuationStatus.FALSE_WITNESS, e0 - e1)
 
 
 def test_is_valuation_numerical_witness(num23):

@@ -37,6 +37,10 @@ DELETED = [
     ("monoids", "HalfPlaneLex.plane_coords"),  # _plane_xy(u.coords)
     ("ambient", "GroupElement.norm_inf"),  # max(map(abs, u.free), default=0)
     ("powersets", "QuotientReport.multiplicity"),  # dict(report.entries).get(a, 0)
+    ("structure", "_composite_witness"),  # _complement_witness(spec, comp, a.coords)
+    ("structure", "PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW"),  # every verdict is decided
+    ("structure", "DecompositionReport.unknown"),  # the two buckets partition the window
+    ("monoids", "ComplementSpec.has_incomparable_pair"),  # incomparable_pair is not None
 ]
 
 

@@ -1,15 +1,19 @@
 import os
 import subprocess
 import sys
+import itertools
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from powmon.ambient import GroupSignature
 from powmon.monoids import (
     ComplementSpec,
+    Composite,
     IrrationalCone,
     QuadraticSurd,
     Window,
@@ -26,16 +30,15 @@ from powmon.structure import (
     IrreducibilityVerdict,
     IrreducibleStatus,
     PseudoUnitStatus,
-    PseudoUnitVerdict,
     _complement_irreducible,
-    _composite_witness,
+    _complement_witness,
     decompose,
     is_independent,
     is_irreducible,
     pseudo_unit,
 )
 
-from conftest import glued_composites
+from conftest import glued_composites, splits_window
 
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
@@ -130,11 +133,7 @@ def test_composite_with_trivial_valuation_part_matches_numerical(num23):
     window = Window(10)
     assert elements_in_window(glued, window) == elements_in_window(num23, window)
     ours, theirs = decompose(glued, window), decompose(num23, window)
-    assert (ours.pseudo_units, ours.complement, ours.unknown) == (
-        theirs.pseudo_units,
-        theirs.complement,
-        theirs.unknown,
-    )
+    assert (ours.pseudo_units, ours.complement) == (theirs.pseudo_units, theirs.complement)
     for x in range(2, 11):
         v = is_irreducible(glued, Z1.element(x), window)
         if x in (2, 3):
@@ -204,27 +203,27 @@ def test_pseudo_unit_valuation_families(halfplane, cone_sqrt2, n0):
     for spec in (halfplane, cone_sqrt2):
         for u in elements_in_window(spec, Window(3)):
             assert (
-                pseudo_unit(spec, u, W8).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+                pseudo_unit(spec, u).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
             )
-    assert pseudo_unit(n0, Z1.element(5), W8).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+    assert pseudo_unit(n0, Z1.element(5)).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
 
 
 def test_pseudo_unit_numerical(num23):
-    v = pseudo_unit(num23, Z1.element(2), W8)
+    v = pseudo_unit(num23, Z1.element(2))
     assert v.status is PseudoUnitStatus.NOT_PSEUDO_UNIT
     assert v.witness == Z1.element(3)
     # oracle: brute-force over b <= 20 confirms 3 is a witness
     oracle = brute_force_pseudo_unit(num23, Z1.element(2), 20)
     assert oracle is not None
     assert not num23.contains(Z1.element(3 - 2)) and not num23.contains(Z1.element(2 - 3))
-    assert pseudo_unit(num23, Z1.element(0), W8).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+    assert pseudo_unit(num23, Z1.element(0)).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
 
 
 def test_pseudo_unit_numerical_matches_brute_force():
     for gens in ([2, 3], [3, 5], [4, 6], [5, 7, 9]):
         spec = numerical(gens)
         for u in elements_in_window(spec, Window(20)):
-            verdict = pseudo_unit(spec, u, Window(20))
+            verdict = pseudo_unit(spec, u)
             oracle = brute_force_pseudo_unit(spec, u, 40)
             if verdict.status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC:
                 assert oracle is None
@@ -239,12 +238,12 @@ def test_pseudo_unit_numerical_matches_brute_force():
 def test_pseudo_unit_rank4(rank4_h):
     # valuation members are pseudo-units
     assert (
-        pseudo_unit(rank4_h, Z4.element((-3, 2, 0, 0)), W8).status
+        pseudo_unit(rank4_h, Z4.element((-3, 2, 0, 0))).status
         is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
     )
     # complement members are not, with a verified witness
     a = Z4.element((1, -2, 2, 1))
-    v = pseudo_unit(rank4_h, a, W8)
+    v = pseudo_unit(rank4_h, a)
     assert v.status is PseudoUnitStatus.NOT_PSEUDO_UNIT
     b = v.witness
     assert rank4_h.contains(b)
@@ -253,27 +252,15 @@ def test_pseudo_unit_rank4(rank4_h):
 
 def test_pseudo_unit_free_generated_window_semantics():
     m = free_generated(Z2, (Z2.element((1, 0)), Z2.element((0, 1))))
-    v = pseudo_unit(m, Z2.element((1, 0)), W8)
+    v = pseudo_unit(m, Z2.element((1, 0)))
     assert v.status is PseudoUnitStatus.NOT_PSEUDO_UNIT
     assert v.witness == Z2.element((0, 1))
-
-
-def test_pseudo_unit_verdicts_stable_under_window_growth(num23, rank4_h):
-    for spec, elems in (
-        (num23, elements_in_window(num23, Window(10))),
-        (rank4_h, elements_in_window(rank4_h, Window(2))),
-    ):
-        for u in elems:
-            small = pseudo_unit(spec, u, Window(4))
-            big = pseudo_unit(spec, u, Window(8))
-            if small.status is not PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW:
-                assert small.status == big.status
 
 
 def test_decompose_numerical(num23):
     report = decompose(num23, Window(20))
     assert [u.free[0] for u in report.pseudo_units] == [0]
-    assert not report.unknown
+    assert splits_window(report)
     for v in report.verdicts:
         if v.status is PseudoUnitStatus.NOT_PSEUDO_UNIT:
             w = v.witness
@@ -285,19 +272,7 @@ def test_decompose_numerical(num23):
 def test_decompose_halfplane(halfplane):
     report = decompose(halfplane, Window(4))
     assert report.pseudo_units == elements_in_window(halfplane, Window(4))
-    assert not report.complement and not report.unknown
-
-
-def _full_loop_witness(spec, a):
-    """The composite witness search without the skip: every multiple
-    k*g for k = 1..grade(a)+1 of every positive generator, in order."""
-    comp = spec.complement_part
-    for g in comp.positive_generators:
-        for k in range(1, comp.grade(a.coords) + 2):
-            b = g.scale(k)
-            if spec.contains(b) and not spec.contains(a - b) and not spec.contains(b - a):
-                return b
-    return None
+    assert not report.complement and splits_window(report)
 
 
 def _half_plane_glued_non_basis():
@@ -316,70 +291,101 @@ def _cone_glued_torsion_generators():
     return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 2), "v"), comp, "drawn")
 
 
-@pytest.mark.parametrize("which", ["rank4-H", "non-basis"])
-def test_composite_witness_matches_full_loop(rank4_h, which):
-    spec = rank4_h if which == "rank4-H" else _half_plane_glued_non_basis()
-    window = Window(3)
-    checked = 0
-    for a in elements_in_window(spec, window):
-        if not spec.complement_part.contains(a):
-            continue
-        expected = _full_loop_witness(spec, a)
-        assert expected is not None
-        verdict = pseudo_unit(spec, a, window)
-        assert (verdict.status, verdict.witness) == (PseudoUnitStatus.NOT_PSEUDO_UNIT, expected), a
-        checked += 1
-    assert checked > 100
+def _cone_glued_torsion_twins():
+    # generators that differ by torsion alone: the witness of (0,0,0,1;0) is
+    # (0,0,0,1;1) and the other way round, each formed with its torsion reduced
+    sig = GroupSignature(4, (2,))
+    gens = (sig.element((0, 0, 0, 1), (1,)), sig.element((0, 0, 0, 1), (0,)))
+    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(1)), gens)
+    return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 1), "v"), comp, "twins")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(glued_composites())
-@example(_cone_glued_torsion_generators())
-def test_composite_witness_matches_full_loop_on_drawn_composites(spec):
-    # with G larger than V's quotient group, a - c_i*g_i may lie in G
-    # outside V and -V: then k = c_i is the witness and must not be skipped.
-    # A torsion generator can leave every multiple comparable with a; the
-    # window search then names the first incomparable member.
-    window = Window(2)
-    members = elements_in_window(spec, window)
-    for a in members:
-        if spec.complement_part.contains(a):
-            verdict = pseudo_unit(spec, a, window)
-            assert verdict.status is PseudoUnitStatus.NOT_PSEUDO_UNIT
-            expected = _full_loop_witness(spec, a)
-            if expected is None:
-                expected = next(
-                    b for b in members if not spec.contains(a - b) and not spec.contains(b - a)
-                )
-            assert verdict.witness == expected, a
+def _half_plane_glued_redundant():
+    # e2 divides both 2*e2 and e2+e3, the incomparable pair, so the witness
+    # of e2 is built on the pair (e2, e3) one step down
+    e = [Z4.basis_element(i) for i in range(4)]
+    comp = ComplementSpec(Z4, (e[0], e[1]), (e[2].scale(2), e[2] + e[3], e[2], e[3]))
+    return composite(half_plane_lex(Z4, (0, 1)), comp, label="half-plane-glued-redundant")
+
+
+@st.composite
+def free_generated_specs(draw):
+    """A free-generated monoid over Z, Z^2 or Z^3, with or without a Z/2
+    factor, on non-identity generators with free coordinates in [-1, 1]:
+    as drawn (graded, or a group when they allow no grading), the first
+    and twice the first (a copy of N0), or as drawn with minus their sum
+    (a group)."""
+    d = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from(((), (2,))))
+    sig = GroupSignature(d, torsion)
+    coords = st.tuples(*[st.integers(-1, 1)] * d, *[st.integers(0, 1)] * len(torsion))
+    element = coords.filter(any).map(lambda c: sig.element(c[:d], c[d:]))
+    gens = draw(st.lists(element, min_size=2, max_size=3))
+    kind = draw(st.sampled_from(("drawn", "drawn", "multiples", "group")))
+    if kind == "multiples":
+        gens = [gens[0], gens[0].scale(2)]
+    elif kind == "group":
+        gens.append(-sum(gens, sig.identity()))
+    try:
+        return free_generated(sig, gens)
+    except ValueError:  # neither graded nor a group
+        assume(False)
 
 
 def _incomparable(spec, a, b):
     return not spec.contains(a - b) and not spec.contains(b - a) and spec.contains(b)
 
 
-def _element_path_witness(spec, a):
-    """``_composite_witness`` on elements: k*g and both differences are
-    ``GroupElement``s, and every question goes through ``contains``."""
-    comp = spec.complement_part
-    c = comp.member_combination(a.coords)
-    for g, c_i in zip(comp.positive_generators, c):
-        for k in range(c_i + (sum(c) > c_i), comp.grade(a.coords) + 2):
-            if _incomparable(spec, a, g.scale(k)):
-                return g.scale(k)
-    return None
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(glued_composites(), free_generated_specs()))
+@example(_cone_glued_torsion_generators())
+@example(_cone_glued_torsion_twins())
+@example(_half_plane_glued_non_basis())
+@example(_half_plane_glued_redundant())
+# (1,0) divides the pair (2,0), (1,1) on one side only: its witness is y
+@example(free_generated(Z2, [Z2.element(v) for v in ((2, 0), (1, 1), (1, 0))]))
+@example(free_generated(Z1, [Z1.element(-1)]))
+def test_pseudo_unit_verdicts_match_brute_force_on_drawn_specs(spec):
+    # the pseudo-units V | {0}: a composite's valuation part, or all of a
+    # free-generated monoid whose generators divide each other in some
+    # direction, else {0}; a verdict is analytic exactly on them, an
+    # analytic verdict meets no incomparable member of a larger window,
+    # and every other verdict names one
+    members = elements_in_window(spec, Window(2))
+    if isinstance(spec, Composite):
+        pseudo_units = {a for a in members if spec.valuation_part.contains(a)}
+    else:
+        pairs = itertools.combinations(spec.generators, 2)
+        chain = all(spec.contains(g - h) or spec.contains(h - g) for g, h in pairs)
+        pseudo_units = set(members) if chain else set()
+    for a in members:
+        verdict = pseudo_unit(spec, a)
+        analytic = verdict.status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+        assert analytic == (a.is_identity() or a in pseudo_units), a
+        if analytic:
+            assert brute_force_pseudo_unit(spec, a, 4) is None, a
+        else:
+            assert _incomparable(spec, a, verdict.witness), a
 
 
-def _element_path_pseudo_unit(spec, a, window):
-    """``pseudo_unit`` of a composite member on elements."""
-    if a.is_identity() or spec.valuation_part.contains(a):
-        return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
-    b = _element_path_witness(spec, a)
-    if b is None:
-        b = next((w for w in elements_in_window(spec, window) if _incomparable(spec, a, w)), None)
-    if b is None:
-        return PseudoUnitVerdict(a, PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW)
-    return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, b)
+def test_pseudo_unit_builds_the_torsion_witness():
+    # no multiple of a generator is incomparable with a = (-2,2,-2;0); with
+    # the pair x = (0,1,0;0), y = (0,1,0;1), a - x is in G.M, so the
+    # witness is a - x + y, outside every window of bound 1
+    spec = _cone_glued_torsion_generators()
+    sig = spec.signature
+    verdict = pseudo_unit(spec, sig.element((-2, 2, -2), (0,)))
+    assert verdict.witness == sig.element((-2, 2, -2), (1,))
+
+
+def test_witness_descent_raises_past_its_bound(n0):
+    # a stand-in complement whose descent needs five steps but whose
+    # grade allows two: the construction raises instead of looping on
+    comp = SimpleNamespace(
+        incomparable_pair=((5,), (7,)), grade=lambda coords: 2, in_base_or_set=lambda d: d[0] > 0
+    )
+    with pytest.raises(AssertionError, match="ran past grade"):
+        _complement_witness(n0, comp, (1,))
 
 
 def _element_path_complement_irreducible(spec, u):
@@ -393,26 +399,15 @@ def _element_path_complement_irreducible(spec, u):
     return IrreducibilityVerdict(IrreducibleStatus.REDUCIBLE, (g, u - g))
 
 
-def _cone_glued_torsion_twins():
-    # the witness of (0,0,0,1;0) is 2*(0,0,0,1;1), whose raw torsion 2 is 0 mod 2
-    sig = GroupSignature(4, (2,))
-    gens = (sig.element((0, 0, 0, 1), (1,)), sig.element((0, 0, 0, 1), (0,)))
-    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(1)), gens)
-    return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 1), "v"), comp, "twins")
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(glued_composites())
 @example(_cone_glued_torsion_generators())
 @example(_cone_glued_torsion_twins())
 def test_coordinate_witnesses_match_the_element_path(spec):
-    # the coordinate paths form k*g and the differences as tuples, reducing
-    # their torsion; every verdict and witness must be the element path's
-    window = Window(2)
-    for a in elements_in_window(spec, window):
-        assert pseudo_unit(spec, a, window) == _element_path_pseudo_unit(spec, a, window), a
+    # the coordinate path forms u - v and u - g as tuples, reducing their
+    # torsion; every verdict and factor must be the element path's
+    for a in elements_in_window(spec, Window(2)):
         if spec.complement_part.contains(a):
-            assert _composite_witness(spec, a) == _element_path_witness(spec, a), a
             assert _complement_irreducible(spec, a) == _element_path_complement_irreducible(spec, a), a
 
 
@@ -443,10 +438,8 @@ def test_witness_checks_ask_for_the_candidate_last(rank4_h, monkeypatch):
     monkeypatch.setattr(structure, "_verified_witness", counted_check)
     monkeypatch.setattr(type(rank4_h), "_contains_coords", counted_contains)
     report = decompose(rank4_h, Window(3))
-    # one successful check per complement member a = (x, y, p, q); the
-    # 147 members with q = 0 first fail twice, on p*e2 and (p+1)*e2
-    assert sum(checks) == len(asked) == len(report.complement) == 735
-    assert len(checks) == 735 + 2 * 147 == 1029
+    # one check per complement member, of the witness built for it
+    assert sum(checks) == len(checks) == len(asked) == len(report.complement) == 735
 
 
 def test_decompose_rank4(rank4_h):
@@ -455,7 +448,7 @@ def test_decompose_rank4(rank4_h):
         u for u in elements_in_window(rank4_h, Window(4)) if rank4_h.valuation_part.contains(u)
     )
     assert report.pseudo_units == val_members
-    assert not report.unknown
+    assert splits_window(report)
     assert set(report.complement) == set(elements_in_window(rank4_h, Window(4))) - set(val_members)
 
 
@@ -469,7 +462,7 @@ def test_decompose_checks_survive_python_O():
         from powmon import structure
         from powmon.monoids import Window, numerical
 
-        def not_pseudo_unit(spec, a, window):
+        def not_pseudo_unit(spec, a):
             return structure.PseudoUnitVerdict(a, structure.PseudoUnitStatus.NOT_PSEUDO_UNIT, a)
 
         structure.pseudo_unit = not_pseudo_unit
@@ -517,7 +510,7 @@ def test_pseudo_unit_is_analytic_exactly_on_the_submonoid(
     for spec, window in cases:
         sub = pseudo_unit_submonoid(spec)
         for a in elements_in_window(spec, window):
-            analytic = pseudo_unit(spec, a, window).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+            analytic = pseudo_unit(spec, a).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
             assert analytic == (a.is_identity() or (sub is not None and sub.contains(a))), (spec, a)
 
 

@@ -642,7 +642,7 @@ def test_reversed_parts_are_closed(planar_iso, halfplane):
         assert classify_reversed(planar_iso, a + b) is ReversedStatus.NOT_REVERSED
     # reversed members are always pseudo-units
     for u in reversed_pool:
-        verdict = pseudo_unit(halfplane, u, Window(8))
+        verdict = pseudo_unit(halfplane, u)
         assert verdict.status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
 
 
