@@ -11,16 +11,16 @@ smaller set.  Product, quotients and reversion run on masks when the
 sets they read span at most 64 bits per member in total (the rule is
 stated in ``set_product``), so a sparse set such as {0, 10**12} never
 becomes a huge int.  Results are read off the mask a byte at a time
-through one bounded table of element tuples.  Every other set, and
-every set over another ambient group, takes the generic
-``GroupElement`` path.  Power and divides are built from the setwise
-product alone, so over Z they reach masks through ``set_product``.
+through one bounded table of element tuples; each keeps the (start,
+mask) pair it came from, which the next mask operation reads as one.
+Sparse sets, and sets over other ambient groups, take the generic
+``GroupElement`` path.  Power and divides reach masks through the product.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -80,11 +80,14 @@ class FinSubset1:
 
     ``make`` checks a set literal.  The constructor trusts its caller:
     ``elements`` must be sorted by ``GroupElement.key``, duplicate-free,
-    hold the identity and lie in ``monoid``.
+    hold the identity and lie in ``monoid``.  ``_bits``, the (start, mask)
+    pair ``_mask`` reads as one, is set by the kernel on each set it builds;
+    equality, hash, repr, copies and pickles skip it.
     """
 
     monoid: MonoidSpec
     elements: tuple[GroupElement, ...]
+    _bits: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     @classmethod
     def make(cls, monoid: MonoidSpec, elements: Iterable[GroupElement]) -> FinSubset1:
@@ -116,6 +119,9 @@ class FinSubset1:
 
     def __repr__(self) -> str:
         return "{" + ",".join(repr(u) for u in self.elements) + "}"
+
+    def __reduce__(self):
+        return FinSubset1, (self.monoid, self.elements)
 
 
 def _check_same_monoid(x: FinSubset1, y: FinSubset1) -> None:
@@ -152,6 +158,17 @@ def _shift_or(x: FinSubset1, start: int, m: int) -> int:
     return out
 
 
+def _mask(x: FinSubset1) -> tuple[int, int]:
+    """X's ``_bits``, computed on first use unless the kernel built X, whose
+    start may then lie below min X // 8 by a byte per product that built it."""
+    try:
+        return x._bits
+    except AttributeError:
+        start = _start(x)
+        object.__setattr__(x, "_bits", (start, _shift_or(x, start, 1)))
+        return x._bits
+
+
 # bounded: {0,a,3}^1000 next to every product of two subsets of {0..8}
 # takes under 800 entries, and 1024 entries of 8 elements hold 1.3 MB
 @lru_cache(maxsize=1024)
@@ -166,7 +183,9 @@ def _from_mask(monoid: MonoidSpec, m: int, start: int) -> FinSubset1:
     for index, byte in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little"), start):
         if byte:
             elements += _byte_elements(index, byte)
-    return FinSubset1(monoid, tuple(elements))
+    x = FinSubset1(monoid, tuple(elements))
+    object.__setattr__(x, "_bits", (start, m))
+    return x
 
 
 def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
@@ -175,15 +194,16 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
     Over Z it runs on masks when span X + span Y <= 64(|X| + |Y|): one
     shift-OR of the larger mask per member of the smaller set.  In Z,
     |X*Y| >= |X| + |Y| - 1, so a mask then holds at most 64 bits per
-    member of the result plus 63, and a sparse set such as {0, 10**12}
-    takes the generic path.  Quotients and reversion use the same rule.
+    member of the result plus 63, and 8 more per member of Y when Y's start
+    is stored (``_mask``); a sparse set such as {0, 10**12} takes the
+    generic path.  Quotients and reversion use the same rule.
     """
     _check_same_monoid(x, y)
     if _masked(x, y):
         if len(x.elements) > len(y.elements):
             x, y = y, x
-        sx, sy = _start(x), _start(y)
-        return _from_mask(x.monoid, _shift_or(x, sx, _shift_or(y, sy, 1)), sx + sy)
+        sx, (sy, my) = _start(x), _mask(y)
+        return _from_mask(x.monoid, _shift_or(x, sx, my), sx + sy)
     out: set[GroupElement] = set()
     for u in x.elements:
         for v in y.elements:
@@ -263,9 +283,9 @@ def quotients(x: FinSubset1) -> QuotientReport:
     monoid = x.monoid
     identity = monoid.identity()
     if _masked(x, x):
-        m = _shift_or(x, _start(x), 1)
+        m = _mask(x)[1]
         counts = {}
-        for a in range(1, m.bit_length()):
+        for a in range(1, x.elements[-1].coords[0] - x.elements[0].coords[0] + 1):
             n = (m & (m >> a)).bit_count()
             if n:
                 counts[GroupElement(_Z1, (a,))] = counts[GroupElement(_Z1, (-a,))] = n
@@ -291,7 +311,7 @@ def reversion(x: FinSubset1) -> FinSubset1:
         raise MonoidMismatchError("reversion is defined over the full monoid N0 only")
     top = x.elements[-1]
     if _masked(x, x):
-        # an N0 set starts at 0, so its mask starts at byte 0 and has top + 1 bits
-        bits = format(_shift_or(x, 0, 1), f"0{top.coords[0] + 1}b")
+        # an N0 set, like its factors, starts at byte 0: its mask has top + 1 bits
+        bits = format(_mask(x)[1], f"0{top.coords[0] + 1}b")
         return _from_mask(x.monoid, int(bits[::-1], 2), 0)
     return FinSubset1(x.monoid, tuple(top - u for u in reversed(x.elements)))

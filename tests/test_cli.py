@@ -50,6 +50,13 @@ def test_eval_power(capsys):
     assert capsys.readouterr().out.strip() == "{0,1,2,3}"
 
 
+def test_power_chains_from_the_left(capsys):
+    # {0,1}^2^3 is ({0,1}^2)^3 = {0,1,2}^3, not {0,1}^8 = {0,...,8}
+    for text in ("{0,1}^2^3", "({0,1}^2)^3"):
+        assert main(["eval", text]) == 0
+        assert capsys.readouterr().out.strip() == "{0,1,2,3,4,5,6}"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}

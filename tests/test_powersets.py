@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powmon.ambient import GroupElement, GroupSignature
+from powmon.cli import main
 from powmon.monoids import (
     FullN0,
     Window,
@@ -21,6 +24,7 @@ from powmon.powersets import (
     MembershipError,
     MonoidMismatchError,
     _byte_elements,
+    _mask,
     divides,
     quotient_multiplicity,
     quotients,
@@ -343,6 +347,83 @@ def test_set_operations_match_componentwise_reference(case):
     if isinstance(monoid, FullN0):
         top = x.elements[-1]
         assert reversion(x).elements == tuple(top - u for u in reversed(x.elements))
+
+
+def reference_divisor(xs, ys):
+    """The largest Z with X*Z = Y by definition, or None."""
+    members = set(ys)
+    zstar = tuple(w for w in ys if all(u + w in members for u in xs))
+    exact = set(xs) <= members and reference_product(xs, zstar) == ys
+    return zstar if exact else None
+
+
+def check_against_reference(p, z, n):
+    """Every operation reading the kernel-built set P, against GroupElements."""
+    monoid, ps = p.monoid, p.elements
+    # the stored (start, mask) pair, read together, spells P's members
+    start, m = _mask(p)
+    assert tuple(8 * start + i for i in range(m.bit_length()) if m >> i & 1) == p.ints()
+    for a, b in ((p, z), (z, p), (p, p)):
+        assert set_product(a, b).elements == reference_product(a.elements, b.elements)
+    power = (monoid.identity(),)
+    for _ in range(n):
+        power = reference_product(power, ps)
+    assert set_power(p, n).elements == power
+    target = set_product(p, z)
+    for x, y in ((p, target), (z, target), (p, z)):
+        witness = divides(x, y)
+        assert (None if witness is None else witness.elements) == reference_divisor(
+            x.elements, y.elements)
+    counts = Counter(u - v for u in ps for v in ps if u != v)
+    assert quotients(p).entries == tuple(
+        (a, counts[a]) for a in sorted(counts, key=GroupElement.key) if monoid.contains(a)
+    )
+    if isinstance(monoid, FullN0):
+        rev = tuple(ps[-1] - u for u in reversed(ps))
+        assert reversion(p).elements == rev
+        assert reversion(reversion(p)) == p
+
+
+@st.composite
+def chained_cases(draw):
+    # the three monoids over Z, whose sets take the mask path
+    monoid, members = draw(st.sampled_from(KERNEL_CASES[:3]))
+    x, y, z = (FinSubset1.make(monoid, draw(st.lists(st.sampled_from(members), max_size=5)))
+               for _ in range(3))
+    return x, y, z, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(chained_cases())
+@example((FinSubset1.from_ints(Z_GROUP, [-1, 3]), FinSubset1.from_ints(Z_GROUP, [-1, 5]),
+          FinSubset1.from_ints(Z_GROUP, [-8, 2, 9]), 2))
+def test_chained_kernel_results_match_componentwise_reference(case):
+    # kernel results fed back into the kernel, which then reads the (start,
+    # mask) pair they stored; over Z below 0 (here (-1) + (-1) = -2) a
+    # product's stored start -2 lies below min // 8 = -1
+    x, y, z, n = case
+    xy = set_product(x, y)
+    assert xy.elements == reference_product(x.elements, y.elements)
+    check_against_reference(xy, z, n)
+    xyz = set_product(xy, z)
+    check_against_reference(xyz, y, n)
+    if isinstance(x.monoid, FullN0):
+        check_against_reference(reversion(xy), reversion(x), n)
+
+
+def test_stored_mask_is_invisible(n0, capsys):
+    built = set_product(FinSubset1.from_ints(n0, [0, 1, 3]), FinSubset1.from_ints(n0, [0, 2]))
+    made = FinSubset1.make(n0, built.elements)
+    assert _mask(built) == (0, 0b101111) and not hasattr(made, "_bits")
+    for twin in (made, copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert twin == built and built == twin
+        assert hash(twin) == hash(built) and repr(twin) == repr(built) == "{0,1,2,3,5}"
+        assert set_product(twin, built) == set_product(built, built)
+    printed = []
+    for text in ("{0,1,3}*{0,2}", repr(made)):
+        assert main(["eval", text, "--format", "json"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_byte_element_table_is_bounded():
