@@ -568,6 +568,10 @@ class FreeGenerated(MonoidSpec):
     _group_rows: tuple[ResidueRow, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: the trivial monoid of a graded monoid that is not totally ordered, else None
+    _pseudo_units: FreeGenerated | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     family: ClassVar[str] = "FREE_GENERATED"
 
@@ -579,9 +583,13 @@ class FreeGenerated(MonoidSpec):
                 raise SignatureMismatchError("generator signature mismatch")
         try:
             object.__setattr__(self, "_complement", ComplementSpec(self.signature, (), gens))
-            return
         except ValueError:  # no positive grading
             pass
+        else:
+            if not self.totally_ordered:
+                trivial = FreeGenerated(self.signature, (), f"{self.label}-pseudo-units")
+                object.__setattr__(self, "_pseudo_units", trivial)
+            return
         # c >= 1 with sum(c_i * free_i) = 0: scaled by the lcm of the
         # torsion orders, the combination is the identity
         frees = [g.free for g in gens]
@@ -788,7 +796,7 @@ class Composite(MonoidSpec):
       monoid would itself be a valuation monoid).
 
     ``borrowed_nonunit`` is a non-unit v of the valuation part, or None
-    exactly when that part is {0}; a complement member u is v + (u - v).
+    exactly when that part is a group; a complement member u is v + (u - v).
 
     Window members are built: V walks its window; G.M, a union of cosets
     of G, is tested per representative with the coordinates G absorbs at
@@ -823,9 +831,8 @@ class Composite(MonoidSpec):
                 "glued monoid would be a plain valuation monoid"
             )
         # V totally orders its quotient group, so g or -g is a member for
-        # each quotient generator g.  Were all those members units, V would
-        # be a group; of the valuation families a composite admits only {0}
-        # is one, and it has no quotient generator.  So None iff V is {0}.
+        # each quotient generator g.  All those members are units exactly
+        # when V is its quotient group, so None iff V is a group ({0} included).
         val = self.valuation_part
         signed = (v for g in val.quotient_generators() for v in (g, -g))
         borrow = next((v for v in signed if val.contains(v) and not is_unit(val, v)), None)
@@ -915,28 +922,25 @@ def composite(
 # ---------------------------------------------------------------------------
 
 
-def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec | None:
-    """The pseudo-units of spec as a spec of their own, when analytic.
+def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec:
+    """The pseudo-units of spec as a spec of their own, over its signature.
 
-    Exactly the families whose total divisibility order is certified by
-    construction are their own pseudo-unit submonoid; a proper numerical
-    monoid collapses to {0}; composites keep exactly their valuation
-    part.  None means no analytic description is available.
+    A composite keeps exactly its valuation part; a proper numerical
+    monoid and a graded free-generated monoid that is not totally
+    ordered collapse to the trivial monoid they built; every other spec
+    is totally ordered by construction and is its own.
     """
-    if isinstance(spec, (FullN0, HalfPlaneLex, IrrationalCone)):
-        return spec
-    if isinstance(spec, Numerical):
-        return spec if spec._pseudo_units is None else spec._pseudo_units
     if isinstance(spec, Composite):
         return spec.valuation_part
-    return None
+    if isinstance(spec, (Numerical, FreeGenerated)) and spec._pseudo_units is not None:
+        return spec._pseudo_units
+    return spec
 
 
 def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
-    """Total-order verdict: analytic for the order-cone families and the
-    ``totally_ordered`` free-generated ones, a window search elsewhere."""
-    totally_ordered = isinstance(spec, FreeGenerated) and spec.totally_ordered
-    if pseudo_unit_submonoid(spec) is spec or totally_ordered:
+    """Total-order verdict: analytic for the specs that are their own
+    pseudo-unit submonoid, a window search elsewhere."""
+    if pseudo_unit_submonoid(spec) is spec:
         return ValuationVerdict(ValuationStatus.TRUE_ANALYTIC)
     q_rows = residue_rows(subgroup_rows(spec.signature, spec.quotient_generators()))
     # the identity lies in every monoid, so it is never a witness

@@ -11,8 +11,9 @@ smaller set.  Product, quotients and reversion run on masks when the
 sets they read span at most 64 bits per member in total (the rule is
 stated in ``set_product``), so a sparse set such as {0, 10**12} never
 becomes a huge int.  Results are read off the mask a byte at a time
-through one bounded table of element tuples; each keeps the (start,
-mask) pair it came from, which the next mask operation reads as one.
+through one bounded table of element tuples; each keeps its (start,
+mask) pair, from byte min X // 8, which the next mask operation reads
+as one.
 Sparse sets, and sets over other ambient groups, take the generic
 ``GroupElement`` path.  Power and divides reach masks through the product.
 """
@@ -145,7 +146,7 @@ def _masked(x: FinSubset1, y: FinSubset1) -> bool:
 
 def _start(x: FinSubset1) -> int:
     """The byte min X // 8 that X's mask starts at: bit v - 8*start is
-    member v, and a product's start is the sum of its factors' starts."""
+    member v.  A product's mask is built from its factors' start sum."""
     return x.elements[0].coords[0] >> 3
 
 
@@ -159,8 +160,7 @@ def _shift_or(x: FinSubset1, start: int, m: int) -> int:
 
 
 def _mask(x: FinSubset1) -> tuple[int, int]:
-    """X's ``_bits``, computed on first use unless the kernel built X, whose
-    start may then lie below min X // 8 by a byte per product that built it."""
+    """X's ``_bits``, computed on first use unless the kernel built X."""
     try:
         return x._bits
     except AttributeError:
@@ -179,12 +179,14 @@ def _byte_elements(index: int, byte: int) -> tuple[GroupElement, ...]:
 
 
 def _from_mask(monoid: MonoidSpec, m: int, start: int) -> FinSubset1:
+    """The set of mask m from byte ``start``, storing its mask from min X // 8."""
     elements: list[GroupElement] = []
     for index, byte in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little"), start):
         if byte:
             elements += _byte_elements(index, byte)
     x = FinSubset1(monoid, tuple(elements))
-    object.__setattr__(x, "_bits", (start, m))
+    first = _start(x)
+    object.__setattr__(x, "_bits", (first, m >> (first - start << 3)))
     return x
 
 
@@ -194,9 +196,8 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
     Over Z it runs on masks when span X + span Y <= 64(|X| + |Y|): one
     shift-OR of the larger mask per member of the smaller set.  In Z,
     |X*Y| >= |X| + |Y| - 1, so a mask then holds at most 64 bits per
-    member of the result plus 63, and 8 more per member of Y when Y's start
-    is stored (``_mask``); a sparse set such as {0, 10**12} takes the
-    generic path.  Quotients and reversion use the same rule.
+    member of the result plus 63; a sparse set such as {0, 10**12} takes
+    the generic path.  Quotients and reversion use the same rule.
     """
     _check_same_monoid(x, y)
     if _masked(x, y):
@@ -285,7 +286,7 @@ def quotients(x: FinSubset1) -> QuotientReport:
     if _masked(x, x):
         m = _mask(x)[1]
         counts = {}
-        for a in range(1, x.elements[-1].coords[0] - x.elements[0].coords[0] + 1):
+        for a in range(1, m.bit_length()):
             n = (m & (m >> a)).bit_count()
             if n:
                 counts[GroupElement(_Z1, (a,))] = counts[GroupElement(_Z1, (-a,))] = n

@@ -118,11 +118,12 @@ def is_irreducible(spec: MonoidSpec, u: GroupElement, window: Window) -> Irreduc
 
 
 def _complement_irreducible(spec: Composite, u: GroupElement) -> IrreducibilityVerdict:
-    """A complement member u of V | (G.M).  With V non-trivial, u is the
+    """A complement member u of V | (G.M).  With a non-unit in V, u is the
     composite's ``borrowed_nonunit`` v plus u - v, which G.M holds.  With
-    V trivial (``borrowed_nonunit`` None), u = v + w needs v, w in G.M,
-    and then u - g = w + (v - g) is in G.M for a generator g with a
-    positive coefficient in v, so trying each generator decides exactly."""
+    V a group ({0} included; ``borrowed_nonunit`` None), every non-unit
+    lies in G.M, so u = v + w needs v, w in G.M, and then u - g = w + (v - g)
+    is in G.M for a generator g with a positive coefficient in v, so
+    trying each generator decides exactly."""
     sig, comp = spec.signature, spec.complement_part
     v = spec.borrowed_nonunit
     if v is None:
@@ -191,24 +192,21 @@ def _complement_witness(
 def pseudo_unit(spec: MonoidSpec, a: GroupElement) -> PseudoUnitVerdict:
     """Is a comparable (in either direction) with every member of spec?
 
-    Analytic exactly when a is the identity, lies in the analytic
-    ``pseudo_unit_submonoid``, or spec is ``totally_ordered``.  Otherwise
-    a verified witness is built: a + F for the largest gap F of a numerical
-    monoid, else ``_complement_witness`` on a composite's complement or on
-    a graded free-generated monoid, which is {0} | G.M with G trivial.
+    Analytic exactly when a lies in the ``pseudo_unit_submonoid``.
+    Otherwise a verified witness is built: a + F for the largest gap F of
+    a numerical monoid, else ``_complement_witness`` on a composite's
+    complement or on a graded free-generated monoid that is not totally
+    ordered, which is {0} | G.M with G trivial.
     """
     if not spec.contains(a):
         raise ValueError(f"{a!r} is not a member of {spec.label!r}")
-    pseudo = pseudo_unit_submonoid(spec)
     # a pseudo-unit submonoid is over the signature of its spec
-    if a.is_identity() or (pseudo is not None and pseudo._contains_coords(a.coords)):
+    if pseudo_unit_submonoid(spec)._contains_coords(a.coords):
         return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
     if isinstance(spec, Numerical):
         b = (a.coords[0] + spec.frobenius_gap(),)
     elif isinstance(spec, Composite):
         b = _complement_witness(spec, spec.complement_part, a.coords)
-    elif spec.totally_ordered:
-        return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
     else:
         b = _complement_witness(spec, spec._complement, a.coords)
     if not _verified_witness(spec, a.coords, b):

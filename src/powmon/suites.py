@@ -408,18 +408,14 @@ def _pseudo_closure(s: _Sample) -> list[dict]:
     spec, window, count = s.iso.domain, s.cfg.window, s.cfg.sample_count
     analytic = PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
     dom_val = s.iso.domain_valuation
-    if dom_val is None:
-        report = decompose(spec, window)
-        val, comp = list(report.pseudo_units), list(report.complement)
-    else:
-        # the certified pseudo-unit submonoid splits the window exactly
-        val, comp = [], []
-        for u in s.pool:
-            (val if dom_val.contains(u) else comp).append(u)
+    # the certified pseudo-unit submonoid splits the window exactly
+    val, comp = [], []
+    for u in s.pool:
+        (val if dom_val.contains(u) else comp).append(u)
 
     failures = []
     q_pool = []
-    if comp and dom_val is not None and dom_val.quotient_generators():
+    if comp and dom_val.quotient_generators():
         # a valuation monoid's quotient group is V | -V, and the window is
         # symmetric, so the group's window points are V's and their negatives;
         # a trivial quotient group gives no translation case
@@ -435,10 +431,9 @@ def _pseudo_closure(s: _Sample) -> list[dict]:
                 failures.append(
                     {"a": element_to_dict(a), "q": element_to_dict(q), "law": "translation"}
                 )
-    order = spec if dom_val is None else dom_val
     for _ in range(count):
         a, b = s.rng.choice(val), s.rng.choice(val)
-        if not (order.contains(a - b) or order.contains(b - a)):
+        if not (dom_val.contains(a - b) or dom_val.contains(b - a)):
             failures.append({"a": element_to_dict(a), "b": element_to_dict(b), "law": "valuation"})
     s.cases = count * (1 + bool(comp) + bool(q_pool))
     return failures

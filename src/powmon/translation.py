@@ -105,8 +105,8 @@ class TranslationIso:
 
     domain: MonoidSpec
     codomain: MonoidSpec
-    domain_valuation: MonoidSpec | None
-    codomain_valuation: MonoidSpec | None
+    domain_valuation: MonoidSpec
+    codomain_valuation: MonoidSpec
     certificate: str
     _pullback_cache: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -154,10 +154,15 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
             )
         template, differ = "composite-pair", "valuation parts have different quotient groups"
     else:
+        kinds = [
+            "a valuation monoid" if s_v is s else "a composite" if isinstance(s, Composite)
+            else "neither a valuation monoid nor a composite"
+            for s, s_v in ((h, h_v), (k, k_v))
+        ]
         raise ApplicabilityError(
             "template-mismatch",
-            f"domain {h.label!r} is neither a valuation monoid nor a composite "
-            f"with the same complement set as {k.label!r} (and the specs are not identical)",
+            f"domain {h.label!r} is {kinds[0]} and codomain {k.label!r} is {kinds[1]}; "
+            "the templates take two valuation monoids, two composites or identical specs",
         )
     # both templates compare the quotient groups of the valuation parts
     # (a valuation monoid is its own pseudo-unit submonoid)
@@ -170,9 +175,6 @@ def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupEl
     """The unique a with a + X inside the codomain, for the domain members
     ``elements`` of X: minus the minimum, in K's order, of X's part in V_H."""
     identity, v_h = f.domain.identity(), f.domain_valuation
-    # only an identical pair lacks a pseudo-unit part, and then a = 0
-    if v_h is None:
-        return identity
     # domain members, checked over the signature that V_H shares
     s = [u for u in elements if u is identity or v_h._contains_coords(u.coords)]
     return -valuation_min(f.codomain_valuation, s)
@@ -218,7 +220,7 @@ def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
         raise MembershipError(f.domain, a)
     # a is checked: the other three specs are over its signature
     result, v_h, v_k = a, f.domain_valuation, f.codomain_valuation
-    if v_h is not None and v_h._contains_coords(a.coords):
+    if v_h._contains_coords(a.coords):
         # reversed_by_order's question; V_K holds neither under a lying certificate
         neg_a, in_v_k = -a, v_k._contains_coords
         result = neg_a if in_v_k(neg_a.coords) else a if in_v_k(a.coords) else None
@@ -289,11 +291,10 @@ def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
     f({0, u}) = {-u, 0}: g(u) = -u and f(X) = {0, 2g(u), 3g(u)},
     reversed.  A member outside V_H (a complement member) meets V_H in
     no element of its chain but 0, so f fixes its chain and it is never
-    reversed; without a valuation part f is the identity.  The identity
-    is not reversed.
+    reversed.  The identity is not reversed.
     """
     v_h, v_k = f.domain_valuation, f.codomain_valuation
-    return v_h is not None and not u.is_identity() and v_h.contains(u) and v_k.contains(-u)
+    return not u.is_identity() and v_h.contains(u) and v_k.contains(-u)
 
 
 def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:

@@ -475,3 +475,7 @@ def test_residue_rows_keep_only_the_non_zero_tail():
         (1, 4, ((2, -5),)),
     )
     assert residue_rows(((3, 0, 0), (0, 0, 6))) == ((0, 3, ()), (2, 6, ()))
+
+
+def test_torsion_element_repr():
+    assert repr(Z_X_MOD3.element((1,), (2,))) == "(1;2)"

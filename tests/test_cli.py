@@ -95,6 +95,16 @@ def test_eval_tuples_over_halfplane(capsys, monoid_files):
     assert capsys.readouterr().out.strip() == "{(-2,1),(-1,2),(0,0),(1,1)}"
 
 
+def test_eval_torsion_elements(tmp_path, capsys):
+    # free-z-z3: generated by (1;1) and (2;0) in Z + Z/3
+    sig = GroupSignature(1, (3,))
+    spec = free_generated(sig, [sig.element((1,), (1,)), sig.element((2,), (0,))], "free-z-z3")
+    path = tmp_path / "free-z-z3.json"
+    path.write_text(monoid_to_json(spec), encoding="utf-8")
+    assert main(["eval", "{(1;1)} * {(1;1)}", "--monoid", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "{(0;0),(1;1),(2;2)}"
+
+
 def test_eval_json_format(capsys):
     assert main(["eval", "{0,1}", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -203,6 +213,37 @@ def test_iso_negative_control_exit_2(capsys, monoid_files):
     err = capsys.readouterr().err
     assert "APPLICABILITY_FAILED" in err
     assert "template-mismatch" in err
+
+
+def test_iso_negative_control_names_the_codomain(capsys, monoid_files):
+    assert main(["iso", monoid_files["n0"], monoid_files["num23"]]) == 2
+    err = capsys.readouterr().err
+    assert "template-mismatch" in err and "codomain '<2,3>'" in err
+
+
+def test_iso_n0_to_minus_n0_exit_0(tmp_path, capsys, monoid_files):
+    path = tmp_path / "neg-n0.json"
+    z = GroupSignature(1)
+    path.write_text(monoid_to_json(free_generated(z, [z.element(-1)], "-N0")), encoding="utf-8")
+    suites = "two_sets,cardinality,homomorphism"
+    argv = ["iso", monoid_files["n0"], str(path), "--suites", suites, "--samples", "20"]
+    assert main([*argv, "--window", "3"]) == 0, capsys.readouterr().err
+
+
+def test_composite_over_a_group(tmp_path, capsys):
+    # Z e0 glued with G.M, G = Z e0 and M generated by e1, e2: the valuation
+    # part is a group, so analyze runs and iso refuses the unreduced domain
+    z3 = GroupSignature(3)
+    e0, e1, e2 = (z3.basis_element(i) for i in range(3))
+    line = free_generated(z3, [e0, -e0], "line")
+    spec = composite(line, ComplementSpec(z3, (e0,), (e1, e2)), label="glued-line")
+    path = tmp_path / "glued-line.json"
+    path.write_text(monoid_to_json(spec), encoding="utf-8")
+    assert main(["analyze", str(path), "--window", "2", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["irreducibles"]) == 10 and out["reducible_count"] == 30
+    assert main(["iso", str(path), str(path)]) == 2
+    assert "domain-not-reduced" in capsys.readouterr().err
 
 
 def test_suite_default_target(capsys):

@@ -483,6 +483,17 @@ def test_is_valuation_numerical_witness(num23):
     assert verdict.witness == Z1.element(1)
 
 
+def test_is_valuation_searches_the_quotient_group_only():
+    # <4,6> has quotient group 2Z: 1 is skipped, 2 is the first witness;
+    # <20,30> has quotient group 10Z, which meets Window(8) in 0 alone
+    assert is_valuation(numerical([4, 6]), Window(8)) == ValuationVerdict(
+        ValuationStatus.FALSE_WITNESS, Z1.element(2)
+    )
+    assert is_valuation(numerical([20, 30]), Window(8)) == ValuationVerdict(
+        ValuationStatus.UNKNOWN_UP_TO_WINDOW
+    )
+
+
 def test_is_valuation_composite_witness(rank4_h):
     verdict = is_valuation(rank4_h, Window(2))
     assert verdict.status is ValuationStatus.FALSE_WITNESS

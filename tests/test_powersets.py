@@ -493,3 +493,24 @@ def test_reversion_is_multiplicative_random(xs, ys):
     x = FinSubset1.from_ints(n0, xs)
     y = FinSubset1.from_ints(n0, ys)
     assert reversion(set_product(x, y)) == set_product(reversion(x), reversion(y))
+
+
+def test_chained_mask_starts_at_its_least_member():
+    # a 300-fold product of {-1,0} over -N0: each product's mask is built
+    # from its factors' start sum, and the stored mask still starts at
+    # byte min X // 8, so it holds at most the span plus 7 bits
+    neg_n0 = free_generated(Z1, [Z1.element(-1)])
+    chain = FinSubset1.from_ints(neg_n0, [-1, 0])
+    for _ in range(299):
+        chain = set_product(chain, FinSubset1.from_ints(neg_n0, [-1, 0]))
+    assert chain.ints() == tuple(range(-300, 1))
+    start, m = _mask(chain)
+    assert start == -300 // 8
+    assert m.bit_length() <= len(chain) + 7
+    assert quotients(chain) == quotients(FinSubset1(neg_n0, chain.elements))
+
+
+def test_reversion_of_a_sparse_set_takes_the_generic_path(n0):
+    x = FinSubset1.from_ints(n0, [0, 10**12])
+    assert repr(reversion(x)) == "{0,1000000000000}"
+    assert not hasattr(x, "_bits")

@@ -15,6 +15,7 @@ from powmon.monoids import (
     ComplementSpec,
     Composite,
     IrrationalCone,
+    MonoidSpec,
     QuadraticSurd,
     Window,
     composite,
@@ -496,7 +497,7 @@ def test_pseudo_unit_submonoid(n0, num23, halfplane, cone_sqrt2, rank4_h):
     assert not trivial.generators
     assert pseudo_unit_submonoid(rank4_h) is rank4_h.valuation_part
     m = free_generated(Z2, (Z2.element((1, 0)), Z2.element((0, 1))))
-    assert pseudo_unit_submonoid(m) is None
+    assert pseudo_unit_submonoid(m) == free_generated(Z2, ())
 
 
 def test_pseudo_unit_is_analytic_exactly_on_the_submonoid(
@@ -512,6 +513,61 @@ def test_pseudo_unit_is_analytic_exactly_on_the_submonoid(
         for a in elements_in_window(spec, window):
             analytic = pseudo_unit(spec, a).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
             assert analytic == (a.is_identity() or (sub is not None and sub.contains(a))), (spec, a)
+
+
+def _glued_line():
+    """Z e0 | (Z e0 + N0 {e1, e2} minus 0) in Z^3: a composite whose
+    valuation part is a group, so it is not reduced."""
+    z3 = GroupSignature(3)
+    e0, e1, e2 = (z3.basis_element(i) for i in range(3))
+    line = free_generated(z3, [e0, -e0], "line")
+    return composite(line, ComplementSpec(z3, (e0,), (e1, e2)), label="glued-line")
+
+
+def test_every_spec_has_an_analytic_pseudo_unit_submonoid(
+    n0, num23, halfplane, cone_sqrt2, rank4_h
+):
+    e0, e1 = Z2.basis_element(0), Z2.basis_element(1)
+    cases = [
+        (n0, Window(6)), (num23, Window(12)), (halfplane, Window(3)), (cone_sqrt2, Window(3)),
+        (rank4_h, Window(2)), (_glued_line(), Window(2)),
+        (free_generated(Z1, [Z1.element(-1)], "-N0"), Window(6)),
+        (free_generated(Z2, [e0, e1, -(e0 + e1)], "group"), Window(3)),
+        (free_generated(Z2, [e0, e1], "N0^2"), Window(3)),
+        (free_generated(Z2, [e0 + e1, e0.scale(3) + e1.scale(3)], "diagonal"), Window(3)),
+    ]
+    for spec, window in cases:
+        sub = pseudo_unit_submonoid(spec)
+        assert isinstance(sub, MonoidSpec) and sub.signature == spec.signature, spec.label
+        members = elements_in_window(spec, window)
+        for a in members:
+            analytic = pseudo_unit(spec, a).status is PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC
+            assert analytic == sub.contains(a), (spec.label, a)
+            # by definition: a pseudo-unit is comparable with every member
+            if analytic:
+                assert all(spec.contains(a - b) or spec.contains(b - a) for b in members)
+
+
+def test_composite_over_a_group_factors_as_brute_force_does():
+    glued = _glued_line()
+    assert glued.borrowed_nonunit is None and not glued.is_reduced()
+    # a factorization u = v + w moves along Z e0 by units, so one with v
+    # at e0-coordinate 0 exists whenever any does: the window holds it
+    window = Window(2)
+    members = elements_in_window(glued, window)
+    nonunits = [u for u in members if not is_unit(glued, u)]
+    assert len(nonunits) == 40
+    for u in nonunits:
+        factors = any(
+            glued.contains(u - v) and not is_unit(glued, u - v) for v in nonunits
+        )
+        verdict = is_irreducible(glued, u, window)
+        assert (verdict.status is IrreducibleStatus.REDUCIBLE) == factors, u
+        if factors:
+            v, w = verdict.factors
+            assert v + w == u and not is_unit(glued, v) and not is_unit(glued, w)
+        else:
+            assert verdict.status is IrreducibleStatus.IRREDUCIBLE_ANALYTIC
 
 
 def test_pseudo_complement_closure_on_rank4(rank4_h):

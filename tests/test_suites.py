@@ -228,13 +228,13 @@ def test_draws_pinned(pair, cfg, monkeypatch):
 
 
 def test_pseudo_closure_holds_without_an_analytic_valuation_part():
-    # the identity iso of N0^2 has no analytic pseudo-unit submonoid: the
-    # valuation law is read in the domain, and a + b that leaves the window
-    # still gets a witnessed verdict, so no case is skipped
+    # the identity iso of N0^2 has the trivial pseudo-unit submonoid: a + b
+    # that leaves the window still gets a witnessed verdict, so no case is
+    # skipped
     z2 = GroupSignature(2)
     h = free_generated(z2, [z2.element(v) for v in ((1, 0), (0, 1), (1, 1))])
     iso = build_translation_iso(h, h)
-    assert iso.domain_valuation is None
+    assert iso.domain_valuation == free_generated(z2, ())
     report = run_suite("pseudo_closure", iso, SuiteConfig(window_bound=4, sample_count=50))
     assert (report.verdict, report.failures) == (Verdict.PASS, ())
     assert (report.trivial_skips, report.cases) == (0, 100)

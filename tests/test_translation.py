@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from powmon.powersets import (
     FinSubset1,
     MembershipError,
     quotient_multiplicity,
+    reversion,
     set_product,
 )
 from powmon.structure import is_independent, pseudo_unit, PseudoUnitStatus
@@ -34,6 +36,7 @@ from powmon.translation import (
     build_translation_iso,
     classify_reversed,
     decomposition_map,
+    is_reversed,
     pullback,
     _translation,
     reversed_by_order,
@@ -116,6 +119,50 @@ def test_build_iso_rejects_numerical_vs_n0(num23, n0):
     with pytest.raises(ApplicabilityError) as err:
         build_translation_iso(num23, n0)
     assert err.value.condition == "template-mismatch"
+
+
+def test_template_mismatch_names_the_side_that_fits_no_template(num23, n0):
+    with pytest.raises(ApplicabilityError) as err:
+        build_translation_iso(n0, num23)
+    assert err.value.condition == "template-mismatch"
+    assert "domain 'N0' is a valuation monoid" in str(err.value)
+    assert "codomain '<2,3>' is neither a valuation monoid nor a composite" in str(err.value)
+
+
+def test_n0_and_minus_n0_are_a_valuation_pair(n0):
+    neg_n0 = free_generated(Z1, [Z1.element(-1)])
+    for h, k in ((n0, neg_n0), (neg_n0, n0)):
+        iso = build_translation_iso(h, k)
+        assert iso.certificate == "valuation-pair"
+        assert (iso.domain_valuation, iso.codomain_valuation) == (h, k)
+
+
+def test_n0_to_minus_n0_is_the_reversion(n0):
+    # Tringali and Yan: X -> max X - X is the one non-trivial automorphism
+    # of the reduced power monoid of N0; it is f: N0 -> -N0 read back by negation
+    iso = build_translation_iso(n0, free_generated(Z1, [Z1.element(-1)]))
+    rest = range(1, 10)
+    subsets = [(0, *c) for k in range(10) for c in itertools.combinations(rest, k)]
+    assert len(subsets) == 512
+    for members in subsets:
+        x = FinSubset1.from_ints(n0, members)
+        image = apply_iso(iso, x)
+        assert tuple(-u for u in reversed(image.elements)) == reversion(x).elements, members
+
+
+def test_composites_over_copies_of_n0_and_minus_n0_pass_their_suites():
+    # rays N0 e0 and -N0 e0 glued with one complement: each valuation part
+    # is a totally ordered free-generated monoid, so the pair is a composite pair
+    z3 = GroupSignature(3)
+    e0, e1, e2 = (z3.basis_element(i) for i in range(3))
+    complement = ComplementSpec(z3, (e0,), (e1, e2))
+    h = composite(free_generated(z3, [e0], "ray"), complement, label="glued-ray")
+    k = composite(free_generated(z3, [-e0], "minus-ray"), complement, label="glued-minus-ray")
+    iso = build_translation_iso(h, k)
+    assert iso.certificate == "composite-pair"
+    assert reversed_by_order(iso, e0) and not reversed_by_order(iso, e1)
+    reports = verify_iso(iso, SuiteConfig(window_bound=2, sample_count=40))
+    assert {r.verdict for r in reports} == {Verdict.PASS, Verdict.NOT_APPLICABLE}
 
 
 def test_build_iso_rejects_quotient_mismatch(n0):
@@ -478,12 +525,16 @@ def test_valuation_pairs_match_chain_images_and_brute_force(p, q, r, n, cone_fir
 def test_reversed_by_order_without_valuation_part():
     h = free_generated(Z2, [Z2.element((1, 0)), Z2.element((0, 1))])
     iso = build_translation_iso(h, h)
-    assert iso.domain_valuation is None
+    assert iso.domain_valuation == free_generated(Z2, ())
     for u in pool(h, 3):
         if u.is_identity():
             continue
         assert classify_reversed(iso, u) is ReversedStatus.NOT_REVERSED
         assert not reversed_by_order(iso, u)
+
+
+def test_the_identity_is_not_reversed(planar_iso):
+    assert not is_reversed(planar_iso, Z2.identity())
 
 
 def test_decomposition_map_examples(planar_iso):
