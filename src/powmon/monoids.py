@@ -706,23 +706,43 @@ class ComplementSpec:
         # the grading has one entry per free coordinate, so map stops there
         return sum(map(mul, self._grading, coords))
 
+    # Each question below reduces u modulo G once and probes the memo inline:
+    # almost every question is a memo hit, and a shared probe helper, which
+    # adds a call frame to each, measured slower on the composite workloads.
     def member_combination(self, coords: tuple[int, ...]) -> tuple[int, ...] | None:
         """For u given by its canonical coordinates, the lexicographically
         least c in N0^k, c != 0, with u - sum(c_i * m_i) in G, or None if u
-        is not in G.M.
+        is not in G.M."""
+        residue = lattice_residue(self._residue_rows, coords)
+        found = self._cache["member"].get((0, residue), _UNSEEN)
+        return self._search(residue) if found is _UNSEEN else found
+
+    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
+        residue = lattice_residue(self._residue_rows, coords)
+        found = self._cache["member"].get((0, residue), _UNSEEN)
+        return (self._search(residue) if found is _UNSEEN else found) is not None
+
+    def in_base_or_set(self, coords: tuple[int, ...]) -> bool:
+        """Is u, given by its canonical coordinates, in G or in G.M?"""
+        residue = lattice_residue(self._residue_rows, coords)
+        if not any(residue):
+            return True
+        found = self._cache["member"].get((0, residue), _UNSEEN)
+        return (self._search(residue) if found is _UNSEEN else found) is not None
+
+    def _search(self, residue: tuple[int, ...]) -> tuple[int, ...] | None:
+        """``member_combination`` of a residue modulo G that the memo has
+        not seen.
 
         Depth-first over the generators on coordinate vectors reduced
         modulo G; the grade left fixes the count of the last generator.
-        Every state (generator index, residue) is memoized, so repeated
-        queries across a window collapse to a few searches.
+        The search starts from the residue, whose grade is that of u since
+        the grading vanishes on G.  Every state (generator index, residue)
+        is memoized, so repeated queries across a window collapse to a few
+        searches.
         """
-        rows = self._residue_rows
-        residue = lattice_residue(rows, coords)
-        memo = self._cache["member"]
-        found = memo.get((0, residue), _UNSEEN)
-        if found is not _UNSEEN:
-            return found
-        budget = self.grade(coords)
+        rows, memo = self._residue_rows, self._cache["member"]
+        budget = self.grade(residue)
         if budget < 1:
             memo[0, residue] = None
             return None
@@ -754,9 +774,6 @@ class ComplementSpec:
 
         return search(0, residue, budget)
 
-    def _contains_coords(self, coords: tuple[int, ...]) -> bool:
-        return self.member_combination(coords) is not None
-
     def difference_witness(self, other: ComplementSpec) -> GroupElement | None:
         """An element of exactly one of the two complement sets, or None
         exactly when they are one set.  Each side's positive generators are
@@ -774,10 +791,6 @@ class ComplementSpec:
             for m in b.positive_generators for u in (m + t, m - t) if not b.contains(u)
         )
         return next(itertools.chain(generators, translates), None)
-
-    def in_base_or_set(self, coords: tuple[int, ...]) -> bool:
-        """Is u, given by its canonical coordinates, in G or in G.M?"""
-        return not any(lattice_residue(self._residue_rows, coords)) or self._contains_coords(coords)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,8 +14,9 @@ becomes a huge int.  Results are read off the mask a byte at a time
 through one bounded table of element tuples; each keeps its (start,
 mask) pair, from byte min X // 8, which the next mask operation reads
 as one.
-Sparse sets, and sets over other ambient groups, take the generic
-``GroupElement`` path.  Power and divides reach masks through the product.
+Sparse sets, and sets over other ambient groups, take the generic path,
+which sums coordinate tuples.  Power and divides reach masks through the
+product.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 from .ambient import GroupElement
@@ -205,11 +207,11 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
             x, y = y, x
         sx, (sy, my) = _start(x), _mask(y)
         return _from_mask(x.monoid, _shift_or(x, sx, my), sx + sy)
-    out: set[GroupElement] = set()
-    for u in x.elements:
-        for v in y.elements:
-            out.add(u + v)
-    return FinSubset1(x.monoid, tuple(sorted(out, key=GroupElement.key)))
+    # coordinate tuples, torsion reduced before two sums are compared
+    sig = x.monoid.signature
+    ys = [v.coords for v in y.elements]
+    out = {sig._reduced(tuple(map(add, u.coords, v))) for u in x.elements for v in ys}
+    return FinSubset1(x.monoid, tuple(GroupElement(sig, c) for c in sorted(out)))
 
 
 def set_power(x: FinSubset1, n: int) -> FinSubset1:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -182,7 +183,7 @@ class _Sample:
     cfg: SuiteConfig
     rng: random.Random
     pool: tuple[GroupElement, ...]
-    nonid: list[GroupElement]
+    nonid: tuple[GroupElement, ...]
     cases: int
     skips: int = 0
     note: str = ""
@@ -472,7 +473,9 @@ def run_suite(name: str, iso: TranslationIso, cfg: SuiteConfig = SuiteConfig()) 
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
     pool = elements_in_window(iso.domain, cfg.window)
-    nonid = [u for u in pool if not u.is_identity()]
+    # the pool is sorted by key() and holds the identity once
+    i = bisect_left(pool, iso.domain.identity().key(), key=GroupElement.key)
+    nonid = pool[:i] + pool[i + 1 :]
     if not nonid:
         return _report(name, iso, 0, 0, [])
     s = _Sample(iso, cfg, random.Random(f"{cfg.seed}:{name}"), pool, nonid, cfg.sample_count)

@@ -384,6 +384,53 @@ def test_random_complements_match_enumeration(case):
         assert comp.contains(u) == (least is not None), u
 
 
+def _fixed_complement(sig, base, gens):
+    return sig, ComplementSpec(
+        sig,
+        tuple(sig.element(free, torsion) for free, torsion in base),
+        tuple(sig.element(free, torsion) for free, torsion in gens),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(graded_complements(), st.integers(0, 2**16))
+# the three complements of test_complement_matches_brute_force
+@example(_fixed_complement(
+    GroupSignature(3), [((1, 0, 0), ())], [((0, 1, 0), ()), ((0, 1, 1), ()), ((0, 1, 3), ())]), 0)
+@example(_fixed_complement(Z2, [((2, 0), ())], [((1, 2), ()), ((0, 3), ()), ((1, 1), ())]), 1)
+@example(_fixed_complement(
+    GroupSignature(2, (3,)), [((1, 0), (1,))], [((0, 1), (0,)), ((1, 2), (2,)), ((0, 1), (1,))]), 2)
+def test_cold_complement_questions_match_brute_force(case, order_seed):
+    # every question reduces u once and asks the memo at its residue; on a
+    # fresh spec the first question about a residue finds the memo cold, and
+    # the drawn order makes each of the three questions ask first somewhere
+    sig, drawn = case
+    comp = ComplementSpec(sig, drawn.base_subgroup, drawn.positive_generators)
+    gens, rows = comp.positive_generators, subgroup_rows(sig, comp.base_subgroup)
+    # each case has a functional vanishing on G, >= 1 on every m_i and at most
+    # 3 on Window(3), so c_i <= 3; product() runs in lexicographic order
+    sums = [
+        (c, sum((g.scale(n) for n, g in zip(c, gens)), sig.identity()))
+        for c in itertools.product(range(4), repeat=len(gens))
+        if any(c)
+    ]
+    window = list(ambient_window(sig, Window(3)))
+    least = {
+        u: next((c for c, total in sums if lattice_contains(rows, (u - total).coords)), None)
+        for u in window
+    }
+    questions = [(u, q) for u in window for q in range(3)]
+    random.Random(order_seed).shuffle(questions)
+    for u, q in questions:
+        if q == 0:
+            in_base = lattice_contains(rows, u.coords)
+            assert comp.in_base_or_set(u.coords) == (in_base or least[u] is not None), u
+        elif q == 1:
+            assert comp.contains(u) == (least[u] is not None), u
+        else:
+            assert comp.member_combination(u.coords) == least[u], u
+
+
 @st.composite
 def complement_pairs(draw):
     """Two complements in Z^2 or Z^3, each with a positive grading, and

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from powmon.ambient import GroupElement, GroupSignature
 from powmon.cli import main
 from powmon.monoids import (
+    ComplementSpec,
     FullN0,
     Window,
     ambient_window,
+    composite,
     elements_in_window,
     free_generated,
     full_n0,
@@ -32,6 +34,7 @@ from powmon.powersets import (
     set_power,
     set_product,
 )
+from powmon.suites import rank4_pair
 
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
@@ -349,6 +352,27 @@ def test_set_operations_match_componentwise_reference(case):
         assert reversion(x).elements == tuple(top - u for u in reversed(x.elements))
 
 
+def test_generic_products_match_componentwise_reference():
+    # the generic product sums coordinate tuples, reducing their torsion
+    # before it drops repeats: over Z^3 + Z/2, (0,1,0;1) + (0,1,0;1) and
+    # (0,2,0;0) + 0 are two raw sums of one member
+    h = rank4_pair()[0]
+    pool = elements_in_window(h, Window(1))
+    sig = GroupSignature(3, (2,))
+    m, t = sig.element((0, 1, 0), (0,)), sig.element((0, 1, 0), (1,))
+    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(2)), (m, t))
+    glued = composite(half_plane_lex(sig, (0, 2)), comp)
+    cases = [
+        (h, pool[::5], pool[1::7]),
+        (h, pool[-6:], pool[:4] + pool[-3:]),
+        (glued, [t, m + m], [t]),
+        (glued, [t, m + m, sig.basis_element(0)], [t, m, sig.basis_element(2)]),
+    ]
+    for monoid, xs, ys in cases:
+        x, y = FinSubset1.make(monoid, xs), FinSubset1.make(monoid, ys)
+        assert set_product(x, y).elements == reference_product(x.elements, y.elements)
+
+
 def reference_divisor(xs, ys):
     """The largest Z with X*Z = Y by definition, or None."""
     members = set(ys)
@@ -409,6 +433,18 @@ def test_chained_kernel_results_match_componentwise_reference(case):
     check_against_reference(xyz, y, n)
     if isinstance(x.monoid, FullN0):
         check_against_reference(reversion(xy), reversion(x), n)
+
+
+def test_product_mask_is_stored_from_its_least_byte():
+    # {-1,0,3} * {-1,0,5} over the group Z: the mask is built from the
+    # factors' start sum (-1) + (-1) = -2 and stored from byte
+    # min X // 8 = -2 // 8 = -1, so the stored start is -1, not -2
+    p = set_product(FinSubset1.from_ints(Z_GROUP, [-1, 3]), FinSubset1.from_ints(Z_GROUP, [-1, 5]))
+    start, m = _mask(p)
+    assert start == -1
+    members = (-2, -1, 0, 2, 3, 4, 5, 8)
+    assert tuple(8 * start + i for i in range(m.bit_length()) if m >> i & 1) == members
+    assert p.ints() == members
 
 
 def test_stored_mask_is_invisible(n0, capsys):
