@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -243,7 +243,7 @@ class MonoidSpec:
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
         """Members inside the window in ascending ``key()`` order, by a scan;
-        planar families and composites override it with walks in that order."""
+        planar families scan their plane alone, and composites build theirs."""
         members = ambient_window(self.signature, window)
         return (u for u in members if self._contains_coords(u.coords))
 
@@ -418,13 +418,12 @@ class _Planar(MonoidSpec):
         return (self.plane_element(1, 0), self.plane_element(0, 1))
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
-        # ascending key(): the lower coordinate index varies slowest
-        span = range(-window.bound, window.bound + 1)
-        flip = self.embedding[0] > self.embedding[1]
-        for s, t in itertools.product(span, repeat=2):
-            u = self.plane_element(t, s) if flip else self.plane_element(s, t)
-            if self._contains_coords(u.coords):
-                yield u
+        # the window's scan with the off-plane coordinates pinned at 0
+        spans = window.spans(self.signature)
+        for k in self._off_plane:
+            spans[k] = range(1)
+        sig, member = self.signature, self._contains_coords
+        return (GroupElement(sig, c) for c in itertools.product(*spans) if member(c))
 
 
 @dataclass(frozen=True, slots=True)
@@ -551,11 +550,11 @@ class FreeGenerated(MonoidSpec):
     * a positive grading (an integer functional strictly positive on
       every generator), which bounds the coefficients of any
       representation and also proves the monoid reduced.  The monoid is
-      then {identity} | G.M with G trivial, and membership is the one
-      graded search of ``ComplementSpec``; or
+      then {identity} | G.M with G trivial, held as ``complement_part``,
+      and membership is the one graded search of ``ComplementSpec``; or
     * a group certificate (the identity as an everywhere-positive
-      combination), in which case the monoid is the generated subgroup
-      and membership is a lattice question.
+      combination), in which case the monoid is the generated subgroup,
+      ``complement_part`` is None and membership is a lattice question.
 
     Other generator sets are rejected: their membership problem is
     unbounded integer programming, out of scope here.
@@ -564,7 +563,9 @@ class FreeGenerated(MonoidSpec):
     signature: GroupSignature
     generators: tuple[GroupElement, ...]
     label: str = field(default="", compare=False)
-    _complement: ComplementSpec | None = field(init=False, repr=False, compare=False, default=None)
+    complement_part: ComplementSpec | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _group_rows: tuple[ResidueRow, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -582,7 +583,7 @@ class FreeGenerated(MonoidSpec):
             if g.signature != self.signature:
                 raise SignatureMismatchError("generator signature mismatch")
         try:
-            object.__setattr__(self, "_complement", ComplementSpec(self.signature, (), gens))
+            object.__setattr__(self, "complement_part", ComplementSpec(self.signature, (), gens))
         except ValueError:  # no positive grading
             pass
         else:
@@ -606,7 +607,7 @@ class FreeGenerated(MonoidSpec):
 
     @property
     def grading(self) -> tuple[int, ...] | None:
-        return None if self._complement is None else self._complement._grading
+        return None if self.complement_part is None else self.complement_part._grading
 
     @property
     def totally_ordered(self) -> bool:
@@ -616,17 +617,17 @@ class FreeGenerated(MonoidSpec):
         and a generator g, m - g has grade <= 0, so g - m is a member: a sum
         of generators of grade below grade(g).  By induction each generator
         is a multiple of m, and the monoid is N0*m, a copy of N0."""
-        return self._complement is None or self._complement.incomparable_pair is None
+        return self.complement_part is None or self.complement_part.incomparable_pair is None
 
     contains = MonoidSpec.contains
 
     def _contains_coords(self, coords: tuple[int, ...]) -> bool:
-        if self._complement is not None:
-            return not any(coords) or self._complement._contains_coords(coords)
+        if self.complement_part is not None:
+            return not any(coords) or self.complement_part._contains_coords(coords)
         return not any(lattice_residue(self._group_rows, coords))
 
     def is_reduced(self) -> bool:
-        if self._complement is not None:
+        if self.complement_part is not None:
             return True
         # a group: reduced only if trivial
         return all(g.is_identity() for g in self.generators)
@@ -1034,8 +1035,7 @@ def spec_to_dict(spec: MonoidSpec) -> dict:
         out["embedding"] = list(spec.embedding)
     elif isinstance(spec, IrrationalCone):
         out["embedding"] = list(spec.embedding)
-        a = spec.alpha
-        out["alpha"] = {"p": a.p, "q": a.q, "r": a.r, "n": a.n}
+        out["alpha"] = asdict(spec.alpha)
     elif isinstance(spec, FreeGenerated):
         out["generators"] = [element_to_dict(g) for g in spec.generators]
     elif isinstance(spec, Composite):

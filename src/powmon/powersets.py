@@ -266,7 +266,7 @@ class QuotientReport:
 def quotient_multiplicity(x: FinSubset1, a: GroupElement) -> int:
     """Number of b in X with a + b in X (0 when a is no quotient: the
     identity and non-members of X's monoid never are)."""
-    if a.is_identity() or not x.monoid.contains(a):
+    if not x.monoid.contains(a) or a.is_identity():
         return 0
     members = set(x.elements)
     return sum(1 for b in x.elements if (a + b) in members)

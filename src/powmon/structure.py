@@ -205,10 +205,8 @@ def pseudo_unit(spec: MonoidSpec, a: GroupElement) -> PseudoUnitVerdict:
         return PseudoUnitVerdict(a, PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
     if isinstance(spec, Numerical):
         b = (a.coords[0] + spec.frobenius_gap(),)
-    elif isinstance(spec, Composite):
-        b = _complement_witness(spec, spec.complement_part, a.coords)
     else:
-        b = _complement_witness(spec, spec._complement, a.coords)
+        b = _complement_witness(spec, spec.complement_part, a.coords)
     if not _verified_witness(spec, a.coords, b):
         raise AssertionError(f"witness construction failed for {a!r}")
     return PseudoUnitVerdict(a, PseudoUnitStatus.NOT_PSEUDO_UNIT, GroupElement(spec.signature, b))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable
@@ -66,8 +66,8 @@ from .translation import (
     TranslationIso,
     apply_iso,
     build_translation_iso,
+    classify_reversed,
     decomposition_map,
-    is_reversed,
     pullback,
     reversed_by_order,
 )
@@ -128,17 +128,8 @@ class SuiteReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "scope": self.scope,
-            "cases": self.cases,
-            "trivial_skips": self.trivial_skips,
-            "failures": list(self.failures),
-            "verdict": self.verdict,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
+        """The fields, with an empty ``note`` left out."""
+        return {k: v for k, v in asdict(self).items() if k != "note" or v}
 
 
 def _set_obj(x: FinSubset1) -> list:
@@ -320,7 +311,8 @@ def _one_reversed(s: _Sample) -> list[dict]:
     failures = []
     pairs = _pairs(s, is_independent)
     # each distinct drawn member is certified once
-    rev = {u: is_reversed(s.iso, u) for u in dict.fromkeys(chain(*pairs))}
+    drawn = dict.fromkeys(chain(*pairs))
+    rev = {u: classify_reversed(s.iso, u) is ReversedStatus.REVERSED for u in drawn}
     for a, b in pairs:
         ra, rb = rev[a], rev[b]
         ga, gb, gab = pullback(s.iso, a), pullback(s.iso, b), pullback(s.iso, a + b)
@@ -363,12 +355,12 @@ def _split_monoids(s: _Sample) -> list[dict]:
     failures = [
         {"element": element_to_dict(u), "pool": _CLASS[rev]}
         for u, rev in pool_of.items()
-        if is_reversed(s.iso, u) != rev
+        if (classify_reversed(s.iso, u) is ReversedStatus.REVERSED) != rev
     ]
     failures += [
         {"a": element_to_dict(a), "b": element_to_dict(b), "class": _CLASS[rev]}
         for rev, a, b in drawn
-        if is_reversed(s.iso, a + b) != rev
+        if (classify_reversed(s.iso, a + b) is ReversedStatus.REVERSED) != rev
     ]
     failures += [
         {"reversed_non_pseudo_unit": element_to_dict(u)}

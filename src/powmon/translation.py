@@ -48,7 +48,6 @@ __all__ = [
     "apply_iso",
     "pullback",
     "classify_reversed",
-    "is_reversed",
     "reversed_by_order",
     "decomposition_map",
 ]
@@ -84,9 +83,9 @@ def valuation_min(k: MonoidSpec, s: Iterable[GroupElement]) -> GroupElement:
     if not elems:
         raise ValueError("valuation_min needs a nonempty set")
     m, sig, member = elems[0], k.signature, k._contains_coords
+    k._check_element(m)
     for cand in elems[1:]:
-        # the checks of cand - m and of K's question about it, in that order
-        cand._check(m)
+        # K's check of cand, so cand - m is over one signature
         k._check_element(cand)
         if member(sig._minus(cand.coords, m.coords)):
             continue
@@ -208,11 +207,10 @@ def apply_iso(f: TranslationIso, x: FinSubset1) -> FinSubset1:
 
 def pullback(f: TranslationIso, a: GroupElement) -> GroupElement:
     """g(a): the non-identity element of f({1, a}), with g(1) = 1, read by
-    the order rule of ``reversed_by_order`` with no set built.  A failed
-    check of the set path (V_K holds a or -a for a in V_H; g(a) lies in
-    the codomain) falls back to ``_image``, which raises its error."""
-    if a.is_identity():
-        return a
+    the order rule of ``reversed_by_order`` with no set built; the rule
+    gives g(1) = 1, as the identity lies in V_K.  A failed check of the
+    set path (V_K holds a or -a for a in V_H; g(a) lies in the codomain)
+    falls back to ``_image``, which raises its error."""
     cached = f._pullback_cache.get(a)
     if cached is not None:
         return cached
@@ -267,16 +265,6 @@ def classify_reversed(f: TranslationIso, a: GroupElement) -> ReversedStatus:
     )
 
 
-def is_reversed(f: TranslationIso, a: GroupElement) -> bool:
-    """Is a reversed?  The reference for ``reversed_by_order``: the chain
-    image decides infinite-order members through ``classify_reversed``;
-    the identity and other finite-order members are not reversed."""
-    if a.order() is not INFINITE:
-        # finite-order members multiply through the pullback unchanged
-        return False
-    return classify_reversed(f, a) is ReversedStatus.REVERSED
-
-
 def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
     """Is the domain member u reversed?  Read from the two certified
     valuation parts, without mapping a set: u is reversed exactly when
@@ -294,7 +282,7 @@ def reversed_by_order(f: TranslationIso, u: GroupElement) -> bool:
     reversed.  The identity is not reversed.
     """
     v_h, v_k = f.domain_valuation, f.codomain_valuation
-    return not u.is_identity() and v_h.contains(u) and v_k.contains(-u)
+    return v_h.contains(u) and not u.is_identity() and v_k.contains(-u)
 
 
 def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:
@@ -305,8 +293,6 @@ def decomposition_map(f: TranslationIso, u: GroupElement) -> GroupElement:
     reversed one, so h is the identity and the codomain is that union;
     h still reads ``pullback``, whose checks catch a lying certificate.
     """
-    if u.is_identity():
-        return f.codomain.identity()
     if f.domain.contains(u):
         if not reversed_by_order(f, u):
             return pullback(f, u)

@@ -41,6 +41,8 @@ DELETED = [
     ("structure", "PseudoUnitStatus.UNKNOWN_UP_TO_WINDOW"),  # every verdict is decided
     ("structure", "DecompositionReport.unknown"),  # the two buckets partition the window
     ("monoids", "ComplementSpec.has_incomparable_pair"),  # incomparable_pair is not None
+    ("translation", "is_reversed"),  # classify_reversed(f, u) is ReversedStatus.REVERSED
+    ("monoids", "FreeGenerated._complement"),  # complement_part, as on a composite
 ]
 
 

@@ -131,7 +131,7 @@ def test_report_digests_pinned(pair, cfg, digest):
 
 #: The names in ``powmon.suites`` through which a suite consumes its draws.
 _DRAW_CONSUMERS = (
-    "apply_iso", "pullback", "set_product", "pseudo_unit", "is_reversed", "decomposition_map"
+    "apply_iso", "pullback", "set_product", "pseudo_unit", "classify_reversed", "decomposition_map"
 )
 
 _DRAW_DIGESTS = {
@@ -146,7 +146,7 @@ _DRAW_DIGESTS = {
         "pseudo_closure": "f24776b9bef937437ef250df702aecb6917f32b75d57412e49c366b00899ed23",
         "pullback_powers": "404f43a59fd8746dd4649031a4276478f9d9feccaf8e0ad5d643d6a1ffa30fdc",
         "quotient_multiplicity": "92ccf93dce733d9b08d69b363fe4d995c73f47a18bfbbd941f17ab900fe90105",
-        "split_monoids": "bf9e5ecd827d28b4eadc14ac7512d0b509e2be0e24e9893341b40bd6ba83adaf",
+        "split_monoids": "f81f6a201f3a9678ddd9404121021e90849af5ed597dda43aa21d14aa214c192",
         "two_sets": "2e17e45cfcf993eee71341407680a92f93d49befc1b23bace0564f2e03bf70d0",
     },
     "rank4": {
@@ -160,7 +160,7 @@ _DRAW_DIGESTS = {
         "pseudo_closure": "c919bb3875f9083167cd83d37f1d5cba5bf44460c22811fd683957ff39161a6c",
         "pullback_powers": "641b415a6b709bccdd8b5d831a8b4ef07f83666bb050ed2650c9eb9eb6b8ddd4",
         "quotient_multiplicity": "caceec67d7cf200123cde75594d3e76e5134db35e66f7e331a04e2f9a78de8cc",
-        "split_monoids": "455909a5151e541dfd1894899acdff7cebd1dcaf59804c1742c66bd65e445843",
+        "split_monoids": "2807390a82fd7ea3bc0ee528b5210fbffa4a96b00534b543026dad76ac67cf53",
         "two_sets": "8975dcc3913c6e32539a234e66b46614e832f407b301b3316a0a39380933d2a7",
     },
 }
@@ -178,9 +178,9 @@ def test_draws_pinned(pair, cfg, monkeypatch):
     pinned, argument by argument, so a changed draw or a changed use of
     one fails here even where every report still passes.
 
-    ``is_reversed`` on a window member classifies a member of a sampling
-    pool, which a suite may do for the whole window, so only its calls on
-    other elements (the sums a suite forms) are recorded.
+    ``classify_reversed`` on a window member classifies a member of a
+    sampling pool, which a suite may do for the whole window, so only its
+    calls on other elements (the sums a suite forms) are recorded.
 
     ``pseudo_closure`` on the planar domain, whose pools are all
     pseudo-units, consumes its draws only through the valuation order's
@@ -206,7 +206,7 @@ def test_draws_pinned(pair, cfg, monkeypatch):
 
     def recorder(name, fn):
         def record(*args):
-            if not (name in ("is_reversed", "contains") and args[1] in window):
+            if not (name in ("classify_reversed", "contains") and args[1] in window):
                 calls.append(f"{name}({','.join(map(show, args))})")
             return fn(*args)
 

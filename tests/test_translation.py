@@ -36,7 +36,6 @@ from powmon.translation import (
     build_translation_iso,
     classify_reversed,
     decomposition_map,
-    is_reversed,
     pullback,
     _translation,
     reversed_by_order,
@@ -336,6 +335,45 @@ def test_foreign_elements_raise_signature_mismatch(planar_iso, call):
         call(planar_iso, Z4.element((1, 0, 0, 0)))
 
 
+#: Each question about one element, asked of the planar isomorphism.
+_QUESTIONS = {
+    "pullback": pullback,
+    "reversed_by_order": reversed_by_order,
+    "decomposition_map": decomposition_map,
+    "quotient_multiplicity": lambda f, u: quotient_multiplicity(
+        FinSubset1.make(f.domain, [Z2.element((1, 0))]), u
+    ),
+    "valuation_min": lambda f, u: valuation_min(f.codomain_valuation, [u]),
+}
+
+
+@pytest.mark.parametrize("question", sorted(_QUESTIONS))
+@pytest.mark.parametrize("foreign", [Z1.identity(), Z1.element(5)], ids=["identity", "5"])
+def test_every_question_refuses_another_signature(planar_iso, question, foreign):
+    # the identity of another signature too: no question answers it first
+    with pytest.raises(SignatureMismatchError, match="element of GroupSignature\\(free_rank=1,"):
+        _QUESTIONS[question](planar_iso, foreign)
+
+
+@pytest.mark.parametrize("template", ["identical-pair", "valuation-pair", "composite-pair"])
+def test_the_identity_under_every_template(template, num23, halfplane, cone_sqrt2, n0, rank4_iso):
+    # the order rule alone gives g(1) = 1, h(1) = 1 and 1 not reversed
+    isos = {
+        "identical-pair": [build_translation_iso(num23, num23)],
+        "valuation-pair": [
+            build_translation_iso(halfplane, cone_sqrt2),
+            build_translation_iso(n0, free_generated(Z1, [Z1.element(-1)])),
+        ],
+        "composite-pair": [rank4_iso],
+    }[template]
+    for iso in isos:
+        assert iso.certificate == template
+        one = iso.codomain.identity()
+        assert pullback(iso, iso.domain.identity()) == one
+        assert decomposition_map(iso, iso.domain.identity()) == one
+        assert not reversed_by_order(iso, iso.domain.identity())
+
+
 def test_lying_certificate_raises_translation_check_error(halfplane, cone_sqrt2):
     # V_K claimed to be the half-plane: translates stay in the half-plane
     # and leave the cone
@@ -534,7 +572,7 @@ def test_reversed_by_order_without_valuation_part():
 
 
 def test_the_identity_is_not_reversed(planar_iso):
-    assert not is_reversed(planar_iso, Z2.identity())
+    assert not reversed_by_order(planar_iso, Z2.identity())
 
 
 def test_decomposition_map_examples(planar_iso):
