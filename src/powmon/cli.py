@@ -196,7 +196,9 @@ class _Parser:
                     "bare integers denote elements only in the ambient group Z", tok.pos
                 )
             return sig.element(int(tok.text))
-        opening = self.expect("(")
+        if tok.kind != "(":
+            raise ParseError(f"expected an element, found {tok.text or 'end of input'!r}", tok.pos)
+        opening = self.next()
         free = self.parse_ints()
         torsion = ()
         if self.peek().kind == ";":

@@ -15,9 +15,10 @@ Six families are supported:
 * ``Composite``     -- a valuation monoid glued with a translated
                        positive complement, V | (G.M).
 
-Membership is exact for every family.  Queries that quantify over an
-infinite monoid are truncated to a ``Window`` and return verdicts with
-an explicit UNKNOWN_UP_TO_WINDOW state rather than silently guessing.
+Membership is exact for every family, and every valuation verdict is
+decided: analytic, or an explicit witness.  Queries that list members of
+an infinite monoid (``elements_in_window``, ``units``) are truncated to
+a ``Window``.
 
 Specs are immutable after validation and every query is pure, so all
 values are safe to share between threads.
@@ -163,37 +164,23 @@ def witness_search_order(sig: GroupSignature, window: Window) -> Iterator[GroupE
     coordinate| (0, 1, ..., bound), each shell with its free coordinates
     descending, then its torsion ascending.
 
-    Used by ``is_valuation``'s witness search so that its witnesses are
+    Used by ``is_valuation``'s witness walk so that its witnesses are
     deterministic and as readable as possible; ``is_irreducible``'s search
     walks ``elements_in_window`` in key order instead.  The order is
-    generated lazily, so a search that stops early builds only the shells
-    it reads.
+    generated lazily, each shell filtered from its cube, so a walk that
+    stops early scans only the cubes it reads.
     """
-    torsion_ranges = window.spans(sig)[sig.free_rank :]
+    d, spans = sig.free_rank, window.spans(sig)
     for k in range(window.bound + 1):
-        for free in _shell(sig.free_rank, k):
-            for torsion in itertools.product(*torsion_ranges):
-                yield GroupElement(sig, free + torsion)
-
-
-def _shell(d: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The free parts of largest |entry| k in Z^d, descending.  A part leads
-    with +-k and goes on anywhere in the cube, or leads with a smaller
-    entry and goes on in the shell of Z^(d-1): only the faces are built."""
-    if d == 0:
-        if k == 0:
-            yield ()
-        return
-    side = range(k, -k - 1, -1)
-    for x in side:
-        tails = itertools.product(side, repeat=d - 1) if abs(x) == k else _shell(d - 1, k)
-        yield from map((x,).__add__, tails)
+        spans[:d] = [range(k, -k - 1, -1)] * d
+        for coords in itertools.product(*spans):
+            if max(map(abs, coords[:d]), default=0) == k:
+                yield GroupElement(sig, coords)
 
 
 class ValuationStatus(str, Enum):
     TRUE_ANALYTIC = "TRUE_ANALYTIC"
     FALSE_WITNESS = "FALSE_WITNESS"
-    UNKNOWN_UP_TO_WINDOW = "UNKNOWN_UP_TO_WINDOW"
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,13 +379,14 @@ class _Planar(MonoidSpec):
     _off_plane: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "embedding", tuple(self.embedding))
-        i, j = self.embedding
+        emb = tuple(self.embedding)
+        object.__setattr__(self, "embedding", emb)
         d = self.signature.free_rank
-        if not (type(i) is int and type(j) is int and 0 <= i < d and 0 <= j < d and i != j):
-            raise ValueError(f"embedding {self.embedding} invalid for free rank {d}")
+        in_range = all(type(k) is int and 0 <= k < d for k in emb)
+        if not (len(emb) == 2 and in_range and emb[0] != emb[1]):
+            raise ValueError(f"embedding {emb} invalid for free rank {d}")
         width = d + len(self.signature.torsion_orders)
-        object.__setattr__(self, "_off_plane", tuple(k for k in range(width) if k not in (i, j)))
+        object.__setattr__(self, "_off_plane", tuple(k for k in range(width) if k not in emb))
 
     def _plane_xy(self, coords: tuple[int, ...]) -> tuple[int, int] | None:
         """(x, y) on the embedding plane, or None if coords leave the plane."""
@@ -952,18 +940,26 @@ def pseudo_unit_submonoid(spec: MonoidSpec) -> MonoidSpec:
 
 
 def is_valuation(spec: MonoidSpec, window: Window) -> ValuationVerdict:
-    """Total-order verdict: analytic for the specs that are their own
-    pseudo-unit submonoid, a window search elsewhere."""
+    """Total-order verdict, always decided: analytic for the specs that are
+    their own pseudo-unit submonoid, else a witness u of the quotient group
+    with u and -u non-members.  A proper numerical monoid's is its gcd g:
+    were g a member, the monoid would be g*N0, and -g < 0.  Elsewhere the
+    window is walked small-first, and past it the complement's incomparable
+    pair (x, y) gives x - y: G | G.M holds the spec but not x - y or y - x."""
     if pseudo_unit_submonoid(spec) is spec:
         return ValuationVerdict(ValuationStatus.TRUE_ANALYTIC)
-    q_rows = residue_rows(subgroup_rows(spec.signature, spec.quotient_generators()))
+    if isinstance(spec, Numerical):
+        return ValuationVerdict(ValuationStatus.FALSE_WITNESS, spec.quotient_generators()[0])
+    sig = spec.signature
+    q_rows = residue_rows(subgroup_rows(sig, spec.quotient_generators()))
     # the identity lies in every monoid, so it is never a witness
-    for u in witness_search_order(spec.signature, window):
+    for u in witness_search_order(sig, window):
         if any(lattice_residue(q_rows, u.coords)):
             continue
         if not spec.contains(u) and not spec.contains(-u):
             return ValuationVerdict(ValuationStatus.FALSE_WITNESS, u)
-    return ValuationVerdict(ValuationStatus.UNKNOWN_UP_TO_WINDOW)
+    x, y = spec.complement_part.incomparable_pair
+    return ValuationVerdict(ValuationStatus.FALSE_WITNESS, GroupElement(sig, sig._minus(x, y)))
 
 
 def is_unit(spec: MonoidSpec, u: GroupElement) -> bool:

@@ -139,6 +139,14 @@ def test_eval_parse_error_exit_3(capsys):
     assert "parse error" in err and "position" in err
 
 
+@pytest.mark.parametrize("text", ["{}", "{1,}"], ids=["empty", "trailing-comma"])
+def test_eval_missing_element_exit_3(capsys, text):
+    # over N0 an element is a bare integer, so '(' is not the one thing expected
+    assert main(["eval", text]) == 3
+    err = capsys.readouterr().err
+    assert f"position {len(text) - 1}: expected an element, found '}}'" in err, err
+
+
 @pytest.mark.parametrize("text", ["{²}", "{٣}"], ids=["superscript-two", "arabic-indic-three"])
 def test_eval_non_ascii_digit_exit_3(capsys, text):
     # str.isdigit accepts both; an int token is ASCII digits only
@@ -178,6 +186,17 @@ def test_analyze_invalid_file_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"family\": \"NO_SUCH\"}", encoding="utf-8")
     assert main(["analyze", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("embedding", [[0], [0, 1, 2]], ids=["one", "three"])
+def test_analyze_wrong_length_embedding_exit_3(tmp_path, capsys, embedding):
+    doc = spec_to_dict(half_plane_lex())
+    doc["embedding"] = embedding
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"embedding {tuple(embedding)} invalid for free rank 2" in err, err
 
 
 def test_iso_planar_pair_exit_0(capsys, monoid_files):

@@ -37,11 +37,11 @@ from powmon.monoids import (
     monoid_from_json,
     monoid_to_json,
     numerical,
+    pseudo_unit_submonoid,
     spec_from_dict,
     spec_to_dict,
     units,
     witness_search_order,
-    _shell,
 )
 
 from conftest import glued_composites
@@ -531,13 +531,14 @@ def test_is_valuation_numerical_witness(num23):
 
 
 def test_is_valuation_searches_the_quotient_group_only():
-    # <4,6> has quotient group 2Z: 1 is skipped, 2 is the first witness;
-    # <20,30> has quotient group 10Z, which meets Window(8) in 0 alone
+    # <4,6> has quotient group 2Z: 1 is not a witness, 2 is; <20,30> has
+    # quotient group 10Z, which meets Window(8) in 0 alone, and its
+    # witness is the gcd all the same
     assert is_valuation(numerical([4, 6]), Window(8)) == ValuationVerdict(
         ValuationStatus.FALSE_WITNESS, Z1.element(2)
     )
     assert is_valuation(numerical([20, 30]), Window(8)) == ValuationVerdict(
-        ValuationStatus.UNKNOWN_UP_TO_WINDOW
+        ValuationStatus.FALSE_WITNESS, Z1.element(10)
     )
 
 
@@ -908,6 +909,12 @@ def test_composite_window_tests_each_complement_representative_once(rank4_h, mon
     assert len(calls) == 17**2
 
 
+def _shell_key(u):
+    """The witness walk's order: largest |free coordinate| first, then the
+    free coordinates descending, then the torsion ascending."""
+    return max(map(abs, u.free), default=0), tuple(-c for c in u.free), u.torsion
+
+
 @pytest.mark.parametrize(
     "sig",
     [
@@ -924,22 +931,40 @@ def test_composite_window_tests_each_complement_representative_once(rank4_h, mon
 def test_witness_search_order_matches_sorted_window(sig, bound):
     """The lazy order is the sorted window it replaces."""
     w = Window(bound)
-    expected = sorted(
-        ambient_window(sig, w),
-        key=lambda u: (max(map(abs, u.free), default=0), tuple(-c for c in u.free), u.torsion),
-    )
+    expected = sorted(ambient_window(sig, w), key=_shell_key)
     order = witness_search_order(sig, w)
     assert iter(order) is order
     assert list(order) == expected
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_witness_search_shells_build_only_their_faces(d, k):
-    # the cube of radius k less its interior of radius k - 1
-    shell = list(_shell(d, k))
-    assert len(shell) == (2 * k + 1) ** d - max(2 * k - 1, 0) ** d
-    assert all(max(map(abs, free)) == k for free in shell)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(specs_of_every_family())
+@example(numerical([20, 30]))
+@example(numerical([4, 6]))
+def test_valuation_verdict_matches_a_window_scan(spec):
+    """Oracle for ``is_valuation``: TRUE_ANALYTIC exactly for the specs that
+    are their own pseudo-unit submonoid, with no witness in the window; a
+    FALSE_WITNESS u lies in the quotient group with u and -u non-members,
+    and is the first witness that a scan of the window in shell order
+    finds, when it finds one."""
+    sig = spec.signature
+    rows = subgroup_rows(sig, spec.quotient_generators())
+
+    def is_witness(u):
+        return lattice_contains(rows, u.coords) and not spec.contains(u) and not spec.contains(-u)
+
+    for bound in (1, 2, 3):
+        w = Window(bound)
+        scanned = [u for u in sorted(ambient_window(sig, w), key=_shell_key) if is_witness(u)]
+        verdict = is_valuation(spec, w)
+        if pseudo_unit_submonoid(spec) is spec:
+            assert verdict == ValuationVerdict(ValuationStatus.TRUE_ANALYTIC)
+            assert scanned == []
+            continue
+        assert verdict.status is ValuationStatus.FALSE_WITNESS
+        assert is_witness(verdict.witness)
+        if scanned:
+            assert verdict.witness == scanned[0]
 
 
 @st.composite
