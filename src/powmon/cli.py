@@ -31,12 +31,12 @@ from .ambient import GroupElement
 from .monoids import (
     MonoidSpec,
     Window,
-    element_to_dict,
     elements_in_window,
     full_n0,
     is_unit,
     is_valuation,
     load_monoid_file,
+    to_json,
     units,
 )
 from .powersets import FinSubset1, reversion, set_power, set_product
@@ -274,8 +274,7 @@ def cmd_eval(args) -> int:
     monoid = _load_monoid(args.monoid)
     result = parse_expression(args.expression, monoid)
     if args.format == "json":
-        elements = [element_to_dict(u) for u in result.elements]
-        print(json.dumps({"elements": elements}, sort_keys=True))
+        print(json.dumps({"elements": to_json(result.elements)}, sort_keys=True))
     else:
         print(repr(result))
     return EXIT_OK
@@ -303,23 +302,21 @@ def cmd_analyze(args) -> int:
         "window": window.bound,
         "member_count": len(members),
         "valuation": {
-            "status": verdict.status.value,
-            **({"witness": element_to_dict(verdict.witness)} if verdict.witness else {}),
+            "status": verdict.status,
+            **({"witness": verdict.witness} if verdict.witness else {}),
         },
-        "units": [element_to_dict(u) for u in unit_list],
-        "irreducibles": [
-            {"element": element_to_dict(u), "status": status.value} for u, status in irreducible
-        ],
+        "units": unit_list,
+        "irreducibles": [{"element": u, "status": status} for u, status in irreducible],
         "reducible_count": reducible,
         "decomposition": {
             "pseudo_unit_count": len(report.pseudo_units),
             "complement_count": len(report.complement),
             "unknown_count": 0,
-            "pseudo_units": [element_to_dict(u) for u in report.pseudo_units],
+            "pseudo_units": report.pseudo_units,
         },
     }
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(to_json(doc), sort_keys=True, indent=2))
     else:
         print(f"monoid        {monoid.label}")
         print(f"window        {window.bound}  ({len(members)} members)")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -72,6 +72,7 @@ __all__ = [
     "witness_search_order",
     "pseudo_unit_submonoid",
     "element_to_dict",
+    "to_json",
     "spec_to_dict",
     "spec_from_dict",
     "monoid_to_json",
@@ -981,17 +982,44 @@ def units(spec: MonoidSpec, window: Window) -> tuple[GroupElement, ...]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of monoid definitions.
-#
-# Schema: {label, signature: {free_rank, torsion_orders}, family,
-# family-specific fields}; elements as {free: [...], torsion: [...]};
-# surds as {p, q, r, n}.  Round trips are bit-exact.
+# JSON serialization.  ``to_json`` is the one encoder: monoid files, suite
+# reports and the ``analyze``/``eval`` documents hand it plain values, and
+# only it states a JSON shape.  ``spec_from_dict`` is the validating
+# reader; round trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
 def element_to_dict(u: GroupElement) -> dict:
-    """The JSON object of an element, as monoid files and reports write it."""
+    """The JSON object of an element: ``to_json``'s one element rule."""
     return {"free": list(u.free), "torsion": list(u.torsion)}
+
+
+def to_json(value):
+    """The JSON value of ``value``: a spec is its family, label and
+    signature, then its constructor fields; a signature, a surd or a
+    complement is its constructor fields.  A value with no rule raises
+    TypeError."""
+    if isinstance(value, GroupElement):
+        return element_to_dict(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return value
+    from .powersets import FinSubset1  # powersets imports this module
+    if isinstance(value, FinSubset1):
+        value = value.elements
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, MonoidSpec):
+        head = {"family": value.family, "label": value.label, "signature": value.signature}
+    elif isinstance(value, (GroupSignature, QuadraticSurd, ComplementSpec)):
+        head = {}
+    else:
+        raise TypeError(f"no JSON rule for {type(value).__name__}")
+    rest = (f.name for f in fields(value) if f.init and f.name not in ("label", "signature"))
+    return to_json(head | {name: getattr(value, name) for name in rest})
 
 
 def _element_from_obj(sig: GroupSignature, obj: dict) -> GroupElement:
@@ -999,10 +1027,6 @@ def _element_from_obj(sig: GroupSignature, obj: dict) -> GroupElement:
     free = tuple(obj["free"])
     torsion = tuple(obj["torsion"] if sig.torsion_orders else obj.get("torsion", ()))
     return sig.element(free, torsion)
-
-
-def _signature_to_obj(sig: GroupSignature) -> dict:
-    return {"free_rank": sig.free_rank, "torsion_orders": list(sig.torsion_orders)}
 
 
 @lru_cache(maxsize=64)
@@ -1020,31 +1044,7 @@ def _signature_from_obj(obj: dict) -> GroupSignature:
 
 
 def spec_to_dict(spec: MonoidSpec) -> dict:
-    out: dict = {
-        "family": spec.family,
-        "label": spec.label,
-        "signature": _signature_to_obj(spec.signature),
-    }
-    if isinstance(spec, Numerical):
-        out["generators"] = list(spec.generators)
-    elif isinstance(spec, HalfPlaneLex):
-        out["embedding"] = list(spec.embedding)
-    elif isinstance(spec, IrrationalCone):
-        out["embedding"] = list(spec.embedding)
-        out["alpha"] = asdict(spec.alpha)
-    elif isinstance(spec, FreeGenerated):
-        out["generators"] = [element_to_dict(g) for g in spec.generators]
-    elif isinstance(spec, Composite):
-        out["valuation_part"] = spec_to_dict(spec.valuation_part)
-        out["complement_part"] = {
-            "base_subgroup": [element_to_dict(g) for g in spec.complement_part.base_subgroup],
-            "positive_generators": [
-                element_to_dict(g) for g in spec.complement_part.positive_generators
-            ],
-        }
-    elif not isinstance(spec, FullN0):
-        raise TypeError(f"cannot serialize {type(spec).__name__}")
-    return out
+    return to_json(spec)
 
 
 def spec_from_dict(obj: dict) -> MonoidSpec:

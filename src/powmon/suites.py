@@ -46,10 +46,10 @@ from .monoids import (
     QuadraticSurd,
     Window,
     composite,
-    element_to_dict,
     elements_in_window,
     half_plane_lex,
     irrational_cone,
+    to_json,
 )
 from .powersets import FinSubset1, quotient_multiplicity, set_product
 from .structure import (
@@ -132,12 +132,8 @@ class SuiteReport:
         return {k: v for k, v in asdict(self).items() if k != "note" or v}
 
 
-def _set_obj(x: FinSubset1) -> list:
-    return [element_to_dict(u) for u in x.elements]
-
-
-#: The value a failure records for a member's reversed class.
-_CLASS = {True: ReversedStatus.REVERSED.value, False: ReversedStatus.NOT_REVERSED.value}
+#: The status a failure records for a member's reversed class.
+_CLASS = {True: ReversedStatus.REVERSED, False: ReversedStatus.NOT_REVERSED}
 
 
 def _scope(iso: TranslationIso) -> str:
@@ -160,7 +156,7 @@ def _report(
         note = note or "sampling never exercised the law"
     else:
         verdict = Verdict.PASS
-    return SuiteReport(suite, _scope(iso), cases, skips, tuple(failures), verdict, note)
+    return SuiteReport(suite, _scope(iso), cases, skips, tuple(to_json(failures)), verdict, note)
 
 
 @dataclass(slots=True)
@@ -227,7 +223,7 @@ def _homomorphism(s: _Sample):
     x, y = s.subset(), s.subset()
     left = apply_iso(s.iso, set_product(x, y))
     if left != set_product(apply_iso(s.iso, x), apply_iso(s.iso, y)):
-        yield {"X": _set_obj(x), "Y": _set_obj(y)}
+        yield {"X": x, "Y": y}
 
 
 @_suite("two_sets", per_case=True)
@@ -235,7 +231,7 @@ def _two_sets(s: _Sample):
     """Two-element sets map to two-element sets."""
     a = s.member()
     if len(apply_iso(s.iso, FinSubset1.make(s.iso.domain, (s.iso.domain.identity(), a)))) != 2:
-        yield {"a": element_to_dict(a)}
+        yield {"a": a}
 
 
 @_suite("cardinality", per_case=True)
@@ -243,7 +239,7 @@ def _cardinality(s: _Sample):
     """|f(X)| = |X| on sampled sets."""
     x = s.subset()
     if len(apply_iso(s.iso, x)) != len(x):
-        yield {"X": _set_obj(x)}
+        yield {"X": x}
 
 
 @_suite("pullback_powers", per_case=True)
@@ -253,7 +249,7 @@ def _pullback_powers(s: _Sample):
     ga = pullback(s.iso, a)
     for n in range(11):
         if pullback(s.iso, a.scale(n)) != ga.scale(n):
-            yield {"a": element_to_dict(a), "n": n}
+            yield {"a": a, "n": n}
 
 
 @_suite("quotient_multiplicity", per_case=True)
@@ -265,7 +261,7 @@ def _quotient_multiplicity(s: _Sample):
     if not direct:
         s.skips += 1
     if direct != image:
-        yield {"X": _set_obj(x), "a": element_to_dict(a), "direct": direct, "image": image}
+        yield {"X": x, "a": a, "direct": direct, "image": image}
 
 
 @_suite("product_dichotomy", per_case=True)
@@ -274,7 +270,7 @@ def _product_dichotomy(s: _Sample):
     a, b = s.member(), s.member()
     ga, gb, gab = pullback(s.iso, a), pullback(s.iso, b), pullback(s.iso, a + b)
     if gab != ga + gb and gab not in (ga - gb, gb - ga):
-        yield {"a": element_to_dict(a), "b": element_to_dict(b), "g(ab)": element_to_dict(gab)}
+        yield {"a": a, "b": b, "g(ab)": gab}
 
 
 @_suite("dependent_products", per_case=True)
@@ -284,7 +280,7 @@ def _dependent_products(s: _Sample):
     n, m = s.rng.randint(1, 4), s.rng.randint(1, 4)
     a, b = w.scale(n), w.scale(m)
     if pullback(s.iso, a + b) != pullback(s.iso, a) + pullback(s.iso, b):
-        yield {"a": element_to_dict(a), "b": element_to_dict(b)}
+        yield {"a": a, "b": b}
 
 
 @_suite("independent_powers")
@@ -295,7 +291,7 @@ def _independent_powers(s: _Sample) -> list[dict]:
     for a, b in _pairs(s, lambda a, b: g(a + b) != g(a) + g(b)):
         ga, gb = g(a), g(b)
         failures += [
-            {"a": element_to_dict(a), "b": element_to_dict(b), "n": n, "m": m}
+            {"a": a, "b": b, "n": n, "m": m}
             for n in range(1, 4)
             for m in range(1, 4)
             if g(a.scale(n) + b.scale(m)) == ga.scale(n) + gb.scale(m)
@@ -319,18 +315,10 @@ def _one_reversed(s: _Sample) -> list[dict]:
         unequal = gab != ga + gb
         if unequal != (ra != rb):
             failures.append(
-                {
-                    "a": element_to_dict(a),
-                    "b": element_to_dict(b),
-                    "reversed_a": _CLASS[ra],
-                    "reversed_b": _CLASS[rb],
-                    "g(ab)": element_to_dict(gab),
-                }
+                {"a": a, "b": b, "reversed_a": _CLASS[ra], "reversed_b": _CLASS[rb], "g(ab)": gab}
             )
         elif unequal and gab not in (ga - gb, gb - ga):
-            failures.append(
-                {"a": element_to_dict(a), "b": element_to_dict(b), "g(ab)": element_to_dict(gab)}
-            )
+            failures.append({"a": a, "b": b, "g(ab)": gab})
     if len(set(rev.values())) < 2:
         s.note = "never sampled both a reversed and a non-reversed element"
     return failures
@@ -353,17 +341,17 @@ def _split_monoids(s: _Sample) -> list[dict]:
     # is certified by its chain image as well
     pool_of = {u: rev for rev, a, b in drawn for u in (a, b)}
     failures = [
-        {"element": element_to_dict(u), "pool": _CLASS[rev]}
+        {"element": u, "pool": _CLASS[rev]}
         for u, rev in pool_of.items()
         if (classify_reversed(s.iso, u) is ReversedStatus.REVERSED) != rev
     ]
     failures += [
-        {"a": element_to_dict(a), "b": element_to_dict(b), "class": _CLASS[rev]}
+        {"a": a, "b": b, "class": _CLASS[rev]}
         for rev, a, b in drawn
         if (classify_reversed(s.iso, a + b) is ReversedStatus.REVERSED) != rev
     ]
     failures += [
-        {"reversed_non_pseudo_unit": element_to_dict(u)}
+        {"reversed_non_pseudo_unit": u}
         for u in classes[True]
         if pseudo_unit(s.iso.domain, u).status is PseudoUnitStatus.NOT_PSEUDO_UNIT
     ]
@@ -386,10 +374,10 @@ def _decomposition_hom(s: _Sample) -> list[dict]:
             hv = decomposition_map(s.iso, v)
             huv = decomposition_map(s.iso, u + v)
         except ValueError as exc:
-            failures.append({"u": element_to_dict(u), "v": element_to_dict(v), "error": str(exc)})
+            failures.append({"u": u, "v": v, "error": str(exc)})
             continue
         if huv != hu + hv or not s.iso.codomain.contains(hu):
-            failures.append({"u": element_to_dict(u), "v": element_to_dict(v)})
+            failures.append({"u": u, "v": v})
     return failures
 
 
@@ -417,17 +405,15 @@ def _pseudo_closure(s: _Sample) -> list[dict]:
     for _ in range(count if comp else 0):
         a, b = s.rng.choice(comp), s.rng.choice(comp)
         if pseudo_unit(spec, a + b).status is analytic:
-            failures.append({"a": element_to_dict(a), "b": element_to_dict(b), "law": "product"})
+            failures.append({"a": a, "b": b, "law": "product"})
         if q_pool:
             q = s.rng.choice(q_pool)
             if not spec.contains(a + q) or pseudo_unit(spec, a + q).status is analytic:
-                failures.append(
-                    {"a": element_to_dict(a), "q": element_to_dict(q), "law": "translation"}
-                )
+                failures.append({"a": a, "q": q, "law": "translation"})
     for _ in range(count):
         a, b = s.rng.choice(val), s.rng.choice(val)
         if not (dom_val.contains(a - b) or dom_val.contains(b - a)):
-            failures.append({"a": element_to_dict(a), "b": element_to_dict(b), "law": "valuation"})
+            failures.append({"a": a, "b": b, "law": "valuation"})
     s.cases = count * (1 + bool(comp) + bool(q_pool))
     return failures
 
@@ -559,7 +545,7 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
     e0 = _Z4.basis_element(0)
     verdict = is_irreducible(h, e0, window)
     if verdict.status is not IrreducibleStatus.IRREDUCIBLE_ANALYTIC:
-        failures.append({"check": "irreducible-generator", "status": verdict.status.value})
+        failures.append({"check": "irreducible-generator", "status": verdict.status})
 
     # (iii) the codomain's valuation part has no irreducible members
     for u in elements_in_window(k.valuation_part, window):
@@ -571,15 +557,15 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
         except ValueError as exc:
             # a unit where none should exist, or a membership defect
             failures.append(
-                {"check": "cone-reducibility", "element": element_to_dict(u), "error": str(exc)}
+                {"check": "cone-reducibility", "element": u, "error": str(exc)}
             )
             continue
         if v.status is not IrreducibleStatus.REDUCIBLE:
-            failures.append({"check": "cone-reducibility", "element": element_to_dict(u)})
+            failures.append({"check": "cone-reducibility", "element": u})
             continue
         f1, f2 = v.factors
         if f1 + f2 != u or not k.contains(f1) or not k.contains(f2):
-            failures.append({"check": "cone-witness", "element": element_to_dict(u)})
+            failures.append({"check": "cone-witness", "element": u})
 
     # (iv) the translation isomorphism exists and respects products
     cases += 1
@@ -596,7 +582,7 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
 
     scope = "packaged rank-4 scenario" + (" (tampered)" if tampered else "")
     verdict_str = Verdict.FAIL if failures else Verdict.PASS
-    return SuiteReport("example_rank4", scope, cases, 0, tuple(failures), verdict_str)
+    return SuiteReport("example_rank4", scope, cases, 0, tuple(to_json(failures)), verdict_str)
 
 
 def format_reports(reports: Iterable[SuiteReport], fmt: str = "human") -> str:

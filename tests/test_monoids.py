@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -40,9 +41,11 @@ from powmon.monoids import (
     pseudo_unit_submonoid,
     spec_from_dict,
     spec_to_dict,
+    to_json,
     units,
     witness_search_order,
 )
+from powmon.powersets import FinSubset1
 
 from conftest import glued_composites
 
@@ -1033,3 +1036,77 @@ def test_contains_coords_matches_contains(case):
     assert spec._contains_coords(u.coords) == spec.contains(u)
     assert spec._contains_coords(scaled) == spec.contains(u.scale(k))
     assert spec._contains_coords(reduced(tuple(map(sub, u.coords, v.coords)))) == spec.contains(u - v)
+
+
+def _torsion_composite():
+    """The sqrt2 cone on the plane (0, 2) of Z^3 + Z/2, glued with
+    G = <e0, e2> and M generated by (0,1,0;0) and (0,1,0;1)."""
+    sig = GroupSignature(3, (2,))
+    gens = (sig.element((0, 1, 0), (0,)), sig.element((0, 1, 0), (1,)))
+    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(2)), gens)
+    return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 2), "v"), comp, "tc")
+
+
+def test_monoid_files_pinned_per_family():
+    # the bytes a monoid file holds, one spec per family; each planar spec
+    # lies on a plane with other coordinates, so its _off_plane is not empty
+    z_z3 = GroupSignature(1, (3,))
+    specs = [
+        full_n0(),
+        numerical([6, 4, 9]),
+        half_plane_lex(GroupSignature(3), (2, 0)),
+        irrational_cone(QuadraticSurd(1, -2, 3, 5), GroupSignature(2, (3,)), (1, 0), "cone"),
+        free_generated(z_z3, [z_z3.element((1,), (2,)), z_z3.element((2,), (0,))], "free-z-z3"),
+        _torsion_composite(),
+    ]
+    digests = {s.family: hashlib.sha256(monoid_to_json(s).encode()).hexdigest() for s in specs}
+    assert digests == {
+        "FULL_N0": "eec0dc75b549996d1c8f3b737b4fb3b20427629958c07f56383fbabe5df9f062",
+        "NUMERICAL": "30ed6c8736574d98f790f1801515f94a5b18e6764c9a2e5e112240c5aad4fded",
+        "HALF_PLANE_LEX": "5d9f63e66581155982f1b2c3e351834f26705d9c512ac47353479018732c5f70",
+        "IRRATIONAL_CONE": "ef2f986a1baca78cd944e0fcb156968f264c851d3bfcf7123243694de146b013",
+        "FREE_GENERATED": "e9e31c929af9a70ffda70e72756294c58520d6829f589396305be8452a88ce3b",
+        "COMPOSITE": "b8d42b8653b657f12f7ce5f82e7c960d54809c08be113ebff965ddd20cbe5811",
+    }
+    assert monoid_to_json(full_n0()) == (
+        '{\n  "family": "FULL_N0",\n  "label": "N0",\n  "signature": {\n'
+        '    "free_rank": 1,\n    "torsion_orders": []\n  }\n}\n'
+    )
+
+
+def test_spec_dict_key_order_pinned():
+    # the file is written with sorted keys, but the dict's own order is what
+    # a reader of spec_to_dict walks (test_cli's mutated documents draw keys
+    # in it): family, label and signature lead, then the constructor fields
+    cone = irrational_cone(QuadraticSurd(1, -2, 3, 5), GroupSignature(2, (3,)), (1, 0), "cone")
+    assert list(spec_to_dict(cone)) == ["family", "label", "signature", "embedding", "alpha"]
+    assert json.dumps(spec_to_dict(cone)) == (
+        '{"family": "IRRATIONAL_CONE", "label": "cone", "signature": {"free_rank": 2, '
+        '"torsion_orders": [3]}, "embedding": [1, 0], "alpha": {"p": 1, "q": -2, "r": 3, "n": 5}}'
+    )
+    tc = spec_to_dict(_torsion_composite())
+    assert list(tc) == ["family", "label", "signature", "valuation_part", "complement_part"]
+    assert json.dumps(tc) == (
+        '{"family": "COMPOSITE", "label": "tc", "signature": {"free_rank": 3, "torsion_orders": '
+        '[2]}, "valuation_part": {"family": "IRRATIONAL_CONE", "label": "v", "signature": '
+        '{"free_rank": 3, "torsion_orders": [2]}, "embedding": [0, 2], "alpha": {"p": 0, "q": 1, '
+        '"r": 1, "n": 2}}, "complement_part": {"base_subgroup": [{"free": [1, 0, 0], "torsion": '
+        '[0]}, {"free": [0, 0, 1], "torsion": [0]}], "positive_generators": [{"free": [0, 1, 0], '
+        '"torsion": [0]}, {"free": [0, 1, 0], "torsion": [1]}]}}'
+    )
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, Window(2), b"0", object()])
+def test_to_json_refuses_a_value_with_no_rule(value):
+    with pytest.raises(TypeError, match="no JSON rule"):
+        to_json(value)
+
+
+def test_to_json_writes_sets_and_enums_by_value(n0):
+    x = FinSubset1.from_ints(n0, [0, 3])
+    doc = {"X": x, "status": ValuationStatus.TRUE_ANALYTIC, "n": (1, True, None)}
+    assert to_json(doc) == {
+        "X": [{"free": [0], "torsion": []}, {"free": [3], "torsion": []}],
+        "status": "TRUE_ANALYTIC",
+        "n": [1, True, None],
+    }

@@ -45,6 +45,8 @@ DELETED = [
     ("monoids", "FreeGenerated._complement"),  # complement_part, as on a composite
     ("monoids", "_shell"),  # witness_search_order filters each shell from its cube
     ("monoids", "ValuationStatus.UNKNOWN_UP_TO_WINDOW"),  # every verdict is decided
+    ("suites", "_set_obj"),  # failures hold the set; _report encodes it with to_json
+    ("monoids", "_signature_to_obj"),  # to_json(sig): its constructor fields
 ]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -15,6 +16,7 @@ from powmon.suites import (
 )
 from powmon import suites, translation
 from powmon.ambient import GroupSignature
+from powmon.powersets import FinSubset1
 from powmon.monoids import (
     ComplementSpec,
     IrrationalCone,
@@ -322,3 +324,60 @@ def test_rank4_example_tampered_fails():
 def test_rank4_example_deterministic():
     cfg = SuiteConfig(window_bound=2, sample_count=40)
     assert run_rank4_example(cfg).to_json_dict() == run_rank4_example(cfg).to_json_dict()
+
+
+def _drop_largest(f, x):
+    image = translation.apply_iso(f, x)
+    return FinSubset1(image.monoid, image.elements[:-1])
+
+
+#: Suite -> (the name in ``powmon.suites`` a mutant replaces, the mutant).
+_MUTANTS = {
+    "quotient_multiplicity": ("pullback", lambda f, a: -translation.pullback(f, a)),
+    "cardinality": ("apply_iso", _drop_largest),
+    "split_monoids": ("reversed_by_order", lambda f, u: not translation.reversed_by_order(f, u)),
+    "one_reversed": ("classify_reversed", lambda f, u: translation.ReversedStatus.NOT_REVERSED),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, first_failure, digest",
+    [
+        (
+            "quotient_multiplicity",
+            '{"X": [{"free": [0, 0], "torsion": []}, {"free": [2, 0], "torsion": []}], '
+            '"a": {"free": [2, 0], "torsion": []}, "direct": 1, "image": 0}',
+            "1dc9f32d79add45dc8c780174adfe18e406628247a2bdd7bf44f536059317509",
+        ),
+        (
+            "cardinality",
+            '{"X": [{"free": [-2, 1], "torsion": []}, {"free": [-2, 3], "torsion": []}, '
+            '{"free": [0, 0], "torsion": []}, {"free": [1, 3], "torsion": []}, '
+            '{"free": [2, 1], "torsion": []}, {"free": [3, 2], "torsion": []}]}',
+            "5a6c9b0366997a2f75e06e24676bd5d77eec91084ffcbf0109a412f10356f839",
+        ),
+        (
+            "split_monoids",
+            '{"element": {"free": [2, 2], "torsion": []}, "pool": "REVERSED"}',
+            "5ed6846e5a5921429c93a9566d06a67d858c8603f89ef78718835cc6821889dd",
+        ),
+        (
+            "one_reversed",
+            '{"a": {"free": [0, 3], "torsion": []}, "b": {"free": [1, 0], "torsion": []}, '
+            '"g(ab)": {"free": [-1, -3], "torsion": []}, "reversed_a": "NOT_REVERSED", '
+            '"reversed_b": "NOT_REVERSED"}',
+            "7457e80a746cf47d009e36d10fc659af0a1a8f39a78b6400534f855b2c7f983d",
+        ),
+    ],
+)
+def test_failing_reports_pinned(iso, suite, first_failure, digest, monkeypatch):
+    """A FAIL report writes its witnesses as JSON values: elements as
+    {free, torsion}, sets (X) as lists of elements, reversed classes as
+    their status strings.  Each suite runs under one wrong isomorphism."""
+    name, mutant = _MUTANTS[suite]
+    monkeypatch.setattr(suites, name, mutant)
+    report = run_suite(suite, iso, SuiteConfig(window_bound=3, sample_count=40))
+    doc = report.to_json_dict()
+    assert report.verdict == Verdict.FAIL
+    assert json.dumps(doc["failures"][0], sort_keys=True) == first_failure
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
