@@ -12,7 +12,6 @@ from .ambient import (
     INFINITE,
     GroupElement,
     GroupSignature,
-    RelationLattice,
     SignatureMismatchError,
     solve_relations,
 )

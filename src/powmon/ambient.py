@@ -21,7 +21,6 @@ __all__ = [
     "INFINITE",
     "GroupSignature",
     "GroupElement",
-    "RelationLattice",
     "SignatureMismatchError",
     "solve_relations",
     "hnf_rows",
@@ -30,7 +29,6 @@ __all__ = [
     "lattice_residue",
     "residue_rows",
     "subgroup_rows",
-    "subgroups_equal",
 ]
 
 
@@ -283,37 +281,24 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
     return not any(lattice_residue(residue_rows(basis), vec))
 
 
-@dataclass(frozen=True, slots=True)
-class RelationLattice:
-    """All (n, m) with n*a + m*b = 0, as a canonical (HNF) generator list."""
-
-    generators: tuple[tuple[int, int], ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.generators
-
-
 def _torsion_relations(sig: GroupSignature) -> list[list[int]]:
     """The rows n_j * e_(d+j): torsion coordinate j is defined modulo n_j."""
     d, width = sig.free_rank, len(sig.identity().coords)
     return [[n * (k == d + j) for k in range(width)] for j, n in enumerate(sig.torsion_orders)]
 
 
-def solve_relations(a: GroupElement, b: GroupElement) -> RelationLattice:
-    """Kernel of (n, m) -> n*a + m*b, computed exactly.
+def solve_relations(a: GroupElement, b: GroupElement) -> tuple[tuple[int, ...], ...]:
+    """HNF rows of the kernel of (n, m) -> n*a + m*b, computed exactly.
 
     Free coordinates contribute exact linear equations; each torsion
     coordinate contributes a congruence, handled through an auxiliary
-    integer unknown.  The result is canonical, so two calls on equal
-    inputs give identical generator lists.
+    integer unknown.  The rows are canonical, so equal inputs give equal
+    tuples, and ``()`` means a and b are independent.
     """
     a._check(b)
     rows = [list(a.coords), list(b.coords), *_torsion_relations(a.signature)]
     ker = kernel_rows(rows, len(a.coords))
-    projected = [row[:2] for row in ker]
-    gens = hnf_rows(projected, 2)
-    return RelationLattice(tuple((g[0], g[1]) for g in gens))
+    return hnf_rows((row[:2] for row in ker), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +314,3 @@ def solve_relations(a: GroupElement, b: GroupElement) -> RelationLattice:
 def subgroup_rows(sig: GroupSignature, gens: Iterable[GroupElement]) -> tuple[tuple[int, ...], ...]:
     rows = [list(g.coords) for g in gens] + _torsion_relations(sig)
     return hnf_rows(rows, len(sig.identity().coords))
-
-
-def subgroups_equal(sig: GroupSignature, gens_a: Iterable[GroupElement], gens_b: Iterable[GroupElement]) -> bool:
-    return subgroup_rows(sig, gens_a) == subgroup_rows(sig, gens_b)

@@ -73,7 +73,6 @@ __all__ = [
     "pseudo_unit_submonoid",
     "element_to_dict",
     "to_json",
-    "spec_to_dict",
     "spec_from_dict",
     "monoid_to_json",
     "monoid_from_json",
@@ -1043,10 +1042,6 @@ def _signature_from_obj(obj: dict) -> GroupSignature:
     return _interned(GroupSignature(obj["free_rank"], tuple(obj.get("torsion_orders", ()))))
 
 
-def spec_to_dict(spec: MonoidSpec) -> dict:
-    return to_json(spec)
-
-
 def spec_from_dict(obj: dict) -> MonoidSpec:
     if not isinstance(obj, dict):
         raise ValueError(f"monoid definition must be a JSON object, not {type(obj).__name__}")
@@ -1086,7 +1081,7 @@ def spec_from_dict(obj: dict) -> MonoidSpec:
 
 
 def monoid_to_json(spec: MonoidSpec) -> str:
-    return json.dumps(spec_to_dict(spec), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_json(spec), sort_keys=True, indent=2) + "\n"
 
 
 def monoid_from_json(text: str) -> MonoidSpec:

@@ -49,7 +49,7 @@ IRREDUCIBILITY_WINDOW_FACTOR = 4
 
 def is_independent(a: GroupElement, b: GroupElement) -> bool:
     """True when a and b satisfy no relation n*a + m*b = 0 besides (0, 0)."""
-    return solve_relations(a, b).is_trivial
+    return not solve_relations(a, b)
 
 
 class IrreducibleStatus(str, Enum):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .ambient import GroupElement, INFINITE, subgroups_equal
+from .ambient import GroupElement, INFINITE, subgroup_rows
 from .monoids import Composite, MonoidSpec, pseudo_unit_submonoid
 from .powersets import FinSubset1, MembershipError, checked_members
 
@@ -163,9 +163,9 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
             f"domain {h.label!r} is {kinds[0]} and codomain {k.label!r} is {kinds[1]}; "
             "the templates take two valuation monoids, two composites or identical specs",
         )
-    # both templates compare the quotient groups of the valuation parts
-    # (a valuation monoid is its own pseudo-unit submonoid)
-    if not subgroups_equal(h.signature, h_v.quotient_generators(), k_v.quotient_generators()):
+    # both templates compare the valuation parts' quotient groups (V_H = H for a valuation H)
+    sig = h.signature
+    if subgroup_rows(sig, h_v.quotient_generators()) != subgroup_rows(sig, k_v.quotient_generators()):
         raise ApplicabilityError("quotient-groups-differ", differ)
     return TranslationIso(h, k, h_v, k_v, template)
 

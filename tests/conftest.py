@@ -25,6 +25,17 @@ def splits_window(report):
     return len(parts) == len(members) and set(parts) == set(members)
 
 
+def torsion_composite_pair():
+    """th and tc: the half plane and the sqrt2 cone on the plane (0, 2) of
+    Z^3 + Z/2, each glued with G = <e0, e2> and M generated by (0,1,0;0)
+    and (0,1,0;1)."""
+    sig = GroupSignature(3, (2,))
+    gens = (sig.element((0, 1, 0), (0,)), sig.element((0, 1, 0), (1,)))
+    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(2)), gens)
+    tc = composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 2), "v"), comp, "tc")
+    return composite(half_plane_lex(sig, (0, 2), "h"), comp, "th"), tc
+
+
 @st.composite
 def glued_composites(draw):
     """A valid composite V | (G.M), drawn for the window and witness oracles.

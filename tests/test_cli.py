@@ -24,7 +24,7 @@ from powmon.monoids import (
     irrational_cone,
     monoid_to_json,
     numerical,
-    spec_to_dict,
+    to_json,
 )
 from powmon.powersets import FinSubset1
 from powmon.translation import DichotomyViolationError, TranslationCheckError
@@ -190,7 +190,7 @@ def test_analyze_invalid_file_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("embedding", [[0], [0, 1, 2]], ids=["one", "three"])
 def test_analyze_wrong_length_embedding_exit_3(tmp_path, capsys, embedding):
-    doc = spec_to_dict(half_plane_lex())
+    doc = to_json(half_plane_lex())
     doc["embedding"] = embedding
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -612,7 +612,7 @@ def _fuzz_monoids(valuation_part):
 _z1, _z2, _z_z3 = GroupSignature(1), GroupSignature(2), GroupSignature(1, (3,))
 #: one valid monoid file of each family, free rank <= 2
 VALID_DOCS = [
-    spec_to_dict(spec)
+    to_json(spec)
     for spec in (
         full_n0(),
         numerical([2, 3]),

@@ -40,14 +40,13 @@ from powmon.monoids import (
     numerical,
     pseudo_unit_submonoid,
     spec_from_dict,
-    spec_to_dict,
     to_json,
     units,
     witness_search_order,
 )
 from powmon.powersets import FinSubset1
 
-from conftest import glued_composites
+from conftest import glued_composites, torsion_composite_pair
 
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
@@ -1038,15 +1037,6 @@ def test_contains_coords_matches_contains(case):
     assert spec._contains_coords(reduced(tuple(map(sub, u.coords, v.coords)))) == spec.contains(u - v)
 
 
-def _torsion_composite():
-    """The sqrt2 cone on the plane (0, 2) of Z^3 + Z/2, glued with
-    G = <e0, e2> and M generated by (0,1,0;0) and (0,1,0;1)."""
-    sig = GroupSignature(3, (2,))
-    gens = (sig.element((0, 1, 0), (0,)), sig.element((0, 1, 0), (1,)))
-    comp = ComplementSpec(sig, (sig.basis_element(0), sig.basis_element(2)), gens)
-    return composite(irrational_cone(QuadraticSurd(0, 1, 1, 2), sig, (0, 2), "v"), comp, "tc")
-
-
 def test_monoid_files_pinned_per_family():
     # the bytes a monoid file holds, one spec per family; each planar spec
     # lies on a plane with other coordinates, so its _off_plane is not empty
@@ -1057,7 +1047,7 @@ def test_monoid_files_pinned_per_family():
         half_plane_lex(GroupSignature(3), (2, 0)),
         irrational_cone(QuadraticSurd(1, -2, 3, 5), GroupSignature(2, (3,)), (1, 0), "cone"),
         free_generated(z_z3, [z_z3.element((1,), (2,)), z_z3.element((2,), (0,))], "free-z-z3"),
-        _torsion_composite(),
+        torsion_composite_pair()[1],
     ]
     digests = {s.family: hashlib.sha256(monoid_to_json(s).encode()).hexdigest() for s in specs}
     assert digests == {
@@ -1076,15 +1066,15 @@ def test_monoid_files_pinned_per_family():
 
 def test_spec_dict_key_order_pinned():
     # the file is written with sorted keys, but the dict's own order is what
-    # a reader of spec_to_dict walks (test_cli's mutated documents draw keys
+    # a reader of to_json walks (test_cli's mutated documents draw keys
     # in it): family, label and signature lead, then the constructor fields
     cone = irrational_cone(QuadraticSurd(1, -2, 3, 5), GroupSignature(2, (3,)), (1, 0), "cone")
-    assert list(spec_to_dict(cone)) == ["family", "label", "signature", "embedding", "alpha"]
-    assert json.dumps(spec_to_dict(cone)) == (
+    assert list(to_json(cone)) == ["family", "label", "signature", "embedding", "alpha"]
+    assert json.dumps(to_json(cone)) == (
         '{"family": "IRRATIONAL_CONE", "label": "cone", "signature": {"free_rank": 2, '
         '"torsion_orders": [3]}, "embedding": [1, 0], "alpha": {"p": 1, "q": -2, "r": 3, "n": 5}}'
     )
-    tc = spec_to_dict(_torsion_composite())
+    tc = to_json(torsion_composite_pair()[1])
     assert list(tc) == ["family", "label", "signature", "valuation_part", "complement_part"]
     assert json.dumps(tc) == (
         '{"family": "COMPOSITE", "label": "tc", "signature": {"free_rank": 3, "torsion_orders": '

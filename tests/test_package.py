@@ -47,6 +47,9 @@ DELETED = [
     ("monoids", "ValuationStatus.UNKNOWN_UP_TO_WINDOW"),  # every verdict is decided
     ("suites", "_set_obj"),  # failures hold the set; _report encodes it with to_json
     ("monoids", "_signature_to_obj"),  # to_json(sig): its constructor fields
+    ("ambient", "RelationLattice"),  # solve_relations gives the HNF rows; `not lat` is trivial
+    ("ambient", "subgroups_equal"),  # subgroup_rows(sig, a) == subgroup_rows(sig, b)
+    ("monoids", "spec_to_dict"),  # to_json(spec)
 ]
 
 

@@ -381,3 +381,36 @@ def test_failing_reports_pinned(iso, suite, first_failure, digest, monkeypatch):
     assert report.verdict == Verdict.FAIL
     assert json.dumps(doc["failures"][0], sort_keys=True) == first_failure
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def _swapped_class(f, u):
+    statuses = translation.ReversedStatus
+    if translation.classify_reversed(f, u) is statuses.REVERSED:
+        return statuses.NOT_REVERSED
+    return statuses.REVERSED
+
+
+def test_swapped_reversed_classes_fail_split_monoids_alone(iso, monkeypatch):
+    """The first cell of a suite x mutant matrix: a classify_reversed that
+    swaps REVERSED and NOT_REVERSED.  one_reversed reads only whether two
+    classes differ, so it passes; split_monoids compares each class with
+    the order rule and fails."""
+    monkeypatch.setattr(suites, "classify_reversed", _swapped_class)
+    cfg = SuiteConfig(window_bound=3, sample_count=40)
+    reports = {name: run_suite(name, iso, cfg) for name in SUITE_NAMES}
+    verdicts = {name: r.verdict for name, r in reports.items()}
+    assert verdicts.pop("split_monoids") == Verdict.FAIL
+    assert verdicts["one_reversed"] == Verdict.PASS
+    assert {name for name, v in verdicts.items() if v != Verdict.PASS} == {
+        "nothing_reversed", "pullback_unit_inverses", "torsion_products", "units_not_reversed"
+    }
+    assert set(verdicts.values()) == {Verdict.PASS, Verdict.NOT_APPLICABLE}
+    split = reports["split_monoids"]
+    assert (split.cases, len(split.failures)) == (55, 64)
+    assert json.dumps(split.failures[0], sort_keys=True) == (
+        '{"element": {"free": [-2, 2], "torsion": []}, "pool": "REVERSED"}'
+    )
+    doc = json.dumps(split.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "c653cef89f9ef635738ecdae8ab18402fb6eb02f5a8c8cb46126e30281c6cf4c"
+    )

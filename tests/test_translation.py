@@ -26,7 +26,7 @@ from powmon.powersets import (
     set_product,
 )
 from powmon.structure import is_independent, pseudo_unit, PseudoUnitStatus
-from powmon.suites import SuiteConfig, Verdict, verify_iso
+from powmon.suites import SuiteConfig, Verdict, planar_pair, rank4_pair, verify_iso
 from powmon.translation import (
     ApplicabilityError,
     ReversedStatus,
@@ -41,6 +41,8 @@ from powmon.translation import (
     reversed_by_order,
     valuation_min,
 )
+
+from conftest import torsion_composite_pair
 
 Z1 = GroupSignature(1)
 Z2 = GroupSignature(2)
@@ -612,6 +614,52 @@ def test_homomorphism_sampled_rank4(rank4_iso, rank4_h):
         assert apply_iso(rank4_iso, set_product(x, y)) == set_product(
             apply_iso(rank4_iso, x), apply_iso(rank4_iso, y)
         )
+
+
+#: Pair -> (H and K, window bound, largest |X|, sets in the scope); each
+#: direction's scope has the same size, and n sets make n(n+1)/2 pairs X <= Y.
+_WHOLE_SCOPES = {
+    "identical": (lambda: (numerical([2, 3], "a"), numerical([3, 2], "b")), 8, 4, 64),
+    "n0-minus-n0": (lambda: (full_n0(), free_generated(Z1, [Z1.element(-1)])), 8, 4, 93),
+    "planar": (planar_pair, 2, 3, 79),
+    "rank4": (rank4_pair, 1, 2, 32),
+    "th-tc": (torsion_composite_pair, 1, 2, 23),
+}
+
+
+def _whole_scope(pair, backward):
+    """The iso built on the pair (reversed when ``backward``) and every X
+    with |X| <= the scope's size over the domain's window members."""
+    build, bound, size, n_sets = _WHOLE_SCOPES[pair]
+    h, k = build()[::-1] if backward else build()
+    rest = [u for u in elements_in_window(h, Window(bound)) if not u.is_identity()]
+    sets = [
+        FinSubset1.make(h, (h.identity(), *members))
+        for n in range(size)
+        for members in itertools.combinations(rest, n)
+    ]
+    # a later change to a window cannot silently grow the scope
+    assert len(sets) == n_sets
+    return build_translation_iso(h, k), sets
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["H->K", "K->H"])
+@pytest.mark.parametrize("pair", list(_WHOLE_SCOPES))
+def test_reverse_built_iso_inverts_f_on_every_small_set(pair, backward):
+    # with both directions, f is one-to-one on H's scope and onto K's
+    f, sets = _whole_scope(pair, backward)
+    g = build_translation_iso(f.codomain, f.domain)
+    for x in sets:
+        assert apply_iso(g, apply_iso(f, x)) == x, x
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["H->K", "K->H"])
+@pytest.mark.parametrize("pair", list(_WHOLE_SCOPES))
+def test_iso_is_a_homomorphism_on_every_small_set(pair, backward):
+    f, sets = _whole_scope(pair, backward)
+    images = [apply_iso(f, x) for x in sets]
+    for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
+        assert apply_iso(f, set_product(sets[i], sets[j])) == set_product(images[i], images[j])
 
 
 def test_translation_uniqueness_scan(planar_iso, halfplane, cone_sqrt2):
