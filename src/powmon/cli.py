@@ -230,17 +230,13 @@ def _load_monoid(path: str | None) -> MonoidSpec:
     try:
         return load_monoid_file(path)
     except FileNotFoundError:
-        raise _UsageError(f"monoid file not found: {path}")
+        raise ValueError(f"monoid file not found: {path}")
     except OSError as exc:
-        raise _UsageError(f"cannot read monoid file {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read monoid file {path}: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:
         # json.JSONDecodeError is a ValueError; a RecursionError is JSON
         # nested past the decoder's depth
         raise _SchemaError(f"invalid monoid file {path}: {exc}")
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _SchemaError(Exception):
@@ -261,7 +257,7 @@ def _suite_config(args) -> SuiteConfig:
         try:
             seed = _ascii_int(env_seed)
         except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"POWMON_SEED: {exc}") from None
+            raise ValueError(f"POWMON_SEED: {exc}") from None
     return SuiteConfig(
         seed=seed,
         window_bound=args.window,
@@ -433,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, _SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
+        # a missing or unreadable monoid file, a bad POWMON_SEED, and
         # ApplicabilityError, MembershipError, MonoidMismatchError and
         # SignatureMismatchError are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,10 @@ from powmon.monoids import (
     to_json,
 )
 from powmon.powersets import FinSubset1
+from powmon.suites import planar_pair
 from powmon.translation import DichotomyViolationError, TranslationCheckError
+
+from conftest import torsion_composite_pair
 
 
 @pytest.fixture()
@@ -508,6 +511,82 @@ def test_analyze_composite_with_trivial_valuation_part(tmp_path, capsys):
         {"element": {"free": [x], "torsion": []}, "status": "IRREDUCIBLE_ANALYTIC"} for x in (2, 3)
     ]
     assert out["reducible_count"] == 7
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """The monoid files of ``test_command_table``, by file name: the planar
+    pair h/k; th and tc, the half plane and the sqrt2 cone on plane (0,2) of
+    Z^3 + Z/2 glued with one complement; a copy of -N0; N0; <20,30>."""
+    z = GroupSignature(1)
+    specs = dict(zip(("h.json", "k.json"), planar_pair()))
+    specs.update(zip(("th.json", "tc.json"), torsion_composite_pair()))
+    specs.update({
+        "minus-n0.json": free_generated(z, [z.element(-1)]),
+        "n0.json": full_n0(),
+        "num20-30.json": numerical([20, 30]),
+    })
+    root = tmp_path_factory.mktemp("command-files")
+    for name, spec in specs.items():
+        (root / name).write_text(monoid_to_json(spec), encoding="utf-8")
+    return {name: str(root / name) for name in specs}
+
+
+#: (argv, environment, exit code, stdout lines).  Stdout is exactly the
+#: lines, unless they end in ``...``: then each listed line is one of its lines.
+_COMMANDS = {
+    "eval-cube": (["eval", "{0,5,7}^3"], {}, 0, ["{0,5,7,10,12,14,15,17,19,21}"]),
+    "eval-spaces": (["eval", " { 0 , 5 } ^ 2 "], {}, 0, ["{0,5,10}"]),
+    # the reversion of a kernel-built product
+    "eval-rev-product": (["eval", "rev({0,1,3}*{0,2})"], {}, 0, ["{0,2,3,4,5}"]),
+    "eval-json": (
+        ["eval", "{0,2}", "--format", "json"], {}, 0,
+        ['{"elements": [{"free": [0], "torsion": []}, {"free": [2], "torsion": []}]}'],
+    ),
+    # integers take ASCII digits only: POWMON_SEED's is a usage error
+    "env-seed-arabic-indic": (["example-rank4"], {"POWMON_SEED": "٣"}, 2, []),
+    # exit 0: the rank-4 scenario passes; iso and suite run no FAIL or INCONCLUSIVE suite
+    "example-rank4": (["example-rank4"], {}, 0, [...]),
+    "iso-planar": (["iso", "h.json", "k.json"], {}, 0, [...]),
+    "iso-planar-two-suites": (
+        ["iso", "h.json", "k.json", "--suites", "two_sets,cardinality", "--samples", "20",
+         "--window", "3"], {}, 0, [...],
+    ),
+    "suite-two-sets": (["suite", "two_sets", "--samples", "20", "--window", "3"], {}, 0, [...]),
+    # suite runs the packaged pair only
+    "suite-domain-flag": (["suite", "two_sets", "--domain", "h.json"], {}, 2, []),
+    "analyze-torsion-composite": (
+        ["analyze", "tc.json", "--window", "2"], {}, 0,
+        ["decomposition 13 pseudo-units / 100 complement", ...],
+    ),
+    # every suite runs the generic set product, which reduces torsion
+    "iso-torsion-composites": (
+        ["iso", "th.json", "tc.json", "--samples", "50", "--window", "2"], {}, 0, [...],
+    ),
+    # a valuation monoid by construction, every member a pseudo-unit
+    "analyze-minus-n0": (
+        ["analyze", "minus-n0.json", "--window", "2"], {}, 0,
+        ["valuation     TRUE_ANALYTIC", "decomposition 3 pseudo-units / 0 complement", ...],
+    ),
+    # <20,30> meets Window(8) in 0 alone; its valuation witness is the gcd
+    "analyze-num20-30": (
+        ["analyze", "num20-30.json", "--window", "8"], {}, 0,
+        ["valuation     FALSE_WITNESS  witness 10", ...],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_command_table(capsys, monkeypatch, command_files, name):
+    argv, env, code, lines = _COMMANDS[name]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([command_files.get(a, a) for a in argv]) == code, capsys.readouterr().err
+    out = capsys.readouterr().out
+    if lines[-1:] == [...]:
+        assert [line for line in lines[:-1] if line not in out.splitlines()] == [], out
+    else:
+        assert out == "".join(f"{line}\n" for line in lines)
 
 
 def run_quietly(argv):

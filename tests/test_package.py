@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,30 @@ def test_all_lists_only_names_the_module_defines(module):
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if name not in _defined(module)] == []
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+#: The library modules: every module but the command-line front end.
+LIBRARY = [module for module in MODULES if module not in ("cli", "__main__")]
+
+
+def test_package_republishes_each_library_all():
+    """powmon's public names are the library modules' ``__all__`` lists, no
+    name exported by two modules, and ``import powmon`` loads no CLI code."""
+    exported = [
+        name for module in LIBRARY for name in importlib.import_module(f"powmon.{module}").__all__
+    ]
+    assert sorted({name for name in exported if exported.count(name) > 1}) == []
+    public = {
+        name for name, obj in vars(powmon).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert public == set(exported)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    probe = "import sys, powmon; print([m for m in ('powmon.cli', 'argparse') if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def _resolves(obj, dotted: str) -> bool:

@@ -414,3 +414,68 @@ def test_swapped_reversed_classes_fail_split_monoids_alone(iso, monkeypatch):
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "c653cef89f9ef635738ecdae8ab18402fb6eb02f5a8c8cb46126e30281c6cf4c"
     )
+
+
+def _drop_largest_of_three(f, x):
+    """f with the last non-identity member of each image of 3 or more
+    members dropped; images of {1} and {1, a} stay whole."""
+    image = translation.apply_iso(f, x)
+    if len(image) < 3:
+        return image
+    identity = image.monoid.identity()
+    largest = next(u for u in reversed(image.elements) if u != identity)
+    return FinSubset1(image.monoid, tuple(u for u in image.elements if u != largest))
+
+
+def _elements(*points):
+    return "[" + ", ".join(
+        f'{{"free": [{x}, {y}], "torsion": []}}' for x, y in points
+    ) + "]"
+
+
+#: Suite -> (verdict, cases, failures, first failure as sorted JSON) under
+#: ``_drop_largest_of_three``; suites it does not fail have no first failure.
+_DROP_LARGEST_ROW = {
+    "cardinality": (
+        Verdict.FAIL, 40, 20,
+        '{"X": ' + _elements((-2, 1), (-2, 3), (0, 0), (1, 3), (2, 1), (3, 2)) + "}",
+    ),
+    "decomposition_hom": (Verdict.PASS, 40, 0, None),
+    "dependent_products": (Verdict.PASS, 40, 0, None),
+    "homomorphism": (
+        Verdict.FAIL, 40, 26,
+        '{"X": ' + _elements((-2, 1), (-2, 2), (0, 0), (2, 0), (2, 1), (3, 1))
+        + ', "Y": ' + _elements((-3, 3), (0, 0)) + "}",
+    ),
+    "independent_powers": (Verdict.PASS, 40, 0, None),
+    "nothing_reversed": (Verdict.NOT_APPLICABLE, 0, 0, None),
+    "one_reversed": (Verdict.PASS, 40, 0, None),
+    "product_dichotomy": (Verdict.PASS, 40, 0, None),
+    "pseudo_closure": (Verdict.PASS, 40, 0, None),
+    "pullback_powers": (Verdict.PASS, 40, 0, None),
+    "pullback_unit_inverses": (Verdict.NOT_APPLICABLE, 0, 0, None),
+    "quotient_multiplicity": (
+        Verdict.FAIL, 40, 1,
+        '{"X": ' + _elements((-3, 2), (-1, 2), (-1, 3), (0, 0), (0, 3), (1, 3))
+        + ', "a": {"free": [1, 0], "torsion": []}, "direct": 2, "image": 1}',
+    ),
+    "split_monoids": (Verdict.PASS, 55, 0, None),
+    "torsion_products": (Verdict.NOT_APPLICABLE, 0, 0, None),
+    "two_sets": (Verdict.PASS, 40, 0, None),
+    "units_not_reversed": (Verdict.NOT_APPLICABLE, 0, 0, None),
+}
+
+
+def test_dropped_largest_member_fails_three_suites(iso, monkeypatch):
+    """A row of the suite x mutant matrix: an f that drops the largest
+    member of each image of 3 or more members.  Of the four suites that
+    call apply_iso, cardinality, homomorphism and quotient_multiplicity
+    fail; two_sets maps {1, a} only, so it passes with the other twelve."""
+    monkeypatch.setattr(suites, "apply_iso", _drop_largest_of_three)
+    cfg = SuiteConfig(window_bound=3, sample_count=40)
+    row = {}
+    for name in SUITE_NAMES:
+        r = run_suite(name, iso, cfg)
+        first = json.dumps(r.failures[0], sort_keys=True) if r.failures else None
+        row[name] = (r.verdict, r.cases, len(r.failures), first)
+    assert row == _DROP_LARGEST_ROW
