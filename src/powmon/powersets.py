@@ -10,10 +10,11 @@ product is a sumset (Fan and Tringali): one shift-OR per member of the
 smaller set.  Product, quotients and reversion run on masks when the
 sets they read span at most 64 bits per member in total (the rule is
 stated in ``set_product``), so a sparse set such as {0, 10**12} never
-becomes a huge int.  Results are read off the mask a byte at a time
-through one bounded table of element tuples; each keeps its (start,
-mask) pair, from byte min X // 8, which the next mask operation reads
-as one.
+becomes a huge int.  A result's start, byte min X // 8, is read off
+the mask's lowest set byte, its members a byte at a time through one
+bounded table of element tuples, and its monoid, members and (start,
+mask) pair, which the next mask operation reads as one, are set on its
+slots in one step.
 Sparse sets, and sets over other ambient groups, take the generic path,
 which sums coordinate tuples.  Power and divides reach masks through the
 product.
@@ -83,9 +84,9 @@ class FinSubset1:
 
     ``make`` checks a set literal.  The constructor trusts its caller:
     ``elements`` must be sorted by ``GroupElement.key``, duplicate-free,
-    hold the identity and lie in ``monoid``.  ``_bits``, the (start, mask)
-    pair ``_mask`` reads as one, is set by the kernel on each set it builds;
-    equality, hash, repr, copies and pickles skip it.
+    hold the identity and lie in ``monoid``.  The kernel skips it, setting
+    the slots in one step, ``_bits`` too: the (start, mask) pair ``_mask``
+    reads as one, which equality, hash, repr, copies and pickles skip.
     """
 
     monoid: MonoidSpec
@@ -125,6 +126,11 @@ class FinSubset1:
 
     def __reduce__(self):
         return FinSubset1, (self.monoid, self.elements)
+
+
+_set_monoid = FinSubset1.monoid.__set__
+_set_elements = FinSubset1.elements.__set__
+_set_bits = FinSubset1._bits.__set__
 
 
 def _check_same_monoid(x: FinSubset1, y: FinSubset1) -> None:
@@ -167,7 +173,7 @@ def _mask(x: FinSubset1) -> tuple[int, int]:
         return x._bits
     except AttributeError:
         start = _start(x)
-        object.__setattr__(x, "_bits", (start, _shift_or(x, start, 1)))
+        _set_bits(x, (start, _shift_or(x, start, 1)))
         return x._bits
 
 
@@ -181,14 +187,19 @@ def _byte_elements(index: int, byte: int) -> tuple[GroupElement, ...]:
 
 
 def _from_mask(monoid: MonoidSpec, m: int, start: int) -> FinSubset1:
-    """The set of mask m from byte ``start``, storing its mask from min X // 8."""
+    """The set of mask m from byte ``start``, stored from byte min X // 8."""
+    low = (m & -m).bit_length() - 1 >> 3
+    if low:
+        m >>= low << 3
+        start += low
     elements: list[GroupElement] = []
     for index, byte in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little"), start):
         if byte:
             elements += _byte_elements(index, byte)
-    x = FinSubset1(monoid, tuple(elements))
-    first = _start(x)
-    object.__setattr__(x, "_bits", (first, m >> (first - start << 3)))
+    x = object.__new__(FinSubset1)
+    _set_monoid(x, monoid)
+    _set_elements(x, tuple(elements))
+    _set_bits(x, (start, m))
     return x
 
 
@@ -312,9 +323,8 @@ def reversion(x: FinSubset1) -> FinSubset1:
     """max X - X, the reflection of a subset of N0 about its maximum."""
     if not isinstance(x.monoid, FullN0):
         raise MonoidMismatchError("reversion is defined over the full monoid N0 only")
-    top = x.elements[-1]
     if _masked(x, x):
-        # an N0 set, like its factors, starts at byte 0: its mask has top + 1 bits
-        bits = format(_mask(x)[1], f"0{top.coords[0] + 1}b")
-        return _from_mask(x.monoid, int(bits[::-1], 2), 0)
+        # an N0 set's mask starts at byte 0, and its top bit is max X
+        return _from_mask(x.monoid, int(format(_mask(x)[1], "b")[::-1], 2), 0)
+    top = x.elements[-1]
     return FinSubset1(x.monoid, tuple(top - u for u in reversed(x.elements)))

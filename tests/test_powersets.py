@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import types
 from collections import Counter
 
 import pytest
@@ -26,7 +27,9 @@ from powmon.powersets import (
     MembershipError,
     MonoidMismatchError,
     _byte_elements,
+    _from_mask,
     _mask,
+    _masked,
     divides,
     quotient_multiplicity,
     quotients,
@@ -462,6 +465,37 @@ def test_stored_mask_is_invisible(n0, capsys):
     assert printed[0] == printed[1]
 
 
+@st.composite
+def mask_cases(draw):
+    """Members of a set over the group Z, and how many zero low bytes the
+    mask handed to ``_from_mask`` carries below byte min X // 8."""
+    values = draw(st.sets(st.integers(-40, 60), max_size=8))
+    return tuple(sorted(values | {0})), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mask_cases())
+@example(((-1, 0, 3), 0))  # stored start -1
+@example(((0, 5, 17), 2))  # the caller's start lies two zero bytes below
+def test_kernel_result_is_built_from_its_least_byte(case):
+    # _from_mask sets the three slots of a FinSubset1 through their
+    # descriptors; this layout is what it relies on
+    assert FinSubset1.__slots__ == ("monoid", "elements", "_bits")
+    for name in FinSubset1.__slots__:
+        assert type(getattr(FinSubset1, name)) is types.MemberDescriptorType
+    members, zero_bytes = case
+    least = members[0] >> 3
+    start = least - zero_bytes
+    x = _from_mask(Z_GROUP, sum(1 << (v - 8 * start) for v in members), start)
+    assert type(x) is FinSubset1 and x.ints() == members
+    stored, m = _mask(x)
+    assert (stored, m) == (least, sum(1 << (v - 8 * least) for v in members))
+    assert tuple(8 * stored + i for i in range(m.bit_length()) if m >> i & 1) == members
+    made = FinSubset1.from_ints(Z_GROUP, members)
+    assert x == made and made == x
+    assert hash(x) == hash(made) and repr(x) == repr(made)
+
+
 def test_byte_element_table_is_bounded():
     maxsize = _byte_elements.cache_info().maxsize
     keys = [(index, byte) for index in range(-2, maxsize // 255 + 2) for byte in range(1, 256)]
@@ -479,6 +513,15 @@ def test_reversion_examples(n0):
     assert reversion(FinSubset1.from_ints(n0, [0])).ints() == (0,)
     x = FinSubset1.from_ints(n0, [0, 2, 5, 6])
     assert reversion(reversion(x)) == x
+
+
+def test_reversion_of_every_subset_of_0_to_9(n0):
+    # the mask path's bit reversal against the element path max X - X
+    for x in subsets_of_range(9, n0):
+        assert _masked(x, x)
+        top = x.elements[-1]
+        assert reversion(x).elements == tuple(top - u for u in reversed(x.elements))
+        assert reversion(reversion(x)) == x
 
 
 def test_reversion_rejects_other_monoids(num23):

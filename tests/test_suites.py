@@ -479,3 +479,28 @@ def test_dropped_largest_member_fails_three_suites(iso, monkeypatch):
         first = json.dumps(r.failures[0], sort_keys=True) if r.failures else None
         row[name] = (r.verdict, r.cases, len(r.failures), first)
     assert row == _DROP_LARGEST_ROW
+
+
+def _double_largest_of_three(f, x):
+    """f with the last non-identity member u of each image of 3 or more
+    members replaced by u + u; images of {1} and {1, a} stay whole."""
+    image = translation.apply_iso(f, x)
+    if len(image) < 3:
+        return image
+    identity = image.monoid.identity()
+    largest = next(u for u in reversed(image.elements) if u != identity)
+    return FinSubset1.make(image.monoid, (u + u if u == largest else u for u in image.elements))
+
+
+def test_doubled_largest_member_fails_homomorphism_past_set_sizes(iso, monkeypatch):
+    """Another row of the suite x mutant matrix, for the homomorphism law
+    alone: f(X*Y) and f(X)*f(Y) differ in 27 cases, only 13 of them in size,
+    so a law that compared lengths would miss the other 14."""
+    monkeypatch.setattr(suites, "apply_iso", _double_largest_of_three)
+    r = run_suite("homomorphism", iso, SuiteConfig(window_bound=3, sample_count=40))
+    first = json.dumps(r.failures[0], sort_keys=True)
+    assert (r.verdict, r.cases, len(r.failures), first) == (
+        Verdict.FAIL, 40, 27,
+        '{"X": ' + _elements((-2, 1), (-2, 2), (0, 0), (2, 0), (2, 1), (3, 1))
+        + ', "Y": ' + _elements((-3, 3), (0, 0)) + "}",
+    )
