@@ -149,7 +149,7 @@ class GroupElement:
         return self.signature._canonical(tuple(map(sub, self.coords, other.coords)))
 
     def scale(self, n: int) -> GroupElement:
-        return self.signature._canonical(tuple(a * n for a in self.coords))
+        return self.signature._canonical(tuple([a * n for a in self.coords]))
 
     def is_identity(self) -> bool:
         return not any(self.coords)

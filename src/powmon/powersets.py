@@ -221,7 +221,10 @@ def set_product(x: FinSubset1, y: FinSubset1) -> FinSubset1:
     # coordinate tuples, torsion reduced before two sums are compared
     sig = x.monoid.signature
     ys = [v.coords for v in y.elements]
-    out = {sig._reduced(tuple(map(add, u.coords, v))) for u in x.elements for v in ys}
+    if sig.torsion_orders:
+        out = {sig._reduced(tuple(map(add, u.coords, v))) for u in x.elements for v in ys}
+    else:
+        out = {tuple(map(add, u.coords, v)) for u in x.elements for v in ys}
     return FinSubset1(x.monoid, tuple(GroupElement(sig, c) for c in sorted(out)))
 
 

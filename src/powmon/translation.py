@@ -172,10 +172,14 @@ def build_translation_iso(h: MonoidSpec, k: MonoidSpec) -> TranslationIso:
 
 def _translation(f: TranslationIso, elements: Sequence[GroupElement]) -> GroupElement:
     """The unique a with a + X inside the codomain, for the domain members
-    ``elements`` of X: minus the minimum, in K's order, of X's part in V_H."""
-    identity, v_h = f.domain.identity(), f.domain_valuation
-    # domain members, checked over the signature that V_H shares
-    s = [u for u in elements if u is identity or v_h._contains_coords(u.coords)]
+    ``elements`` of X: minus the minimum, in K's order, of X's part in V_H.
+    When V_H is H itself (a valuation pair, or an identical pair of a
+    valuation monoid), that part is X, as X <= H = V_H: no member is asked."""
+    s, v_h = elements, f.domain_valuation
+    if v_h is not f.domain:
+        # domain members, checked over the signature that V_H shares
+        identity = f.domain.identity()
+        s = [u for u in elements if u is identity or v_h._contains_coords(u.coords)]
     return -valuation_min(f.codomain_valuation, s)
 
 

@@ -481,6 +481,67 @@ def test_dropped_largest_member_fails_three_suites(iso, monkeypatch):
     assert row == _DROP_LARGEST_ROW
 
 
+_true_translation = translation._translation
+
+
+def _translate_one_generator_off(f, elements):
+    """f's translate a moved to a + (1, 0), one quotient generator off."""
+    return _true_translation(f, elements) + GroupSignature(2).element((1, 0))
+
+
+def _no_pattern(u, image):
+    return (
+        translation.DichotomyViolationError,
+        f"image of the power chain of {u} is {image}, matching neither admissible pattern",
+    )
+
+
+_COLLAPSED = (
+    translation.TranslationCheckError,
+    "translation collapsed elements; ambient arithmetic broken",
+)
+
+#: Suite -> (verdict, cases, failures), or the (error type, message) it
+#: raised, under ``_translate_one_generator_off``.
+_TRANSLATE_OFF_ROW = {
+    "cardinality": _COLLAPSED,
+    "decomposition_hom": (Verdict.PASS, 40, 0),
+    "dependent_products": (Verdict.PASS, 40, 0),
+    "homomorphism": _COLLAPSED,
+    "independent_powers": (Verdict.PASS, 40, 0),
+    "nothing_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+    "one_reversed": _no_pattern("(-1,2)", "[(1,0), (3,-4), (4,-6)]"),
+    "product_dichotomy": (Verdict.PASS, 40, 0),
+    "pseudo_closure": (Verdict.PASS, 40, 0),
+    "pullback_powers": (Verdict.PASS, 40, 0),
+    "pullback_unit_inverses": (Verdict.NOT_APPLICABLE, 0, 0),
+    "quotient_multiplicity": _COLLAPSED,
+    "split_monoids": _no_pattern("(-2,2)", "[(1,0), (5,-4), (7,-6)]"),
+    "torsion_products": (Verdict.NOT_APPLICABLE, 0, 0),
+    "two_sets": _COLLAPSED,
+    "units_not_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+}
+
+
+def test_translate_one_generator_off_raises_in_six_suites(iso, monkeypatch):
+    """A row of the suite x mutant matrix: a translate one quotient
+    generator off.  a + X then misses the identity, so the four suites
+    that call apply_iso raise its count check's error, and the chain
+    images of classify_reversed match neither pattern.  The suites that
+    read pullback alone pass: its success path maps no set."""
+    monkeypatch.setattr(translation, "_translation", _translate_one_generator_off)
+    cfg = SuiteConfig(window_bound=3, sample_count=40)
+    row = {}
+    for name in SUITE_NAMES:
+        try:
+            r = run_suite(name, iso, cfg)
+        except (translation.TranslationCheckError, translation.DichotomyViolationError) as exc:
+            row[name] = (type(exc), str(exc))
+        else:
+            row[name] = (r.verdict, r.cases, len(r.failures))
+    assert row == _TRANSLATE_OFF_ROW
+
+
 def _double_largest_of_three(f, x):
     """f with the last non-identity member u of each image of 3 or more
     members replaced by u + u; images of {1} and {1, a} stay whole."""

@@ -1,8 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powmon.ambient import GroupSignature, SignatureMismatchError
@@ -627,12 +628,21 @@ _WHOLE_SCOPES = {
 }
 
 
+@functools.cache
+def _scope_iso(pair, backward):
+    """The iso on a pair of ``_WHOLE_SCOPES`` and its domain's window members."""
+    build, bound = _WHOLE_SCOPES[pair][:2]
+    h, k = build()[::-1] if backward else build()
+    return build_translation_iso(h, k), elements_in_window(h, Window(bound))
+
+
 def _whole_scope(pair, backward):
     """The iso built on the pair (reversed when ``backward``) and every X
     with |X| <= the scope's size over the domain's window members."""
-    build, bound, size, n_sets = _WHOLE_SCOPES[pair]
-    h, k = build()[::-1] if backward else build()
-    rest = [u for u in elements_in_window(h, Window(bound)) if not u.is_identity()]
+    f, window = _scope_iso(pair, backward)
+    size, n_sets = _WHOLE_SCOPES[pair][2:]
+    h = f.domain
+    rest = [u for u in window if not u.is_identity()]
     sets = [
         FinSubset1.make(h, (h.identity(), *members))
         for n in range(size)
@@ -640,7 +650,7 @@ def _whole_scope(pair, backward):
     ]
     # a later change to a window cannot silently grow the scope
     assert len(sets) == n_sets
-    return build_translation_iso(h, k), sets
+    return f, sets
 
 
 @pytest.mark.parametrize("backward", [False, True], ids=["H->K", "K->H"])
@@ -660,6 +670,28 @@ def test_iso_is_a_homomorphism_on_every_small_set(pair, backward):
     images = [apply_iso(f, x) for x in sets]
     for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
         assert apply_iso(f, set_product(sets[i], sets[j])) == set_product(images[i], images[j])
+
+
+_scope_sets = st.tuples(st.sampled_from(list(_WHOLE_SCOPES)), st.booleans()).flatmap(
+    lambda key: st.tuples(
+        st.just(key), st.lists(st.sampled_from(_scope_iso(*key)[1]), max_size=6)
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_scope_sets)
+# <2,3>: V_H = {0}, so only the identity counts and the translate is 0
+@example((("identical", False), [Z1.element(2), Z1.element(3)]))
+def test_translation_matches_filtered_brute_force_minimum(case):
+    (pair, backward), members = case
+    f, _ = _scope_iso(pair, backward)
+    # only the valuation pairs skip the V_H filter
+    assert (f.domain_valuation is f.domain) == (pair in ("n0-minus-n0", "planar"))
+    x = FinSubset1.make(f.domain, members)
+    s = [u for u in x.elements if f.domain_valuation.contains(u)]
+    least = [m for m in s if all(f.codomain_valuation.contains(v - m) for v in s)]
+    assert [_translation(f, x.elements)] == [-m for m in least]
 
 
 def test_translation_uniqueness_scan(planar_iso, halfplane, cone_sqrt2):
