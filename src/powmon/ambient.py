@@ -65,7 +65,10 @@ class GroupSignature:
             raise ValueError("free_rank must be non-negative")
         if any(n < 2 for n in self.torsion_orders):
             raise ValueError("torsion orders must all be >= 2")
-        identity = GroupElement(self, (0,) * (self.free_rank + len(self.torsion_orders)))
+        try:
+            identity = GroupElement(self, (0,) * (self.free_rank + len(self.torsion_orders)))
+        except (OverflowError, MemoryError):
+            raise ValueError(f"free_rank {self.free_rank} is too large to build") from None
         object.__setattr__(self, "_identity", identity)
 
     def _reduced(self, coords: tuple[int, ...]) -> tuple[int, ...]:

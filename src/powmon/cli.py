@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import re
+import signal
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -332,9 +333,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_suites(iso, cfg: SuiteConfig, names, fmt: str) -> int:
+def _write_reports(reports, fmt: str) -> int:
     """Write the reports; exit 1, naming the first failed or inconclusive suite."""
-    reports = verify_iso(iso, cfg, names)
     sys.stdout.write(format_reports(reports, fmt))
     first = next((r for r in reports if r.verdict in (Verdict.FAIL, Verdict.INCONCLUSIVE)), None)
     if first is None:
@@ -349,19 +349,16 @@ def cmd_iso(args) -> int:
     cfg = _suite_config(args)
     iso = build_translation_iso(h, k)
     names = args.suites.split(",") if args.suites is not None else None
-    return _run_suites(iso, cfg, names, args.format)
+    return _write_reports(verify_iso(iso, cfg, names), args.format)
 
 
 def cmd_suite(args) -> int:
     cfg = _suite_config(args)
-    return _run_suites(planar_iso(), cfg, args.names, args.format)
+    return _write_reports(verify_iso(planar_iso(), cfg, args.names), args.format)
 
 
 def cmd_example_rank4(args) -> int:
-    cfg = _suite_config(args)
-    report = run_rank4_example(cfg)
-    sys.stdout.write(format_reports([report], args.format))
-    return EXIT_OK if report.verdict == Verdict.PASS else EXIT_PROPERTY_FAILURE
+    return _write_reports([run_rank4_example(_suite_config(args))], args.format)
 
 
 #: Every flag a subcommand may take; each subcommand adds only those it reads.
@@ -442,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console() -> None:
+    # a reader that closes stdout early (`powmon ... | head`) ends the run
+    # quietly, as it ends cat or grep; powmon opens no socket
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -144,7 +144,7 @@ def _scope(iso: TranslationIso) -> str:
 
 
 def _report(
-    suite: str, iso: TranslationIso, cases: int, skips: int, failures: list[dict], note: str = ""
+    suite: str, scope: str, cases: int, skips: int, failures: list[dict], note: str = ""
 ) -> SuiteReport:
     """The one verdict rule: FAIL on a failure; else INCONCLUSIVE when a
     note says what sampling never saw or when no case exercised the law;
@@ -156,7 +156,7 @@ def _report(
         note = note or "sampling never exercised the law"
     else:
         verdict = Verdict.PASS
-    return SuiteReport(suite, _scope(iso), cases, skips, tuple(to_json(failures)), verdict, note)
+    return SuiteReport(suite, scope, cases, skips, tuple(to_json(failures)), verdict, note)
 
 
 @dataclass(slots=True)
@@ -455,10 +455,10 @@ def run_suite(name: str, iso: TranslationIso, cfg: SuiteConfig = SuiteConfig()) 
     i = bisect_left(pool, iso.domain.identity().key(), key=GroupElement.key)
     nonid = pool[:i] + pool[i + 1 :]
     if not nonid:
-        return _report(name, iso, 0, 0, [])
+        return _report(name, _scope(iso), 0, 0, [])
     s = _Sample(iso, cfg, random.Random(f"{cfg.seed}:{name}"), pool, nonid, cfg.sample_count)
     failures = _BODIES[name](s)
-    return _report(name, iso, s.cases, s.skips, failures, s.note)
+    return _report(name, _scope(iso), s.cases, s.skips, failures, s.note)
 
 
 #: Every suite name, sorted: the order ``verify_iso`` runs them in.
@@ -581,8 +581,7 @@ def run_rank4_example(cfg: SuiteConfig = SuiteConfig(), tampered: bool = False) 
         )
 
     scope = "packaged rank-4 scenario" + (" (tampered)" if tampered else "")
-    verdict_str = Verdict.FAIL if failures else Verdict.PASS
-    return SuiteReport("example_rank4", scope, cases, 0, tuple(to_json(failures)), verdict_str)
+    return _report("example_rank4", scope, cases, 0, failures)
 
 
 def format_reports(reports: Iterable[SuiteReport], fmt: str = "human") -> str:

@@ -376,6 +376,12 @@ def test_signature_rejects_non_integers(free_rank, torsion):
         GroupSignature(free_rank, torsion)
 
 
+def test_signature_too_large_to_build_is_a_value_error():
+    # 10**20 coordinates do not fit an index, so nothing is allocated
+    with pytest.raises(ValueError, match=r"^free_rank 100000000000000000000 is too large to build$"):
+        GroupSignature(10**20)
+
+
 @pytest.mark.parametrize(
     "sig, free, torsion",
     [(Z2, (1, 2.5), ()), (Z2, (True, 2), ()), (Z1, False, ()), (Z1, ("1",), ()),

@@ -3,9 +3,11 @@ import copy
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,26 @@ def test_python_dash_m_runs_the_cli():
         env=env, capture_output=True, text=True,
     )
     assert (done.returncode, done.stdout) == (0, "{0,1,2,3}\n"), done.stderr
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the reader closes after 10 bytes of a ~100 KB answer; the run ends
+    # by SIGPIPE, as cat does, with no BrokenPipeError traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "powmon", "eval", "{0,1}^20000"],
+            env=env, stdout=subprocess.PIPE, stderr=err,
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        assert err.read() == ""
+    if hasattr(signal, "SIGPIPE"):
+        assert code == -signal.SIGPIPE
 
 
 def test_eval_product(capsys):
@@ -309,6 +331,17 @@ def test_example_rank4_small(capsys):
     assert "example_rank4" in capsys.readouterr().out
 
 
+def test_example_rank4_failure_exit_1_names_itself(capsys, monkeypatch):
+    import powmon.cli
+    from powmon.suites import run_rank4_example
+
+    monkeypatch.setattr(powmon.cli, "run_rank4_example", partial(run_rank4_example, tampered=True))
+    assert main(["example-rank4", "--window", "2", "--samples", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("example_rank4  FAIL ")
+    assert captured.err == "first failure: suite example_rank4: FAIL\n"
+
+
 def test_env_seed_overrides_flag(monkeypatch):
     import argparse
 
@@ -435,13 +468,15 @@ def test_internal_error_exit_4(capsys, monkeypatch, error):
                      "generators": [{"free": [1], "torsion": [1.5]}, {"free": [-1], "torsion": [0]}]}),
         ("analyze", {"family": "FREE_GENERATED", "signature": {"free_rank": 1},
                      "generators": [{"free": [True]}, {"free": [-1]}]}),
+        # 10**20 coordinates do not fit an index, so nothing is allocated
+        ("analyze", {"family": "FULL_N0", "signature": {"free_rank": 10**20}}),
     ],
     ids=["free-rank-string", "top-level-list", "numerical-generators-int", "numerical-generator-bool",
          "free-generated-generators-int", "deeply-nested-expression",
          "free-rank-float", "free-rank-bool", "torsion-order-float",
          "element-without-torsion", "embedding-float", "label-list", "surd-coefficient-null",
          "free-generated-generators-string", "torsion-coordinate-float",
-         "free-coordinate-bool"],
+         "free-coordinate-bool", "free-rank-too-large-to-build"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, command, payload):
     # exit 1 is reserved for property failures: bad input is a parse error

@@ -542,6 +542,49 @@ def test_translate_one_generator_off_raises_in_six_suites(iso, monkeypatch):
     assert row == _TRANSLATE_OFF_ROW
 
 
+#: Suite -> (verdict, cases, failures), or the (error type, message) it
+#: raised, with g((1,1)) poisoned to (-1,-1) in the pullback memo.
+_POISONED_PULLBACK_ROW = {
+    "cardinality": (Verdict.PASS, 40, 0),
+    "decomposition_hom": (Verdict.FAIL, 40, 3),
+    "dependent_products": (Verdict.PASS, 40, 0),
+    "homomorphism": (Verdict.PASS, 40, 0),
+    "independent_powers": (Verdict.PASS, 40, 0),
+    "nothing_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+    "one_reversed": _no_pattern("(1,1)", "[(0,0), (1,1), (3,3)]"),
+    "product_dichotomy": (Verdict.PASS, 40, 0),
+    "pseudo_closure": (Verdict.PASS, 40, 0),
+    "pullback_powers": (Verdict.FAIL, 40, 27),
+    "pullback_unit_inverses": (Verdict.NOT_APPLICABLE, 0, 0),
+    "quotient_multiplicity": (Verdict.PASS, 40, 0),
+    "split_monoids": _no_pattern("(1,1)", "[(0,0), (1,1), (3,3)]"),
+    "torsion_products": (Verdict.NOT_APPLICABLE, 0, 0),
+    "two_sets": (Verdict.PASS, 40, 0),
+    "units_not_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+}
+
+
+def test_poisoned_pullback_memo_fails_two_suites_and_raises_in_two():
+    """A row of the suite x mutant matrix: a memo entry that makes
+    g((1,1)) = (-1,-1), reversed, though (1,1) is not.  pullback_powers
+    and decomposition_hom fail, the power chain of (1,1) matches neither
+    pattern in one_reversed and split_monoids, and the other eight
+    sampled suites pass."""
+    poisoned = planar_iso()  # not the shared fixture: the memo outlives the test
+    sig = poisoned.domain.signature
+    poisoned._pullback_cache[sig.element((1, 1))] = sig.element((-1, -1))
+    cfg = SuiteConfig(window_bound=3, sample_count=40)
+    row = {}
+    for name in SUITE_NAMES:
+        try:
+            r = run_suite(name, poisoned, cfg)
+        except (translation.TranslationCheckError, translation.DichotomyViolationError) as exc:
+            row[name] = (type(exc), str(exc))
+        else:
+            row[name] = (r.verdict, r.cases, len(r.failures))
+    assert row == _POISONED_PULLBACK_ROW
+
+
 def _double_largest_of_three(f, x):
     """f with the last non-identity member u of each image of 3 or more
     members replaced by u + u; images of {1} and {1, a} stay whole."""
