@@ -86,8 +86,13 @@ class GroupSignature:
 
     def _canonical(self, coords: tuple[int, ...]) -> GroupElement:
         """The element with these coordinates, torsion reduced; most
-        elements are torsion-free, and skip the call."""
-        return GroupElement(self, self._reduced(coords) if self.torsion_orders else coords)
+        elements are torsion-free, and skip the call.  Sums, differences,
+        negations, multiples and ``element()`` are built here in one step,
+        their two slots set directly; the public constructor is unchanged."""
+        u = object.__new__(GroupElement)
+        _set_signature(u, self)
+        _set_coords(u, self._reduced(coords) if self.torsion_orders else coords)
+        return u
 
     def element(self, free: int | Iterable[int] = (), torsion: Iterable[int] = ()) -> GroupElement:
         if isinstance(free, int):
@@ -118,7 +123,10 @@ class GroupSignature:
 class GroupElement:
     """Element of an ambient group: its free coordinates, then its torsion
     residues canonical in [0, n).  ``GroupSignature.element`` checks and
-    reduces coordinates; the constructor trusts its caller to."""
+    reduces coordinates; the constructor trusts its caller to.  The
+    library builds the results of the arithmetic and of ``element()`` in
+    one step (``GroupSignature._canonical``); the public constructor is
+    unchanged, and both kinds equal, hash, print and pickle alike."""
 
     # compared, not hashed: hashing it would call a second, Python-level
     # __hash__ on every element hash
@@ -176,6 +184,10 @@ class GroupElement:
         if len(self.free) == 1:
             return str(self.free[0])
         return f"({','.join(map(str, self.free))})"
+
+
+_set_signature = GroupElement.signature.__set__
+_set_coords = GroupElement.coords.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,12 @@ class MonoidSpec:
     family: ClassVar[str]
 
     def contains(self, u: GroupElement) -> bool:
-        """Is u a member?  Its signature is checked, once, and the family's
-        rule is asked on its coordinates.  Each family binds this function
-        in its own class body, where ``perfbench/tracing.py`` reads it."""
-        self._check_element(u)
+        """Is u a member?  Its signature is checked, once (by identity
+        first: most elements share the spec's signature object), and the
+        family's rule is asked on its coordinates.  Each family binds this
+        function in its own class body, where ``perfbench/tracing.py`` reads it."""
+        if u.signature is not self.signature:
+            self._check_element(u)
         return self._contains_coords(u.coords)
 
     def _contains_coords(self, coords: tuple[int, ...]) -> bool:
@@ -843,9 +845,10 @@ class Composite(MonoidSpec):
     contains = MonoidSpec.contains
 
     def _contains_coords(self, coords: tuple[int, ...]) -> bool:
-        # both parts are over this signature (__post_init__)
+        # both parts are over this signature (__post_init__); they are
+        # disjoint, and most members asked about are complement members
         val, comp = self.valuation_part, self.complement_part
-        return val._contains_coords(coords) or comp._contains_coords(coords)
+        return comp._contains_coords(coords) or val._contains_coords(coords)
 
     def iter_window_members(self, window: Window) -> Iterator[GroupElement]:
         sig, comp, spans = self.signature, self.complement_part, window.spans(self.signature)

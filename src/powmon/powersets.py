@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable
 
 from .ambient import GroupElement
@@ -71,7 +71,8 @@ def checked_members(
     # collapses onto it and the loop skips it by identity, not by ``==``
     members = {identity}
     members.update(elements)
-    canon = sorted(members, key=GroupElement.key)
+    # ``GroupElement.key`` is the coordinates; read them without a Python-level call
+    canon = sorted(members, key=attrgetter("coords"))
     for u in canon:
         if u is not identity and not monoid.contains(u):
             raise MembershipError(monoid, u)

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -401,6 +404,35 @@ def test_finite_order_is_minimal():
             assert u.scale(n).is_identity()
             for m in range(1, n):
                 assert not u.scale(m).is_identity()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(elements_z_mod3, elements_z_mod3, st.integers(-4, 4))
+@example(Z_X_MOD3.element(2, (2,)), Z_X_MOD3.element(-1, (2,)), 2)
+def test_one_step_elements_are_indistinguishable_from_constructed(u, v, n):
+    """Sums, differences, negations, multiples and ``element()`` build
+    their elements in one step; each one equals, hashes, prints, pickles,
+    deep-copies and refuses assignment as the element the public
+    constructor builds from the reduced coordinates."""
+    (a, s), (b, t) = u.coords, v.coords
+    cases = [
+        (u + v, (a + b, (s + t) % 3)),
+        (u - v, (a - b, (s - t) % 3)),
+        (-u, (-a, -s % 3)),
+        (u.scale(n), (n * a, n * s % 3)),
+        (Z_X_MOD3.element(a, (s + 3 * n,)), (a, s)),
+    ]
+    for built, coords in cases:
+        ref = GroupElement(Z_X_MOD3, coords)
+        assert type(built) is GroupElement and built.signature is Z_X_MOD3
+        assert built == ref and ref == built and built.coords == coords
+        assert (hash(built), repr(built)) == (hash(ref), repr(ref))
+        assert pickle.dumps(built) == pickle.dumps(ref)
+        assert pickle.loads(pickle.dumps(built)) == ref == copy.deepcopy(built)
+        with pytest.raises(FrozenInstanceError):
+            built.coords = coords
+        with pytest.raises(FrozenInstanceError):
+            built.signature = Z_X_MOD3
 
 
 def test_element_hash_leaves_out_the_signature():

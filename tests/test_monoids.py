@@ -20,6 +20,7 @@ from powmon.monoids import (
     ComplementSpec,
     Composite,
     FreeGenerated,
+    HalfPlaneLex,
     MonoidSpec,
     QuadraticSurd,
     ValuationStatus,
@@ -45,6 +46,7 @@ from powmon.monoids import (
     witness_search_order,
 )
 from powmon.powersets import FinSubset1
+from powmon.suites import rank4_pair
 
 from conftest import glued_composites, torsion_composite_pair
 
@@ -640,6 +642,23 @@ def test_composite_membership(rank4_h):
     assert not rank4_h.contains(Z4.element((-3, 0, 0, 0)))
     assert not rank4_h.contains(Z4.element((0, 0, -1, 0)))
     assert rank4_h.is_reduced()
+
+
+def test_composite_asks_its_complement_first(monkeypatch):
+    """The two parts are disjoint, so a complement member never reaches
+    the valuation rule; a valuation member and a non-member still do."""
+    h, _ = rank4_pair()
+    asked = []
+    rule = HalfPlaneLex._contains_coords
+    monkeypatch.setattr(
+        HalfPlaneLex, "_contains_coords", lambda s, c: asked.append(c) or rule(s, c)
+    )
+    sig = h.signature
+    assert h.contains(sig.element((-3, -2, 1, 0)))  # complement part
+    assert asked == []
+    assert h.contains(sig.element((-3, 2, 0, 0)))  # half-plane part
+    assert not h.contains(sig.element((-3, 0, 0, 0)))
+    assert asked == [(-3, 2, 0, 0), (-3, 0, 0, 0)]
 
 
 @pytest.mark.parametrize(

@@ -585,6 +585,48 @@ def test_poisoned_pullback_memo_fails_two_suites_and_raises_in_two():
     assert row == _POISONED_PULLBACK_ROW
 
 
+def _negate_odd_unreversed(f, a):
+    """g with every non-reversed, non-identity member of odd first
+    coordinate sent to -a instead of a."""
+    g = translation.pullback(f, a)
+    return -g if g == a and not a.is_identity() and a.coords[0] % 2 else g
+
+
+_NEGATED_ODD_ROW = {
+    "cardinality": (Verdict.PASS, 60, 0),
+    "decomposition_hom": (Verdict.PASS, 60, 0),
+    "dependent_products": (Verdict.FAIL, 60, 12),
+    "homomorphism": (Verdict.PASS, 60, 0),
+    "independent_powers": (Verdict.FAIL, 60, 107),
+    "nothing_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+    "one_reversed": (Verdict.FAIL, 60, 26),
+    "product_dichotomy": (Verdict.FAIL, 60, 5),
+    "pseudo_closure": (Verdict.PASS, 60, 0),
+    "pullback_powers": (Verdict.FAIL, 60, 90),
+    "pullback_unit_inverses": (Verdict.NOT_APPLICABLE, 0, 0),
+    "quotient_multiplicity": (Verdict.FAIL, 60, 4),
+    "split_monoids": (Verdict.PASS, 75, 0),
+    "torsion_products": (Verdict.NOT_APPLICABLE, 0, 0),
+    "two_sets": (Verdict.PASS, 60, 0),
+    "units_not_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+}
+
+
+def test_negated_odd_pullback_fails_six_suites(iso, monkeypatch):
+    """A row of the suite x mutant matrix: g negates each non-reversed
+    member of odd first coordinate.  dependent_products,
+    independent_powers, one_reversed, product_dichotomy, pullback_powers
+    and quotient_multiplicity fail, the first two and product_dichotomy
+    on failure lines no other row reaches; the other sampled suites pass."""
+    monkeypatch.setattr(suites, "pullback", _negate_odd_unreversed)
+    cfg = SuiteConfig(window_bound=3, sample_count=60)
+    row = {}
+    for name in SUITE_NAMES:
+        r = run_suite(name, iso, cfg)
+        row[name] = (r.verdict, r.cases, len(r.failures))
+    assert row == _NEGATED_ODD_ROW
+
+
 def _double_largest_of_three(f, x):
     """f with the last non-identity member u of each image of 3 or more
     members replaced by u + u; images of {1} and {1, a} stay whole."""
