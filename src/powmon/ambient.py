@@ -23,8 +23,10 @@ __all__ = [
     "GroupElement",
     "SignatureMismatchError",
     "solve_relations",
+    "solve_system",
     "hnf_rows",
     "kernel_rows",
+    "least_nonnegative",
     "lattice_contains",
     "lattice_residue",
     "residue_rows",
@@ -244,13 +246,67 @@ def hnf_rows(rows: Iterable[Sequence[int]], width: int | None = None) -> tuple[t
     return tuple(tuple(r) for r in mat[:rank])
 
 
+def solve_system(
+    rows: Sequence[Sequence[int]], modulo: Sequence[Sequence[int]], width: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Echelon rows and kernel of ``c -> sum(c_i * rows_i)`` modulo the
+    lattice spanned by ``modulo``, on the first ``width`` columns.
+
+    The rows ``[rows_i | e_i]`` and ``[g | 0]`` are row reduced together.
+    The first result is the rank rows, each a head followed by the c that
+    builds it; ``lattice_residue`` of ``(u, 0)`` modulo them has a zero head
+    exactly when u is such a sum, and then its tail is minus one such c.
+    The second is the HNF basis of the kernel ``{c : sum(c_i * rows_i)
+    in <modulo>}``, every c's other solutions being c plus the kernel."""
+    k = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+    aug += [list(g) + [0] * k for g in modulo]
+    rank = _echelonize(aug, width)
+    return tuple(map(tuple, aug[:rank])), hnf_rows((r[width:] for r in aug[rank:]), k)
+
+
 def kernel_rows(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """HNF basis of ``{x in Z^m : x . M = 0}`` for the m-row matrix M."""
-    m = len(rows)
-    aug = [list(rows[i]) + [int(i == j) for j in range(m)] for i in range(m)]
-    rank = _echelonize(aug, width)
-    tails = [r[width:] for r in aug[rank:]]
-    return hnf_rows(tails, m)
+    return solve_system(rows, (), width)[1]
+
+
+def least_nonnegative(
+    point: Sequence[int], basis: Sequence[Sequence[int]], weights: Sequence[int], budget: int
+) -> tuple[int, ...] | None:
+    """The lexicographically least c >= 0 in ``point`` plus the lattice
+    with row-HNF ``basis``, or None if that coset has none.
+
+    ``weights`` are positive and orthogonal to every basis row, so each c
+    in the coset has ``sum(c_i * weights_i) == budget`` and c >= 0 bounds
+    c_i by ``budget // weights_i``.  Pivots are positive and their columns
+    increase, so lex order on c = point + sum(t_j * b_j) is lex order on
+    (t_1, ..., t_l): each parameter but the last is tried upward from the
+    first value that makes its pivot entry >= 0; the last takes the lower
+    end of the interval that c >= 0 cuts out, in closed form.
+    """
+    if not basis:
+        return tuple(point) if min(point, default=0) >= 0 else None
+    row, rest = basis[0], basis[1:]
+    p = _pivot_col(row)
+    if min(point[:p], default=0) < 0:  # entries no parameter moves
+        return None
+    lo = -(point[p] // row[p])
+    hi = (budget // weights[p] - point[p]) // row[p]
+    if rest:
+        for t in range(lo, hi + 1):
+            moved = [x + t * b for x, b in zip(point, row)]
+            found = least_nonnegative(moved, rest, weights, budget)
+            if found is not None:
+                return found
+        return None
+    for x, b in zip(point[p + 1 :], row[p + 1 :]):
+        if b > 0:
+            lo = max(lo, -(x // b))
+        elif b < 0:
+            hi = min(hi, x // -b)
+        elif x < 0:
+            return None
+    return tuple(x + lo * b for x, b in zip(point, row)) if lo <= hi else None
 
 
 def _pivot_col(row: Sequence[int]) -> int:
@@ -306,14 +362,12 @@ def solve_relations(a: GroupElement, b: GroupElement) -> tuple[tuple[int, ...], 
     """HNF rows of the kernel of (n, m) -> n*a + m*b, computed exactly.
 
     Free coordinates contribute exact linear equations; each torsion
-    coordinate contributes a congruence, handled through an auxiliary
-    integer unknown.  The rows are canonical, so equal inputs give equal
+    coordinate contributes a congruence, solved modulo its relation row
+    n_j * e_(d+j).  The rows are canonical, so equal inputs give equal
     tuples, and ``()`` means a and b are independent.
     """
     a._check(b)
-    rows = [list(a.coords), list(b.coords), *_torsion_relations(a.signature)]
-    ker = kernel_rows(rows, len(a.coords))
-    return hnf_rows((row[:2] for row in ker), 2)
+    return solve_system((a.coords, b.coords), _torsion_relations(a.signature), len(a.coords))[1]
 
 
 # ---------------------------------------------------------------------------

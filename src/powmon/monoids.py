@@ -41,7 +41,9 @@ from .ambient import (
     ResidueRow,
     SignatureMismatchError,
     lattice_residue,
+    least_nonnegative,
     residue_rows,
+    solve_system,
     subgroup_rows,
 )
 
@@ -541,7 +543,7 @@ class FreeGenerated(MonoidSpec):
       every generator), which bounds the coefficients of any
       representation and also proves the monoid reduced.  The monoid is
       then {identity} | G.M with G trivial, held as ``complement_part``,
-      and membership is the one graded search of ``ComplementSpec``; or
+      and membership is the one graded lattice solve of ``ComplementSpec``; or
     * a group certificate (the identity as an everywhere-positive
       combination), in which case the monoid is the generated subgroup,
       ``complement_part`` is None and membership is a lattice question.
@@ -644,8 +646,15 @@ class ComplementSpec:
     u - sum(c_i * m_i) in the lattice of G.  A grading functional that
     vanishes on G and is strictly positive on every m_i bounds c;
     construction fails exactly when no such functional exists.  This is
-    the package's one graded-membership search: a graded
+    the package's one graded-membership solver: a graded
     ``FreeGenerated`` monoid holds a complement with G trivial.
+
+    Construction row reduces the m_i together with G once
+    (``solve_system``): the echelon rows give one integer solution c_p of
+    u = sum(c_i * m_i) modulo G, and the kernel lattice
+    L = {c : sum(c_i * m_i) in G} gives all others, c_p + L.  The answer
+    for u is the lexicographically least c >= 0 in that coset
+    (``least_nonnegative``), memoized by u's residue modulo G.
     """
 
     signature: GroupSignature
@@ -654,6 +663,15 @@ class ComplementSpec:
     _residue_rows: tuple[ResidueRow, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    #: the echelon rows [sum(c_i * m_i) mod G | c], as residue rows
+    _solve_rows: tuple[ResidueRow, ...] = field(init=False, repr=False, compare=False, default=())
+    #: HNF basis of L = {c : sum(c_i * m_i) in G}
+    _kernel: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
+    #: the coordinates of each m_i, and its grade
+    _generator_coords: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
+    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     _grading: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     #: the first pair of positive generators (as coordinates) neither of
     #: whose differences ``in_base_or_set`` holds: an incomparable pair
@@ -673,8 +691,8 @@ class ComplementSpec:
                 raise SignatureMismatchError("complement generator signature mismatch")
         if not self.positive_generators:
             raise ValueError("complement needs at least one positive generator")
-        rows = residue_rows(subgroup_rows(self.signature, self.base_subgroup))
-        object.__setattr__(self, "_residue_rows", rows)
+        base = subgroup_rows(self.signature, self.base_subgroup)
+        object.__setattr__(self, "_residue_rows", residue_rows(base))
         grading = _positive_solution(
             [g.free for g in self.base_subgroup],
             [g.free for g in self.positive_generators],
@@ -687,8 +705,14 @@ class ComplementSpec:
                 "membership would be unbounded"
             )
         object.__setattr__(self, "_grading", grading)
+        gens = tuple(g.coords for g in self.positive_generators)
+        echelon, kernel = solve_system(gens, base, len(self.signature.identity().coords))
+        object.__setattr__(self, "_solve_rows", residue_rows(echelon))
+        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_generator_coords", gens)
+        object.__setattr__(self, "_weights", tuple(map(self.grade, gens)))
         minus, holds = self.signature._minus, self.in_base_or_set
-        pairs = itertools.combinations([g.coords for g in self.positive_generators], 2)
+        pairs = itertools.combinations(gens, 2)
         pairs = ((x, y) for x, y in pairs if not (holds(minus(x, y)) or holds(minus(y, x))))
         object.__setattr__(self, "incomparable_pair", next(pairs, None))
 
@@ -705,65 +729,43 @@ class ComplementSpec:
         least c in N0^k, c != 0, with u - sum(c_i * m_i) in G, or None if u
         is not in G.M."""
         residue = lattice_residue(self._residue_rows, coords)
-        found = self._cache["member"].get((0, residue), _UNSEEN)
-        return self._search(residue) if found is _UNSEEN else found
+        found = self._cache["member"].get(residue, _UNSEEN)
+        return self._solve(residue) if found is _UNSEEN else found
 
     def _contains_coords(self, coords: tuple[int, ...]) -> bool:
         residue = lattice_residue(self._residue_rows, coords)
-        found = self._cache["member"].get((0, residue), _UNSEEN)
-        return (self._search(residue) if found is _UNSEEN else found) is not None
+        found = self._cache["member"].get(residue, _UNSEEN)
+        return (self._solve(residue) if found is _UNSEEN else found) is not None
 
     def in_base_or_set(self, coords: tuple[int, ...]) -> bool:
         """Is u, given by its canonical coordinates, in G or in G.M?"""
         residue = lattice_residue(self._residue_rows, coords)
         if not any(residue):
             return True
-        found = self._cache["member"].get((0, residue), _UNSEEN)
-        return (self._search(residue) if found is _UNSEEN else found) is not None
+        found = self._cache["member"].get(residue, _UNSEEN)
+        return (self._solve(residue) if found is _UNSEEN else found) is not None
 
-    def _search(self, residue: tuple[int, ...]) -> tuple[int, ...] | None:
+    def _solve(self, residue: tuple[int, ...]) -> tuple[int, ...] | None:
         """``member_combination`` of a residue modulo G that the memo has
-        not seen.
-
-        Depth-first over the generators on coordinate vectors reduced
-        modulo G; the grade left fixes the count of the last generator.
-        The search starts from the residue, whose grade is that of u since
-        the grading vanishes on G.  Every state (generator index, residue)
-        is memoized, so repeated queries across a window collapse to a few
-        searches.
-        """
-        rows, memo = self._residue_rows, self._cache["member"]
-        budget = self.grade(residue)
-        if budget < 1:
-            memo[0, residue] = None
-            return None
-        gens = [g.coords for g in self.positive_generators]
-        weights = [self.grade(g.coords) for g in self.positive_generators]
-        last = len(gens) - 1
-
-        def search(i: int, r: tuple[int, ...], left: int) -> tuple[int, ...] | None:
-            # the least (c_i, ..., c_last) of grade ``left`` taking r into G
-            key = (i, r)
-            if key in memo:
-                return memo[key]
-            found = None
-            if i == last:
-                c, rem = divmod(left, weights[i])
-                if not rem and not any(
-                    lattice_residue(rows, [a - c * b for a, b in zip(r, gens[i])])
-                ):
-                    found = (c,)
-            else:
-                for c in range(left // weights[i] + 1):
-                    tail = search(i + 1, r, left - c * weights[i])
-                    if tail is not None:
-                        found = (c,) + tail
-                        break
-                    r = lattice_residue(rows, [a - b for a, b in zip(r, gens[i])])
-            memo[key] = found
-            return found
-
-        return search(0, residue, budget)
+        not seen, memoized.  The grading vanishes on G, so every solution c
+        has grade(c) = grade(residue) >= 1, and c != 0 holds by itself."""
+        found = None
+        budget, width, gens = self.grade(residue), len(residue), self._generator_coords
+        # (residue, 0) reduced by the echelon rows has a zero head exactly
+        # when residue is some sum(c_i * m_i) modulo G, c being minus its tail
+        v = lattice_residue(self._solve_rows, residue + (0,) * len(gens))
+        if budget >= 1 and not any(v[:width]):
+            tail = [-x for x in v[width:]]
+            found = least_nonnegative(tail, self._kernel, self._weights, budget)
+        if found is not None:
+            # checked outside ``assert``, which ``python -O`` strips
+            rest = list(residue)
+            for n, g in zip(found, gens):
+                rest = [a - n * b for a, b in zip(rest, g)]
+            if min(found) < 0 or any(lattice_residue(self._residue_rows, rest)):
+                raise AssertionError(f"solved combination {found} does not give residue {residue}")
+        self._cache["member"][residue] = found
+        return found
 
     def difference_witness(self, other: ComplementSpec) -> GroupElement | None:
         """An element of exactly one of the two complement sets, or None

@@ -14,6 +14,8 @@ from powmon.ambient import (
     GroupSignature,
     SignatureMismatchError,
     lattice_contains,
+    lattice_residue,
+    residue_rows,
     subgroup_rows,
 )
 from powmon.monoids import (
@@ -436,6 +438,113 @@ def test_cold_complement_questions_match_brute_force(case, order_seed):
 
 
 @st.composite
+def first_coordinate_graded(draw):
+    """A complement that its first coordinate grades, with up to four
+    generators, so that its kernel lattice L = {c : sum(c_i * m_i) in G}
+    often has rank 2 or more: base vectors have first coordinate 0, the
+    generators 1 to 3."""
+    sig = draw(st.sampled_from((Z2, GroupSignature(1, (3,)), GroupSignature(2, (2,)))))
+    d = sig.free_rank
+    rest = [st.integers(-3, 3)] * (d - 1) + [st.integers(0, n - 1) for n in sig.torsion_orders]
+
+    def vectors(first):
+        return st.tuples(first, *rest).map(lambda c: sig.element(c[:d], c[d:]))
+
+    base = draw(st.lists(vectors(st.just(0)), max_size=2))
+    gens = draw(st.lists(vectors(st.integers(1, 3)), min_size=1, max_size=4))
+    return sig, base, gens
+
+
+def _graded_case(sig, base, gens):
+    return (
+        sig,
+        [sig.element(free, torsion) for free, torsion in base],
+        [sig.element(free, torsion) for free, torsion in gens],
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(first_coordinate_graded())
+# L of rank 2, with G trivial
+@example(_graded_case(Z2, [], [((1, 0), ()), ((1, 1), ()), ((1, 2), ()), ((1, 3), ())]))
+# free-z-z3: torsion, and L = <(6, -3)>
+@example(_graded_case(GroupSignature(1, (3,)), [], [((1,), (1,)), ((2,), (0,))]))
+# torsion, G of rank 1 and L of rank 3
+@example(_graded_case(
+    GroupSignature(2, (2,)),
+    [((0, 2), (1,))],
+    [((1, 0), (0,)), ((1, 1), (1,)), ((2, 1), (0,)), ((1, 3), (1,))],
+))
+def test_lattice_solve_matches_lex_least_enumeration(case):
+    # the first coordinate grades the complement and reaches 5 on Window(5),
+    # so every answer there has sum(c_i * first_i) <= 5; product() runs in
+    # lexicographic order, so the first c met on each residue is the least
+    sig, base, gens = case
+    comp = ComplementSpec(sig, base, gens)
+    rows = residue_rows(subgroup_rows(sig, base))
+    least = {}
+    for c in itertools.product(range(6), repeat=len(gens)):
+        if any(c) and sum(n * g.free[0] for n, g in zip(c, gens)) <= 5:
+            total = sum((g.scale(n) for n, g in zip(c, gens)), sig.identity())
+            least.setdefault(lattice_residue(rows, total.coords), c)
+    for i, u in enumerate(ambient_window(sig, Window(5))):
+        residue = lattice_residue(rows, u.coords)
+        expected = least.get(residue)
+        # each question is the cold one on some residue
+        for q in (i % 3, (i + 1) % 3, (i + 2) % 3):
+            if q == 0:
+                assert comp.member_combination(u.coords) == expected, u
+            elif q == 1:
+                assert comp.contains(u) == (expected is not None), u
+            else:
+                in_base = not any(residue)
+                assert comp.in_base_or_set(u.coords) == (in_base or expected is not None), u
+
+
+def test_kernel_lattices_pinned(rank4_complement):
+    # L = {c : sum(c_i * m_i) in G}, in HNF: the answer for a residue is the
+    # lex-least c >= 0 in one coset of L
+    assert rank4_complement._kernel == ()
+    free_z2 = ComplementSpec(Z2, (), [Z2.element(v) for v in ((1, 0), (1, 1), (1, 3))])
+    assert free_z2._kernel == ((2, -3, 1),)
+    z_z3 = GroupSignature(1, (3,))
+    free_z_z3 = ComplementSpec(z_z3, (), (z_z3.element((1,), (1,)), z_z3.element((2,), (0,))))
+    assert free_z_z3._kernel == ((6, -3),)
+    four = ComplementSpec(Z2, (), [Z2.element((1, y)) for y in range(4)])
+    assert len(four._kernel) == 2
+
+
+def test_corrupted_kernel_raises_before_memoizing():
+    # every solved c is checked, outside ``assert``, so that python -O keeps it
+    comp = ComplementSpec(Z2, (), [Z2.element(v) for v in ((1, 0), (1, 1), (1, 3))])
+    assert comp.member_combination((2, 3)) == (1, 0, 1)
+    comp = ComplementSpec(Z2, (), comp.positive_generators)
+    # (1, -1, 0) keeps the grade but is no kernel vector: (1,0) != (1,1)
+    object.__setattr__(comp, "_kernel", ((1, -1, 0),))
+    with pytest.raises(AssertionError, match="does not give residue"):
+        comp.member_combination((2, 3))
+    assert (2, 3) not in comp._cache["member"]
+
+
+def test_memo_holds_one_entry_per_residue():
+    # members of the rank-4 complement in Window(3), and their translates by
+    # G, asked once each on a fresh spec: translates share a residue, and the
+    # memo keeps one entry per residue and no partial search states
+    shared = rank4_pair()[0].complement_part
+    sig, base = shared.signature, shared.base_subgroup
+    comp = ComplementSpec(sig, base, shared.positive_generators)
+    before = set(comp._cache["member"])  # asked by the incomparable-pair check
+    members = [u for u in ambient_window(sig, Window(3)) if shared.contains(u)]
+    asked = set()
+    for u in members:
+        for t in (sig.identity(), *base, *(-t for t in base)):
+            assert comp.contains(u + t)
+            asked.add(lattice_residue(comp._residue_rows, (u + t).coords))
+    assert len(members) > len(asked) > 1
+    assert set(comp._cache["member"]) == before | asked
+
+
+@st.composite
 def complement_pairs(draw):
     """Two complements in Z^2 or Z^3, each with a positive grading, and
     whether the second rewrites the first: the base vectors have first
@@ -491,8 +600,8 @@ def test_complement_set_certificate_matches_window(pair):
 
 
 def test_gradings_pinned(rank4_complement):
-    # a grading sets the search budgets of graded membership and of the
-    # composite pseudo-unit witness, so reports depend on which one is chosen
+    # a grading bounds graded membership's solve and sets the search budget
+    # of the composite pseudo-unit witness, so reports depend on which one is chosen
     assert rank4_complement._grading == (0, 0, 1, 1)
     m = free_generated(Z2, [Z2.element(v) for v in ((1, 0), (1, 1), (1, 3))])
     assert m.grading == (1, 0)

@@ -51,6 +51,7 @@ DELETED = [
     ("ambient", "RelationLattice"),  # solve_relations gives the HNF rows; `not lat` is trivial
     ("ambient", "subgroups_equal"),  # subgroup_rows(sig, a) == subgroup_rows(sig, b)
     ("monoids", "spec_to_dict"),  # to_json(spec)
+    ("monoids", "ComplementSpec._search"),  # _solve: one lattice solve per new residue
 ]
 
 

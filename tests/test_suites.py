@@ -14,7 +14,7 @@ from powmon.suites import (
     run_suite,
     verify_iso,
 )
-from powmon import suites, translation
+from powmon import structure, suites, translation
 from powmon.ambient import GroupSignature
 from powmon.powersets import FinSubset1
 from powmon.monoids import (
@@ -650,3 +650,53 @@ def test_doubled_largest_member_fails_homomorphism_past_set_sizes(iso, monkeypat
         '{"X": ' + _elements((-2, 1), (-2, 2), (0, 0), (2, 0), (2, 1), (3, 1))
         + ', "Y": ' + _elements((-3, 3), (0, 0)) + "}",
     )
+
+
+def _odd_complement_analytic(spec, a):
+    """pseudo_unit with every complement member of odd grade called a
+    pseudo-unit; every other verdict is the true one."""
+    comp = spec.complement_part
+    if comp.contains(a) and comp.grade(a.coords) % 2:
+        return structure.PseudoUnitVerdict(a, structure.PseudoUnitStatus.PSEUDO_UNIT_ANALYTIC)
+    return structure.pseudo_unit(spec, a)
+
+
+#: Suite -> (verdict, cases, failures) on the rank-4 iso under
+#: ``_odd_complement_analytic``: the unmutated verdicts but pseudo_closure's.
+_ODD_COMPLEMENT_ROW = {
+    "cardinality": (Verdict.PASS, 40, 0),
+    "decomposition_hom": (Verdict.PASS, 40, 0),
+    "dependent_products": (Verdict.PASS, 40, 0),
+    "homomorphism": (Verdict.PASS, 40, 0),
+    "independent_powers": (Verdict.PASS, 30, 0),
+    "nothing_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+    "one_reversed": (Verdict.INCONCLUSIVE, 40, 0),
+    "product_dichotomy": (Verdict.PASS, 40, 0),
+    "pseudo_closure": (Verdict.FAIL, 120, 38),
+    "pullback_powers": (Verdict.PASS, 40, 0),
+    "pullback_unit_inverses": (Verdict.NOT_APPLICABLE, 0, 0),
+    "quotient_multiplicity": (Verdict.INCONCLUSIVE, 40, 0),
+    "split_monoids": (Verdict.PASS, 55, 0),
+    "torsion_products": (Verdict.NOT_APPLICABLE, 0, 0),
+    "two_sets": (Verdict.PASS, 40, 0),
+    "units_not_reversed": (Verdict.NOT_APPLICABLE, 0, 0),
+}
+
+
+def test_odd_complement_pseudo_units_fail_pseudo_closure_alone(monkeypatch):
+    """A row of the suite x mutant matrix, on the rank-4 iso: complement
+    members of odd grade called pseudo-units.  pseudo_closure fails on its
+    product and translation laws, failure lines no other row reaches; the
+    other suites, split_monoids' reversed check among them, keep their
+    unmutated verdicts."""
+    monkeypatch.setattr(suites, "pseudo_unit", _odd_complement_analytic)
+    iso = build_translation_iso(*rank4_pair())
+    cfg = SuiteConfig(window_bound=3, sample_count=40)
+    row, laws = {}, {}
+    for name in SUITE_NAMES:
+        r = run_suite(name, iso, cfg)
+        row[name] = (r.verdict, r.cases, len(r.failures))
+        for failure in r.failures:
+            laws[failure["law"]] = laws.get(failure["law"], 0) + 1
+    assert row == _ODD_COMPLEMENT_ROW
+    assert laws == {"product": 16, "translation": 22}
